@@ -66,7 +66,6 @@ from .polygon import (
     fundamental_vertex,
     primitive_vectors,
     scale_polygon,
-    sort_ccw,
 )
 
 __version__ = "0.1.0"

@@ -18,7 +18,6 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .domains import DomainSpec, moment_integrals
 from .limit_curves import LimitCurve, dihedral_images
@@ -113,6 +112,8 @@ def distance_details(
     points = _poly_probe_points(poly)
     if curve.family == "C":
         return float(_distance_to_C(points).max()), 0.0
+    from scipy.spatial import cKDTree  # imported here: it is most of `import jarnik`
+
     cloud, gap = _curve_sample_cloud(curve, samples)
     dists, _ = cKDTree(cloud).query(points, k=1)
     return float(dists.max()), gap

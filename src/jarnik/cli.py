@@ -25,6 +25,10 @@ from fractions import Fraction
 
 from . import analysis, curvature, domains, limit_curves, number_theory, polygon
 
+# Largest order for `polygon` and `converge`: a polygon of order Q has about
+# 2.4 Q^2 vertices, and one order at the cap peaks below 1 GB of RSS.
+MAX_ORDER = 800
+
 
 def thread_count() -> int:
     raw = os.environ.get("JARNIK_THREADS", "")
@@ -51,10 +55,17 @@ def _write_artifact(text: str, path: str | None) -> None:
         raise
 
 
+def _order(raw: str) -> int:
+    order = int(raw)
+    if not 1 <= order <= MAX_ORDER:
+        raise argparse.ArgumentTypeError(f"order {order} is outside 1..{MAX_ORDER} (MAX_ORDER)")
+    return order
+
+
 def _parse_q_list(raw: str) -> list[int]:
-    orders = [int(tok) for tok in raw.split(",") if tok]
-    if not orders or any(q < 1 for q in orders):
-        raise ValueError("orders must be positive integers")
+    orders = [_order(tok) for tok in raw.split(",") if tok]
+    if not orders:
+        raise argparse.ArgumentTypeError("need at least one order")
     return orders
 
 
@@ -68,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_poly = sub.add_parser("polygon", help="build a polygon and export its vertices")
     p_poly.add_argument("--domain", required=True, help="square | diamond | octagon:<d> | ball:<p>")
-    p_poly.add_argument("--q", required=True, type=int, help="order Q >= 1")
+    p_poly.add_argument("--q", required=True, type=_order, help=f"order 1 <= Q <= {MAX_ORDER}")
     p_poly.add_argument("--scaled", action="store_true", help="emit the rescaled, centered polygon")
     p_poly.add_argument("--format", choices=("csv", "svg"), default="csv")
     p_poly.add_argument("--output", help="output path (default: stdout)")
@@ -82,7 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv = sub.add_parser("converge", help="distance table of scaled polygons to a curve")
     p_conv.add_argument("--domain", required=True)
     p_conv.add_argument("--curve", required=True)
-    p_conv.add_argument("--q-list", required=True, help="comma-separated orders, e.g. 50,100,200")
+    p_conv.add_argument("--q-list", required=True, type=_parse_q_list,
+                        help=f"comma-separated orders up to {MAX_ORDER}, e.g. 50,100,200")
     p_conv.add_argument("--samples", type=int, default=2**14)
     p_conv.add_argument("--output", help="output path (default: stdout)")
 
@@ -101,8 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_polygon(args: argparse.Namespace) -> str:
     spec = domains.parse_domain(args.domain)
-    if args.q < 1:
-        raise ValueError("--q must be a positive integer")
     poly = polygon.build_polygon(spec, args.q)
     shape = polygon.scale_polygon(poly) if args.scaled else poly
     return polygon.polygon_csv(shape) if args.format == "csv" else polygon.polygon_svg(shape)
@@ -120,11 +130,10 @@ def _cmd_limit_curve(args: argparse.Namespace) -> str:
 def _cmd_converge(args: argparse.Namespace) -> str:
     spec = domains.parse_domain(args.domain)
     curve = limit_curves.parse_curve(args.curve)
-    orders = _parse_q_list(args.q_list)
     if args.samples < 1000:
         raise ValueError("--samples must be at least 1000")
     records = analysis.convergence_table(
-        spec, orders, curve, samples=args.samples, workers=thread_count()
+        spec, args.q_list, curve, samples=args.samples, workers=thread_count()
     )
     return analysis.convergence_csv(records)
 

@@ -127,11 +127,12 @@ def _iroot_floor(x: int, k: int) -> int:
 def _ball_sum_within(A: int, B: int, C: int, b: int) -> bool:
     """Decide A^(1/b) + B^(1/b) <= C^(1/b) for nonnegative integers, exactly.
 
-    b = 1 and b = 2 reduce to polynomial comparisons.  Otherwise perfect
-    b-th powers are compared directly and the rest is settled by scaled
-    integer roots at escalating precision; the loop can only stall on an
-    exact boundary, which for roots this shape means rational roots, and
-    those are caught by the perfect-power test.
+    b = 1 and b = 2 reduce to polynomial comparisons.  Otherwise, with
+    A, B > 0, Besicovitch's theorem (b-th roots of distinct b-th-power-free
+    integers are linearly independent over Q) allows a tie only when
+    A^(b-1) B = tB^b and A^(b-1) C = tC^b; multiplied by A^((b-1)/b) the
+    comparison is then A + tB <= tC.  Any other case is settled by scaled
+    integer roots at escalating precision, which separate the two sides.
     """
     if b == 1:
         return A + B <= C
@@ -139,9 +140,12 @@ def _ball_sum_within(A: int, B: int, C: int, b: int) -> bool:
         # sqrt(A) + sqrt(B) <= sqrt(C)  <=>  C - A - B >= 0 and 4AB <= (C-A-B)^2
         gap = C - A - B
         return gap >= 0 and 4 * A * B <= gap * gap
-    ra, rb, rc = (_iroot_floor(v, b) for v in (A, B, C))
-    if ra**b == A and rb**b == B and rc**b == C:
-        return ra + rb <= rc
+    if not (A and B):
+        return max(A, B) <= C
+    lead = A ** (b - 1)
+    tb, tc = _iroot_floor(lead * B, b), _iroot_floor(lead * C, b)
+    if tb**b == lead * B and tc**b == lead * C:
+        return A + tb <= tc
     for bits in (32, 64, 128, 256, 512, 1024, 4096):
         scale = 1 << bits
         sb = scale**b

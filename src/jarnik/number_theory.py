@@ -124,18 +124,23 @@ class FareyNeighbors:
             raise ValueError("neighbor denominator exceeds the Farey order")
 
 
+def farey_walk(order: int) -> Iterator[tuple[int, int]]:
+    """(a, q) for the Farey fractions a/q of the order in (0, 1], increasing,
+    by the next-term recurrence (no gcd, no comparison of fractions)."""
+    a, b, c, d = 0, 1, 1, order  # consecutive fractions a/b < c/d
+    while True:
+        yield c, d
+        if c == d:
+            return
+        k = (order + b) // d
+        a, b, c, d = c, d, k * c - a, k * d - b
+
+
 def farey_sequence(order: int) -> list[Fraction]:
     """All reduced fractions in [0,1] with denominator <= order, increasing."""
     if order < 1:
         raise ValueError("Farey order must be a positive integer")
-    seq = [Fraction(0, 1), Fraction(1, order)]
-    a, b = 0, 1
-    c, d = 1, order
-    while c < d:
-        k = (order + b) // d
-        a, b, c, d = c, d, k * c - a, k * d - b
-        seq.append(Fraction(c, d))
-    return seq
+    return [Fraction(0, 1)] + [Fraction(a, q) for a, q in farey_walk(order)]
 
 
 # ---------------------------------------------------------------------------
@@ -462,24 +467,6 @@ def farey_neighbors(lam: RealSpec, order: int) -> FareyNeighbors:
     primary = Fraction(h, k)
     secondary = Fraction(j * h + h_prev, j * k + k_prev)
     return _neighbors_from_pair(primary, secondary, order)
-
-
-def farey_neighbors_stern_brocot(lam: RealSpec, order: int) -> FareyNeighbors:
-    """Same query as farey_neighbors, by mediant descent from (0/1, 1/1)."""
-    if order < 1:
-        raise ValueError("Farey order must be a positive integer")
-    if lam.is_rational:
-        raise ValueError("rational cut point; use farey_neighbors_sided")
-    lo_n, lo_d, hi_n, hi_d = 0, 1, 1, 1
-    while True:
-        med_n, med_d = lo_n + hi_n, lo_d + hi_d
-        if med_d > order:
-            break
-        if lam.cmp(Fraction(med_n, med_d)) > 0:
-            lo_n, lo_d = med_n, med_d
-        else:
-            hi_n, hi_d = med_n, med_d
-    return FareyNeighbors(Fraction(lo_n, lo_d), Fraction(hi_n, hi_d), order)
 
 
 def farey_neighbors_sided(lam: Fraction, side: str, order: int) -> FareyNeighbors:

@@ -8,17 +8,25 @@ right-hand endpoint of the (1, 0) edge is the origin; the scaled copy is
 translated to be centered at the origin and shrunk by the exact factor
 R = X(Q,1) + Y(Q,1) - 1/2, after which (0, -1) is the midpoint of the
 (1, 0) edge.
+
+Every region is eight-fold symmetric, so the edges are the dihedral
+images of the fundamental arc, the edges (q, a) with 0 < a <= q.  Their
+slopes are the Farey fractions of order Q in (0, 1], of which the arc
+keeps a/q when a <= cap[q], the largest a <= q with (q, a) in the region.
+The Farey next-term recurrence walks them in order, so the arc needs no
+gcd and no sort, and every decision is an integer comparison.
 """
 
 from __future__ import annotations
 
-import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from typing import NamedTuple, Sequence
 
 from .domains import DomainSpec, lattice_contains
-from .number_theory import RationalReal, RealSpec
+from .number_theory import RationalReal, RealSpec, farey_walk
 
 
 class PrimitiveVector(NamedTuple):
@@ -26,49 +34,68 @@ class PrimitiveVector(NamedTuple):
     a: int
 
 
-Vec = PrimitiveVector
+def _row_caps(spec: DomainSpec, order: int) -> list[int]:
+    """cap[q] for 0 <= q <= order: the largest a in [0, q] with (q/Q, a/Q)
+    in the region.  Closed forms for the polygonal regions; for balls a
+    float seed corrected by exact membership calls."""
+    rows = range(order + 1)
+    if spec.kind == "square":
+        return list(rows)
+    if spec.kind == "diamond":
+        return [min(q, order - q) for q in rows]
+    if spec.kind == "octagon":
+        dn, dd = spec.param.numerator, spec.param.denominator
+        return [min(q, dn * (order - q) // dd) for q in rows]
+    p = float(spec.param)
+    caps = []
+    for q in rows:
+        a = min(q, int(order * max(1.0 - (q / order) ** p, 0.0) ** (1.0 / p)))
+        while a > 0 and not lattice_contains(spec, q, a, order):
+            a -= 1
+        while a < q and lattice_contains(spec, q, a + 1, order):
+            a += 1
+        caps.append(a)
+    return caps
+
+
+def _fundamental_arc(spec: DomainSpec, order: int) -> list[tuple[int, int]]:
+    """The edges (q, a) with 0 < a <= q in the region, in increasing slope."""
+    if order < 1:
+        raise ValueError("order must be a positive integer")
+    cap = _row_caps(spec, order)
+    return [(q, a) for a, q in farey_walk(order) if a <= cap[q]]
+
+
+def _edges(spec: DomainSpec, order: int) -> list[tuple[int, int]]:
+    """Every edge in counterclockwise order from (1, 0): a quarter turn is
+    (1, 0), the fundamental arc and its mirror image in the diagonal, and
+    the other three quarters are its rotations."""
+    arc = _fundamental_arc(spec, order)
+    # (1, 1) is its own mirror image, and it ends every nonempty arc: every
+    # region contains (1, 1) once it contains some (q, a) with q >= a >= 1
+    quarter = [(1, 0)] + arc + [(a, q) for q, a in reversed(arc[:-1])]
+    return (
+        quarter
+        + [(-a, q) for q, a in quarter]
+        + [(-q, -a) for q, a in quarter]
+        + [(a, -q) for q, a in quarter]
+    )
 
 
 def primitive_vectors(spec: DomainSpec, order: int) -> list[PrimitiveVector]:
-    """All primitive vectors (q, a) with (q/Q, a/Q) in the region."""
-    if order < 1:
-        raise ValueError("order must be a positive integer")
-    gcd = math.gcd
-    found: list[PrimitiveVector] = []
-    for q in range(-order, order + 1):
-        for a in range(-order, order + 1):
-            if (q or a) and gcd(q, a) == 1 and lattice_contains(spec, q, a, order):
-                found.append(PrimitiveVector(q, a))
-    return found
-
-
-def _sector(v: PrimitiveVector) -> int:
-    # 0: along +x, 1: upper half plane, 2: along -x, 3: lower half plane
-    if v.a == 0:
-        return 0 if v.q > 0 else 2
-    return 1 if v.a > 0 else 3
-
-
-def _angle_key(v: PrimitiveVector) -> tuple[int, Fraction]:
-    # Within an open half plane the angle increases with -cot = -q/a,
-    # and the same expression orders the lower half plane as well.
-    if v.a == 0:
-        return (_sector(v), Fraction(0))
-    return (_sector(v), Fraction(-v.q, v.a))
+    """All primitive vectors (q, a) with (q/Q, a/Q) in the region, in
+    counterclockwise order from (1, 0)."""
+    return [PrimitiveVector(q, a) for q, a in _edges(spec, order)]
 
 
 def sort_ccw(vectors: Sequence[PrimitiveVector]) -> list[PrimitiveVector]:
-    """Counterclockwise angular order starting from the direction (1, 0).
+    """Counterclockwise order of arbitrary vectors from the direction (1, 0):
+    by half plane, then by the sign of the integer cross product."""
 
-    Purely integer comparisons (half-plane index, then exact slope); a
-    repeated direction cannot occur among primitive vectors and is
-    reported as an internal error.
-    """
-    ordered = sorted(vectors, key=_angle_key)
-    for prev, cur in zip(ordered, ordered[1:]):
-        if _angle_key(prev) == _angle_key(cur):
-            raise ValueError(f"duplicate direction: {prev} and {cur}")
-    return ordered
+    def cmp(v: PrimitiveVector, w: PrimitiveVector) -> int:
+        return ((v.a, v.q) < (0, 0)) - ((w.a, w.q) < (0, 0)) or v.a * w.q - v.q * w.a
+
+    return sorted(vectors, key=cmp_to_key(cmp))
 
 
 @dataclass(frozen=True)
@@ -96,64 +123,26 @@ class LatticePolygon:
 
 
 def build_polygon(spec: DomainSpec, order: int) -> LatticePolygon:
-    vectors = sort_ccw(primitive_vectors(spec, order))
-    start = vectors.index(PrimitiveVector(1, 0))
-    vectors = vectors[start:] + vectors[:start]
     verts = []
     x, y = -1, 0  # so the (1,0) edge ends at the origin
-    for q, a in vectors:
+    for q, a in _edges(spec, order):
         x += q
         y += a
         verts.append((x, y))
-    if verts[-1] != (-1, 0):
-        raise ValueError("edge vectors do not close up; region not symmetric")
     return LatticePolygon(tuple(verts), order, spec)
-
-
-def _slope_floor(lam: RealSpec | Fraction | int | float, q: int) -> int:
-    if isinstance(lam, RealSpec):
-        return lam.floor_scaled(q)
-    return RationalReal(Fraction(lam)).floor_scaled(q)
-
-
-def _domain_row_cap(spec: DomainSpec, order: int, q: int) -> int:
-    """Largest a in [0, q] with (q/Q, a/Q) in the region, assuming a <= q."""
-    if spec.kind == "square":
-        return q
-    if spec.kind == "diamond":
-        return order - q
-    if spec.kind == "octagon":
-        dn, dd = spec.param.numerator, spec.param.denominator
-        return (dn * (order - q)) // dd
-    a = min(q, int((max(order**float(spec.param) - q ** float(spec.param), 0.0)) ** (1.0 / float(spec.param))))
-    while a > 0 and not lattice_contains(spec, q, a, order):
-        a -= 1
-    while a < q and lattice_contains(spec, q, a + 1, order):
-        a += 1
-    return a
 
 
 def fundamental_vertex(
     spec: DomainSpec, order: int, lam: RealSpec | Fraction | int | float
 ) -> tuple[int, int]:
-    """The vertex reached by summing the region's primitive vectors with
-    positive coordinates and slope at most lam, as exact integers."""
-    if order < 1:
-        raise ValueError("order must be a positive integer")
-    gcd = math.gcd
-    x = y = 0
-    for q in range(1, order + 1):
-        cap = _domain_row_cap(spec, order, q)
-        top = min(_slope_floor(lam, q), cap)
-        count = 0
-        asum = 0
-        for a in range(1, top + 1):
-            if gcd(q, a) == 1:
-                count += 1
-                asum += a
-        x += q * count
-        y += asum
-    return (x, y)
+    """The vertex reached by summing the fundamental-arc edges (0 < a <= q)
+    with slope at most lam, as exact integers."""
+    if not isinstance(lam, RealSpec):
+        lam = RationalReal(Fraction(lam))
+    arc = _fundamental_arc(spec, order)
+    # the arc rises in slope: cut it before the first edge with a > floor(lam q)
+    arc = arc[: bisect_left(arc, True, key=lambda e: e[1] > lam.floor_scaled(e[0]))]
+    return (sum(q for q, _ in arc), sum(a for _, a in arc))
 
 
 @dataclass(frozen=True)
@@ -168,13 +157,16 @@ class ScaledPolygon:
 
 
 def scale_factor(spec: DomainSpec, order: int) -> Fraction:
-    """R = X(Q,1) + Y(Q,1) - 1/2, exact."""
+    """R = X(Q,1) + Y(Q,1) - 1/2, exact, from the end of the fundamental arc."""
     x1, y1 = fundamental_vertex(spec, order, 1)
     return Fraction(2 * (x1 + y1) - 1, 2)
 
 
 def scale_polygon(polygon: LatticePolygon) -> ScaledPolygon:
-    r = scale_factor(polygon.domain, polygon.order)
+    # A quarter turn holds (1, 0), the n arc edges and n - 1 mirror images
+    # (or (1, 0) alone), so the arc ends at vertex n = len // 8: (X(Q,1), Y(Q,1)).
+    x1, y1 = polygon.vertices[len(polygon.vertices) // 8]
+    r = Fraction(2 * (x1 + y1) - 1, 2)
     if r <= 0:
         raise ValueError("degenerate polygon: nonpositive scale factor")
     rf = float(r)

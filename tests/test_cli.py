@@ -1,9 +1,12 @@
+import hashlib
 import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
 
-from jarnik.cli import build_parser, run, thread_count
+from jarnik.cli import MAX_ORDER, build_parser, run, thread_count
 
 
 def run_capture(capsys, argv):
@@ -65,6 +68,72 @@ def test_polygon_bad_order_exit_2(capsys):
     assert code == 2
 
 
+def test_polygon_order_above_cap_exit_2(capsys):
+    code, out, err = run_capture(
+        capsys, ["polygon", "--domain", "square", "--q", str(MAX_ORDER + 1)]
+    )
+    assert code == 2 and out == ""
+    assert str(MAX_ORDER + 1) in err and str(MAX_ORDER) in err
+
+
+def test_polygon_large_ball_exponent(capsys):
+    # 50**200 overflows a float; the row caps must still be found exactly
+    base = ["polygon", "--domain", "ball:200", "--q", "50"]
+    code, plain, _ = run_capture(capsys, base)
+    assert code == 0
+    code, scaled, _ = run_capture(capsys, base + ["--scaled"])
+    assert code == 0 and len(scaled.splitlines()) == len(plain.splitlines())
+
+
+# sha256 of the CSV bytes, pinned so that any change of polygon output shows
+GOLDEN_POLYGON_SHA256 = {
+    ("square", 12, False): "f73782cd727fb58e23e0c27464bba4ab49828da0ab873542f2deee12d6d9ae2e",
+    ("square", 12, True): "2721c0f7b48b812e9e8022367ea79a4c70d8eed1ce6efd0f61b89f05e3916979",
+    ("square", 37, False): "774c2e2aad74d1aef73bd866ca74887620e49994478c40b0fee933e60475120b",
+    ("square", 37, True): "07936fbef8157dac0e5329f43784e48db9ec5365e273fc27728a0ced33a28789",
+    ("diamond", 12, False): "9feef94a0e4dc4b299534c406c99ccf77a3416c245ea11831b64f7dde9fad910",
+    ("diamond", 12, True): "53a41c2e2ac8cc111e89a59c47c0bfbacf0b0879559be090e07c2a293052824f",
+    ("diamond", 37, False): "cba262298ffe34262211502a3e7bdf18a314c7bf4e18d426b1942d9c7128fd6d",
+    ("diamond", 37, True): "8ccedff3c1915d73109962204cdcf0cc1561525e7347b36c6510b3d2cc2900b5",
+    ("octagon:2", 12, False): "b5e8a5af78bd95f708ec462f5e3ba7bd3938fcebaf37ef9ef95ff44d1aacadea",
+    ("octagon:2", 12, True): "4f6e2c359b5fc9549482b4c4c266ff73262ae5fc7767e715258684b7d761503e",
+    ("octagon:2", 37, False): "94186ebad230982f7eb9de335b18ad71f5301d70e61d7155c865dab4b31f33bf",
+    ("octagon:2", 37, True): "5d3c03fc8b34d69dd870c83d0e2adc1cfa38828f51f4d831f3efb6a0962d76e9",
+    ("ball:2", 12, False): "8f6b153e41d9249cb57b3de554961c3cb5ab058a33dab4dad2b691781aebb7c8",
+    ("ball:2", 12, True): "3a0cfd59524398895257f0685285dbb381bf5a33f893bcaaceea106d7dc36231",
+    ("ball:2", 37, False): "f585e50dc883ed26b1b9fc1623e1028d6273bb2cf9f18e28e90b7432699d1f2e",
+    ("ball:2", 37, True): "291cb7dfcd3b85d8fec9db2cb030f7f58a0fe9c32044eb1bda4850d919528925",
+    ("ball:5/3", 12, False): "02bdff1cf1d4190f7ff8e7d9e198af399d651a773e5b1fd705b752b6f44f0f64",
+    ("ball:5/3", 12, True): "85ba46a14d4c9e85d7880afa30be1b46905eab6c6cd3832b4fa5393c6d84886d",
+    ("ball:5/3", 37, False): "2c561223d2f7919c9950e6bbc6e0f6fb35306325d2105aa2cebcaef90870413d",
+    ("ball:5/3", 37, True): "0965bcc0921797a6127c479592dbe192063295d6ae69822b629d14d09e827408",
+}
+
+
+@pytest.mark.parametrize("domain, order, scaled", sorted(GOLDEN_POLYGON_SHA256))
+def test_polygon_golden_bytes(capsys, domain, order, scaled):
+    argv = ["polygon", "--domain", domain, "--q", str(order)] + (["--scaled"] if scaled else [])
+    code, out, _ = run_capture(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_POLYGON_SHA256[domain, order, scaled]
+
+
+@pytest.mark.parametrize("order", [16, 24, 54])
+def test_ball_third_boundary_orders_succeed(capsys, order):
+    # these orders put non-primitive lattice points exactly on the boundary
+    base = ["polygon", "--domain", "ball:1/3", "--q", str(order)]
+    code, plain, _ = run_capture(capsys, base)
+    assert code == 0 and plain.startswith("x,y\n0,0\n")
+    code, scaled, _ = run_capture(capsys, base + ["--scaled"])
+    assert code == 0 and len(scaled.splitlines()) == len(plain.splitlines())
+    code, table, _ = run_capture(
+        capsys,
+        ["converge", "--domain", "ball:1/3", "--curve", "Cp:1/3",
+         "--q-list", str(order), "--samples", "1000"],
+    )
+    assert code == 0 and table.splitlines()[1].startswith(f"ball:1/3,{order},Cp:1/3,")
+
+
 # ---------------------------------------------------------------------------
 # limit-curve
 # ---------------------------------------------------------------------------
@@ -122,6 +191,17 @@ def test_converge_rejects_mismatched_pairing(capsys):
     )
     assert code == 2
     assert "converges to" in err
+
+
+def test_converge_order_above_cap_exit_2(capsys):
+    # the small order first: the cap is checked before any table row is built
+    code, out, err = run_capture(
+        capsys,
+        ["converge", "--domain", "square", "--curve", "C",
+         "--q-list", f"5,{MAX_ORDER + 1}"],
+    )
+    assert code == 2 and out == ""
+    assert str(MAX_ORDER + 1) in err and str(MAX_ORDER) in err
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +272,18 @@ def test_help_documents_all_flags():
         text = sub.format_help()
         for flag in flags:
             assert flag in text, (sub_name, flag)
+
+
+def test_import_leaves_scipy_spatial_unloaded():
+    import jarnik
+
+    src = os.path.dirname(os.path.dirname(jarnik.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, jarnik, jarnik.cli; print('scipy.spatial' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60, env=env
+    )
+    assert result.stdout.strip() == "False"
 
 
 def test_unknown_command_exit_2(capsys):

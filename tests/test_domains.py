@@ -17,6 +17,7 @@ from jarnik.domains import (
     scale_factor_asymptote,
     square,
 )
+from jarnik.domains import _ball_sum_within
 
 ALL_SPECS = [
     square(),
@@ -76,6 +77,28 @@ def test_ball_non_halfinteger_exponent():
     # cube-root comparison path (denominator 3)
     b3 = ball(Fraction(2, 3))
     assert contains(b3, Fraction(1, 8), Fraction(27, 64)) is not None
+
+
+def test_ball_sum_exact_tie_without_perfect_powers():
+    # 2^(1/3) + 2^(1/3) = 16^(1/3), with none of 2, 2, 16 a perfect cube
+    assert _ball_sum_within(2, 2, 16, 3)
+    assert not _ball_sum_within(2, 2, 15, 3)
+    assert _ball_sum_within(2, 2, 17, 3)
+    # 3^(1/3) + 24^(1/3) = 81^(1/3): unequal terms, both ratios rational
+    assert _ball_sum_within(3, 24, 81, 3)
+    assert not _ball_sum_within(3, 24, 80, 3)
+    # a zero term reduces to comparing the other against C, tie included
+    assert _ball_sum_within(0, 5, 5, 3) and _ball_sum_within(5, 0, 5, 3)
+    assert not _ball_sum_within(6, 0, 5, 3)
+
+
+def test_ball_third_boundary_points_decided():
+    # (2, 2) at order 16 lies on the boundary of ball(1/3): 2 * 2^(1/3) = 16^(1/3)
+    spec = ball(Fraction(1, 3))
+    assert lattice_contains(spec, 2, 2, 16)
+    assert not lattice_contains(spec, 2, 3, 16)
+    assert lattice_contains(spec, 3, 3, 24)
+    assert lattice_contains(spec, 2, 16, 54)
 
 
 def test_octagon_vertices_on_boundary():

@@ -16,13 +16,14 @@ from jarnik.number_theory import (
     convergents,
     farey_neighbors,
     farey_neighbors_sided,
-    farey_neighbors_stern_brocot,
     farey_sequence,
     moebius_sieve,
     parse_real,
     partial_zeta_inverse,
     totient_sieve,
 )
+
+from oracles import farey_neighbors_stern_brocot
 
 # exact irrationals exercised against the brute-force Farey oracle
 CORPUS = [

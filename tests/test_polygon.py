@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from jarnik.domains import ball, contains, diamond, octagon, square
+from jarnik.domains import ball, contains, diamond, octagon, parse_domain, square
 from jarnik.number_theory import INV_SQRT3, farey_sequence
 from jarnik.polygon import (
     PrimitiveVector,
@@ -17,8 +17,11 @@ from jarnik.polygon import (
     primitive_vectors,
     scale_factor,
     scale_polygon,
-    sort_ccw,
 )
+
+import jarnik.polygon as polygon_module
+import oracles
+from oracles import sort_ccw
 
 V4_FUNDAMENTAL = [
     PrimitiveVector(1, 0),
@@ -164,6 +167,45 @@ def test_lattice_polygon_eightfold_symmetry(spec):
         {(-u, -v) for u, v in doubled},
     ):
         assert mapped == doubled
+
+
+ORACLE_ORDERS = list(range(1, 41)) + [70, 100]
+ORACLE_SLOPES = [Fraction(1, 3), Fraction(1, 2), 1, INV_SQRT3]
+
+
+@pytest.mark.parametrize(
+    "domain",
+    ["square", "diamond", "octagon:2", "octagon:1/3", "ball:2", "ball:5/3", "ball:3",
+     "ball:1/2", "ball:1/3"],
+)
+def test_farey_walk_matches_enumeration_oracle(domain):
+    # exact agreement with the gcd enumeration and the Fraction-key sort
+    spec = parse_domain(domain)
+    for order in ORACLE_ORDERS:
+        vectors = oracles.primitive_vectors(spec, order)
+        if (domain == "diamond" and order == 1) or (domain == "ball:1/3" and order <= 7):
+            # (1, 1) lies outside, and with it the whole fundamental arc
+            assert PrimitiveVector(1, 1) not in vectors and len(vectors) == 4
+        poly = build_polygon(spec, order)
+        assert poly == oracles.polygon_from_vectors(spec, order, vectors)
+        assert Counter(primitive_vectors(spec, order)) == Counter(vectors)
+        x1, y1 = oracles.vertex_from_vectors(vectors, 1)
+        r = Fraction(2 * (x1 + y1) - 1, 2)
+        assert scale_factor(spec, order) == r
+        if r > 0:  # R is read off the polygon's own vertices
+            assert scale_polygon(poly).scale == r
+        for lam in ORACLE_SLOPES:
+            assert fundamental_vertex(spec, order, lam) == oracles.vertex_from_vectors(vectors, lam)
+
+
+def test_sort_ccw_matches_fraction_key_oracle():
+    rng = random.Random(5)
+    vecs = set()
+    while len(vecs) < 400:
+        q, a = rng.randint(-50, 50), rng.randint(-50, 50)
+        if (q or a) and math.gcd(q, a) == 1:
+            vecs.add(PrimitiveVector(q, a))
+    assert polygon_module.sort_ccw(sorted(vecs)) == sort_ccw(sorted(vecs))
 
 
 def test_fundamental_vertex_examples():
