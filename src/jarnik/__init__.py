@@ -51,6 +51,7 @@ from .number_theory import (
     RealSpec,
     cf_expand,
     convergents,
+    farey_neighbor_walk,
     farey_neighbors,
     farey_neighbors_sided,
     farey_sequence,

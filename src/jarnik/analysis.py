@@ -12,7 +12,6 @@ every reported number an upper bound.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -163,7 +162,6 @@ def convergence_table(
     q_list: Sequence[int],
     curve: LimitCurve,
     samples: int = 2**14,
-    workers: int = 1,
 ) -> list[ConvergenceRecord]:
     """Sup-distance records along a ladder of orders, sorted by order."""
     check_pairing(spec, curve)
@@ -173,13 +171,7 @@ def convergence_table(
         measured, slack = distance_details(poly, curve, samples)
         return ConvergenceRecord(str(spec), order, str(curve), measured, measured + slack)
 
-    orders = sorted(set(q_list))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(row, orders))
-    else:
-        records = [row(q) for q in orders]
-    return sorted(records, key=lambda r: r.order)
+    return [row(q) for q in sorted(set(q_list))]
 
 
 def convergence_csv(records: Sequence[ConvergenceRecord]) -> str:

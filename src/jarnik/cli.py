@@ -10,8 +10,7 @@ Subcommands:
 
 Outputs are deterministic byte-for-byte for identical invocations.  Files
 are written to a temporary name and atomically renamed, so a failing run
-never leaves a partial artifact.  The environment variable JARNIK_THREADS
-caps internal parallelism (default: the machine's core count).
+never leaves a partial artifact.
 """
 
 from __future__ import annotations
@@ -22,21 +21,16 @@ import os
 import sys
 import tempfile
 from fractions import Fraction
+from typing import Callable
 
 from . import analysis, curvature, domains, limit_curves, number_theory, polygon
 
 # Largest order for `polygon` and `converge`: a polygon of order Q has about
 # 2.4 Q^2 vertices, and one order at the cap peaks below 1 GB of RSS.
 MAX_ORDER = 800
-
-
-def thread_count() -> int:
-    raw = os.environ.get("JARNIK_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = os.cpu_count() or 1
-    return max(1, n)
+# Largest `curvature --q-max`: a trace holds about 1 KB per order, and one
+# at the cap peaks at about 320 MB of RSS.
+MAX_TRACE_ORDER = 300_000
 
 
 def _write_artifact(text: str, path: str | None) -> None:
@@ -55,11 +49,19 @@ def _write_artifact(text: str, path: str | None) -> None:
         raise
 
 
-def _order(raw: str) -> int:
-    order = int(raw)
-    if not 1 <= order <= MAX_ORDER:
-        raise argparse.ArgumentTypeError(f"order {order} is outside 1..{MAX_ORDER} (MAX_ORDER)")
+def _capped(cap: int, name: str) -> Callable[[str], int]:
+    """An argparse type for orders in 1..cap; `name` is the cap's name in messages."""
+
+    def order(raw: str) -> int:
+        value = int(raw)
+        if not 1 <= value <= cap:
+            raise argparse.ArgumentTypeError(f"order {value} is outside 1..{cap} ({name})")
+        return value
+
     return order
+
+
+_order = _capped(MAX_ORDER, "MAX_ORDER")
 
 
 def _parse_q_list(raw: str) -> list[int]:
@@ -103,7 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="rat:a/b | surd:(P+sqrt(D))/Q | const:e-2 | const:inv-sqrt3 | cf:[0;...]")
     p_curv.add_argument("--side", choices=("+", "-"), help="required for rational slopes")
     p_curv.add_argument("--q-min", type=int, default=2)
-    p_curv.add_argument("--q-max", required=True, type=int)
+    p_curv.add_argument("--q-max", required=True, type=_capped(MAX_TRACE_ORDER, "MAX_TRACE_ORDER"),
+                        help=f"largest order, at most {MAX_TRACE_ORDER}")
     p_curv.add_argument("--format", choices=("csv", "svg"), default="csv")
     p_curv.add_argument("--output", help="output path (default: stdout)")
 
@@ -132,9 +135,7 @@ def _cmd_converge(args: argparse.Namespace) -> str:
     curve = limit_curves.parse_curve(args.curve)
     if args.samples < 1000:
         raise ValueError("--samples must be at least 1000")
-    records = analysis.convergence_table(
-        spec, args.q_list, curve, samples=args.samples, workers=thread_count()
-    )
+    records = analysis.convergence_table(spec, args.q_list, curve, samples=args.samples)
     return analysis.convergence_csv(records)
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Sequence
 
 from .number_theory import (
@@ -26,6 +27,8 @@ from .number_theory import (
     QuadraticSurd,
     RationalReal,
     RealSpec,
+    convergent_walk,
+    farey_neighbor_walk,
     farey_neighbors,
     farey_neighbors_sided,
     moebius_sieve,
@@ -89,34 +92,26 @@ def _x_by_moebius(order: int, mu) -> int:
     return total
 
 
-def scale_ladder(q_max: int, crosscheck_every: int = 64) -> list[Fraction]:
+def scale_ladder(q_max: int) -> list[Fraction]:
     """R(Q) = 3 X(Q,1)/2 for Q = 0..q_max, built incrementally.
 
     The increment from Q-1 to Q is exactly the contribution Q phi(Q) of
-    the vectors entering at denominator Q.  Every crosscheck_every steps
-    the running sum is recomputed through the independent Mobius divisor
-    identity to guard against drift.
+    the vectors entering at denominator Q.  The top X(q_max,1) is then
+    recomputed through the independent Mobius divisor identity: every
+    phi(q) enters it with weight q, so a wrong value anywhere shows there.
     """
     if q_max < 1:
         raise ValueError("ladder top must be a positive integer")
     phi = totient_sieve(q_max)
-    mu = moebius_sieve(q_max) if crosscheck_every else None
     ladder = [Fraction(0)] * (q_max + 1)
     x = 0
     for q in range(1, q_max + 1):
         x += q * phi[q]
-        if crosscheck_every and q % crosscheck_every == 0:
-            check = _x_by_moebius(q, mu)
-            if check != x:
-                raise ArithmeticError(f"scale ladder drift at Q={q}: {x} != {check}")
         ladder[q] = Fraction(3 * x, 2)
+    check = _x_by_moebius(q_max, moebius_sieve(q_max))
+    if check != x:
+        raise ArithmeticError(f"scale ladder drift at Q={q_max}: {x} != {check}")
     return ladder
-
-
-def square_scale_factor(order: int) -> Fraction:
-    """R(Q) for the square region, exact, via the totient sieve."""
-    phi = totient_sieve(order)
-    return Fraction(3 * sum(q * phi[q] for q in range(1, order + 1)), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -164,15 +159,10 @@ def _bounds_for(lam: RealSpec) -> CurvatureBounds:
     )
     exact = None
     if periodic:
-        # liminf of k_{n-1}/k_n over the (eventual) quotient cycle
-        k_prev, k = 0, 1
-        ratios = []
-        for i, b in enumerate(lam.quotients()):
-            k_prev, k = k, b * k + k_prev
-            ratios.append(k_prev / k)
-            if i >= 240:
-                break
-        exact_liminf = min(ratios[-80:])
+        # liminf of k_{n-1}/k_n over the (eventual) quotient cycle: the
+        # minimum of the last 80 ratios up to n = 242
+        ks = [k for _, k in islice(convergent_walk(lam.quotients()), 243)]
+        exact_liminf = min(kp / k for kp, k in zip(ks[-81:-1], ks[-80:]))
         exact = (2.0 + exact_liminf) / (1.0 + exact_liminf) ** 2 * _SQUARE_COEFF * shape
     return CurvatureBounds(
         str(lam),
@@ -181,6 +171,36 @@ def _bounds_for(lam: RealSpec) -> CurvatureBounds:
         2.0 * _SQUARE_COEFF * shape,
         limit_curve_radius(value),
         exact,
+    )
+
+
+def _cut_point(lam: RealSpec | Fraction, side: str | None) -> tuple[Fraction | None, str, float]:
+    """(the rational cut point or None, the CSV label, the float slope),
+    with the side checked against the kind of slope."""
+    if isinstance(lam, Fraction) or lam.is_rational:
+        frac = lam.value if isinstance(lam, RationalReal) else Fraction(lam)
+        if side is None:
+            raise ValueError("rational slope is two-sided; pass side='+' or side='-'")
+        if not 0 <= frac <= 1:
+            raise ValueError("rational cut point must lie in [0, 1]")
+        return frac, f"rat:{frac.numerator}/{frac.denominator}{side}", float(frac)
+    if side is not None:
+        raise ValueError("side applies only to rational slopes")
+    return None, str(lam), float(lam)
+
+
+def _sample(
+    neighbors: FareyNeighbors, lambda_spec: str, lam_value: float, scale: Fraction
+) -> CurvatureSample:
+    order = neighbors.order
+    r_sq = _neighbor_radius_squared(neighbors)
+    return CurvatureSample(
+        order,
+        lambda_spec,
+        neighbors,
+        r_sq,
+        math.sqrt(r_sq) / float(scale),
+        predicted_radius(order, lam_value, neighbors.left.denominator, neighbors.right.denominator),
     )
 
 
@@ -197,30 +217,14 @@ def local_radius(
     """
     if order < 2:
         raise ValueError("curvature needs order >= 2")
-    if isinstance(lam, Fraction) or (isinstance(lam, RealSpec) and lam.is_rational):
-        frac = lam.value if isinstance(lam, RationalReal) else Fraction(lam)
-        if side is None:
-            raise ValueError("rational slope is two-sided; pass side='+' or side='-'")
-        neighbors = farey_neighbors_sided(frac, side, order)
-        spec_str = f"rat:{frac.numerator}/{frac.denominator}{side}"
-        lam_value = float(frac)
-    else:
-        if side is not None:
-            raise ValueError("side applies only to rational slopes")
+    frac, lambda_spec, lam_value = _cut_point(lam, side)
+    if frac is None:
         neighbors = farey_neighbors(lam, order)
-        spec_str = str(lam)
-        lam_value = float(lam)
-    r_sq = _neighbor_radius_squared(neighbors)
-    r = math.sqrt(r_sq)
-    big_r = float(scale if scale is not None else square_scale_factor(order))
-    return CurvatureSample(
-        order,
-        spec_str,
-        neighbors,
-        r_sq,
-        r / big_r,
-        predicted_radius(order, lam_value, neighbors.left.denominator, neighbors.right.denominator),
-    )
+    else:
+        neighbors = farey_neighbors_sided(frac, side, order)
+    if scale is None:
+        scale = scale_ladder(order)[order]
+    return _sample(neighbors, lambda_spec, lam_value, scale)
 
 
 def curvature_trace(
@@ -229,56 +233,21 @@ def curvature_trace(
     q_max: int,
     side: str | None = None,
 ) -> list[CurvatureSample]:
-    """One sample per integer order in [q_min, q_max]."""
+    """One sample per integer order in [q_min, q_max].
+
+    The slope is checked before the R(Q) ladder is built.  An irrational
+    slope takes one Farey neighbor walk over the orders; a rational one
+    takes one local_radius call per order.
+    """
     if not 2 <= q_min <= q_max:
         raise ValueError("need 2 <= q_min <= q_max")
+    frac, lambda_spec, lam_value = _cut_point(lam, side)
+    if frac is None:
+        walk = farey_neighbor_walk(lam, q_min, q_max)
+        ladder = scale_ladder(q_max)
+        return [_sample(nb, lambda_spec, lam_value, ladder[nb.order]) for nb in walk]
     ladder = scale_ladder(q_max)
-
-    rational = isinstance(lam, Fraction) or (isinstance(lam, RealSpec) and lam.is_rational)
-    if rational:
-        return [
-            local_radius(q, lam, side=side, scale=ladder[q])
-            for q in range(q_min, q_max + 1)
-        ]
-    if side is not None:
-        raise ValueError("side applies only to rational slopes")
-
-    # Convergent pairs (h, k) up to beyond q_max, then walk the orders with
-    # the secondary-convergent rule: denominators k_n and j k_n + k_{n-1}.
-    pairs = [(1, 0), (0, 1)]
-    for b in lam.quotients():
-        h, k = pairs[-1]
-        hp, kp = pairs[-2]
-        pairs.append((b * h + hp, b * k + kp))
-        if pairs[-1][1] > 2 * q_max:
-            break
-    spec_str = str(lam)
-    lam_value = float(lam)
-    samples = []
-    n = 1
-    for q in range(q_min, q_max + 1):
-        while n + 1 < len(pairs) and pairs[n + 1][1] + pairs[n][1] <= q:
-            n += 1
-        h, k = pairs[n]
-        hp, kp = pairs[n - 1]
-        j = (q - kp) // k
-        f1 = Fraction(h, k)
-        f2 = Fraction(j * h + hp, j * k + kp)
-        if f1 > f2:
-            f1, f2 = f2, f1
-        neighbors = FareyNeighbors(f1, f2, q)
-        r_sq = _neighbor_radius_squared(neighbors)
-        samples.append(
-            CurvatureSample(
-                q,
-                spec_str,
-                neighbors,
-                r_sq,
-                math.sqrt(r_sq) / float(ladder[q]),
-                predicted_radius(q, lam_value, f1.denominator, f2.denominator),
-            )
-        )
-    return samples
+    return [local_radius(q, lam, side=side, scale=ladder[q]) for q in range(q_min, q_max + 1)]
 
 
 def limsup_liminf_estimate(

@@ -73,8 +73,10 @@ def ball(p: Rational | float) -> DomainSpec:
 
 
 def _as_fraction(value: Rational | float) -> Fraction:
-    if isinstance(value, float):
-        return Fraction(value)  # exact binary value of the float
+    # Fraction(0.3) is 5404319552844595/2**54, and membership raises the
+    # coordinates to that numerator: accept integral floats only.
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"parameter {value!r} is not an integer; pass a Fraction instead")
     return Fraction(value)
 
 

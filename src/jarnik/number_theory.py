@@ -22,7 +22,8 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from itertools import islice, pairwise
+from typing import Callable, Iterable, Iterator, Sequence
 
 
 # ---------------------------------------------------------------------------
@@ -282,11 +283,7 @@ class GeneratedCF(RealSpec):
         # Consecutive convergents bracket the value strictly; refine until
         # the query fraction falls outside the bracket.
         a, b = frac.numerator, frac.denominator
-        h_prev, k_prev, h, k = 1, 0, 0, 1
-        for quot in self.factory():
-            h_prev, h = h, quot * h + h_prev
-            k_prev, k = k, quot * k + k_prev
-            lo_n, lo_d, hi_n, hi_d = h_prev, k_prev, h, k
+        for (lo_n, lo_d), (hi_n, hi_d) in pairwise(convergent_walk(self.factory())):
             if lo_n * hi_d > hi_n * lo_d:
                 lo_n, lo_d, hi_n, hi_d = hi_n, hi_d, lo_n, lo_d
             if a * lo_d <= lo_n * b:
@@ -299,10 +296,7 @@ class GeneratedCF(RealSpec):
         return self.factory()
 
     def __float__(self) -> float:
-        h_prev, k_prev, h, k = 1, 0, 0, 1
-        for quot in self.factory():
-            h_prev, h = h, quot * h + h_prev
-            k_prev, k = k, quot * k + k_prev
+        for h, k in convergent_walk(self.factory()):
             if k > 1 << 40:
                 break
         return h / k
@@ -377,6 +371,18 @@ def parse_real(text: str) -> RealSpec:
 # ---------------------------------------------------------------------------
 
 
+def convergent_walk(quotients: Iterable[int]) -> Iterator[tuple[int, int]]:
+    """(h_n, k_n) for n = 0, 1, 2, ...: 1/0 and 0/1, then one convergent for
+    each partial quotient of [0; b_1, b_2, ...] read from the stream."""
+    h_prev, k_prev, h, k = 1, 0, 0, 1
+    yield h_prev, k_prev
+    yield h, k
+    for b in quotients:
+        h_prev, h = h, b * h + h_prev
+        k_prev, k = k, b * k + k_prev
+        yield h, k
+
+
 @dataclass(frozen=True)
 class ContinuedFraction:
     """A prefix of the expansion [0; b_1, b_2, ...].
@@ -391,13 +397,7 @@ class ContinuedFraction:
 
     def convergent_pairs(self) -> list[tuple[int, int]]:
         """(h_n, k_n) for n = 1, 2, ... derived from the stored quotients."""
-        h_prev, k_prev, h, k = 1, 0, 0, 1
-        pairs = [(h, k)]
-        for b in self.partial_quotients:
-            h_prev, h = h, b * h + h_prev
-            k_prev, k = k, b * k + k_prev
-            pairs.append((h, k))
-        return pairs
+        return list(islice(convergent_walk(self.partial_quotients), 1, None))
 
 
 def cf_expand(x: RealSpec | Fraction, n_terms: int) -> ContinuedFraction:
@@ -438,35 +438,51 @@ def convergents(cf: ContinuedFraction, count: int | None = None) -> list[Fractio
 # ---------------------------------------------------------------------------
 
 
-def _neighbors_from_pair(f1: Fraction, f2: Fraction, order: int) -> FareyNeighbors:
-    if f1 > f2:
-        f1, f2 = f2, f1
-    return FareyNeighbors(f1, f2, order)
-
-
-def farey_neighbors(lam: RealSpec, order: int) -> FareyNeighbors:
-    """The two consecutive order-Q Farey fractions around irrational lam.
+def farey_neighbor_walk(lam: RealSpec, q_min: int, q_max: int) -> Iterator[FareyNeighbors]:
+    """The two consecutive order-Q Farey fractions around irrational lam,
+    for every order Q = q_min..q_max.
 
     Uses the convergent/secondary-convergent description: with j k_n +
     k_{n-1} <= Q < (j+1) k_n + k_{n-1} and 1 <= j <= b_n, the bracketing
-    denominators are k_n and j k_n + k_{n-1}.
+    denominators are k_n and j k_n + k_{n-1}.  The arguments are checked
+    before the walk is returned: reading b_1 rejects a value outside (0, 1).
     """
-    if order < 1:
-        raise ValueError("Farey order must be a positive integer")
+    if not 1 <= q_min <= q_max:
+        raise ValueError("need 1 <= q_min <= q_max")
     if lam.is_rational:
         raise ValueError("rational cut point; use farey_neighbors_sided")
-    if lam.cmp(Fraction(0)) <= 0 or lam.cmp(Fraction(1)) >= 0:
-        raise ValueError("neighbor query requires lam in (0, 1)")
-    h_prev, k_prev, h, k = 1, 0, 0, 1
-    for b in lam.quotients():
-        h_next, k_next = b * h + h_prev, b * k + k_prev
-        if k_next + k > order:
-            break
-        h_prev, k_prev, h, k = h, k, h_next, k_next
-    j = (order - k_prev) // k
-    primary = Fraction(h, k)
-    secondary = Fraction(j * h + h_prev, j * k + k_prev)
-    return _neighbors_from_pair(primary, secondary, order)
+    pairs = convergent_walk(lam.quotients())
+    window = next(pairs), next(pairs), next(pairs)
+    return _neighbor_walk(pairs, window, q_min, q_max)
+
+
+def _neighbor_walk(
+    pairs: Iterator[tuple[int, int]],
+    window: tuple[tuple[int, int], ...],
+    q_min: int,
+    q_max: int,
+) -> Iterator[FareyNeighbors]:
+    # window: the convergents n-1, n and n+1, with k_n + k_{n-1} <= Q < k_{n+1} + k_n
+    (hp, kp), (h, k), (hn, kn) = window
+    for order in range(q_min, q_max + 1):
+        while kn + k <= order:
+            (hp, kp), (h, k), (hn, kn) = (h, k), (hn, kn), next(pairs)
+        j = (order - kp) // k
+        primary = Fraction(h, k)
+        secondary = Fraction(j * h + hp, j * k + kp)
+        # the secondary lies between h_{n-1}/k_{n-1} and h_n/k_n, so it is
+        # the left neighbor exactly when h_n/k_n is the larger of the two
+        if h * kp > hp * k:
+            yield FareyNeighbors(secondary, primary, order)
+        else:
+            yield FareyNeighbors(primary, secondary, order)
+
+
+def farey_neighbors(lam: RealSpec, order: int) -> FareyNeighbors:
+    """One step of farey_neighbor_walk: the neighbors of lam at one order."""
+    if order < 1:
+        raise ValueError("Farey order must be a positive integer")
+    return next(farey_neighbor_walk(lam, order, order))
 
 
 def farey_neighbors_sided(lam: Fraction, side: str, order: int) -> FareyNeighbors:

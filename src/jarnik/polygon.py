@@ -6,8 +6,8 @@ counterclockwise order yields the unique (up to translation) convex
 polygon with that edge multiset.  The polygon is anchored so that the
 right-hand endpoint of the (1, 0) edge is the origin; the scaled copy is
 translated to be centered at the origin and shrunk by the exact factor
-R = X(Q,1) + Y(Q,1) - 1/2, after which (0, -1) is the midpoint of the
-(1, 0) edge.
+R, half the polygon's height (X(Q,1) + Y(Q,1) - 1/2 whenever (1, 1) is an
+edge), after which (0, -1) is the midpoint of the (1, 0) edge.
 
 Every region is eight-fold symmetric, so the edges are the dihedral
 images of the fundamental arc, the edges (q, a) with 0 < a <= q.  Their
@@ -157,16 +157,17 @@ class ScaledPolygon:
 
 
 def scale_factor(spec: DomainSpec, order: int) -> Fraction:
-    """R = X(Q,1) + Y(Q,1) - 1/2, exact, from the end of the fundamental arc."""
+    """R, half the polygon's height, exact: X(Q,1) + Y(Q,1) - 1/2 from the
+    end of the fundamental arc, or 1/2 when the arc is empty and the
+    polygon is the unit square."""
     x1, y1 = fundamental_vertex(spec, order, 1)
-    return Fraction(2 * (x1 + y1) - 1, 2)
+    return Fraction(2 * (x1 + y1) - 1, 2) if x1 else Fraction(1, 2)
 
 
 def scale_polygon(polygon: LatticePolygon) -> ScaledPolygon:
-    # A quarter turn holds (1, 0), the n arc edges and n - 1 mirror images
-    # (or (1, 0) alone), so the arc ends at vertex n = len // 8: (X(Q,1), Y(Q,1)).
-    x1, y1 = polygon.vertices[len(polygon.vertices) // 8]
-    r = Fraction(2 * (x1 + y1) - 1, 2)
+    # The bottom edge (1, 0) ends at the origin and the top edge (-1, 0)
+    # starts at the vertex half way round, so R is half of that vertex's height.
+    r = Fraction(polygon.vertices[len(polygon.vertices) // 2 - 1][1], 2)
     if r <= 0:
         raise ValueError("degenerate polygon: nonpositive scale factor")
     rf = float(r)

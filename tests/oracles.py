@@ -6,7 +6,8 @@ by exact angle with `Fraction` keys.  It makes O(Q^2) membership calls and
 an O(Q^2 log Q) sort, so the package builds its polygons by the Farey walk
 instead; these stay as the reference that walk must reproduce.  The Farey
 neighbours of an irrational are likewise recomputed by mediant descent, a
-route independent of the package's convergent walk.
+route independent of the package's convergent walk, and R(Q) for the
+square region is summed directly from the totients, without the ladder.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from jarnik.domains import DomainSpec, lattice_contains
-from jarnik.number_theory import FareyNeighbors, RationalReal, RealSpec
+from jarnik.number_theory import FareyNeighbors, RationalReal, RealSpec, totient_sieve
 from jarnik.polygon import LatticePolygon, PrimitiveVector
 
 
@@ -106,3 +107,9 @@ def farey_neighbors_stern_brocot(lam: RealSpec, order: int) -> FareyNeighbors:
         else:
             hi_n, hi_d = med_n, med_d
     return FareyNeighbors(Fraction(lo_n, lo_d), Fraction(hi_n, hi_d), order)
+
+
+def square_scale_factor(order: int) -> Fraction:
+    """R(Q) for the square region, exact, via the totient sieve."""
+    phi = totient_sieve(order)
+    return Fraction(3 * sum(q * phi[q] for q in range(1, order + 1)), 2)

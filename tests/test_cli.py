@@ -6,7 +6,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from jarnik.cli import MAX_ORDER, build_parser, run, thread_count
+from jarnik.cli import MAX_ORDER, MAX_TRACE_ORDER, build_parser, run
 
 
 def run_capture(capsys, argv):
@@ -118,6 +118,16 @@ def test_polygon_golden_bytes(capsys, domain, order, scaled):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_POLYGON_SHA256[domain, order, scaled]
 
 
+@pytest.mark.parametrize("domain, order", [("ball:2", 1), ("ball:1/3", 7)])
+def test_scaled_unit_square_when_diagonal_lies_outside(capsys, domain, order):
+    # (1, 1) lies outside, so the polygon is the unit square and R = 1/2
+    code, out, _ = run_capture(
+        capsys, ["polygon", "--domain", domain, "--q", str(order), "--scaled"]
+    )
+    assert code == 0
+    assert out == "x,y\n1.0,-1.0\n1.0,1.0\n-1.0,1.0\n-1.0,-1.0\n"
+
+
 @pytest.mark.parametrize("order", [16, 24, 54])
 def test_ball_third_boundary_orders_succeed(capsys, order):
     # these orders put non-primitive lattice points exactly on the boundary
@@ -170,8 +180,7 @@ def test_limit_curve_bad_spec(capsys):
 # ---------------------------------------------------------------------------
 
 
-def test_converge_small_table(capsys, monkeypatch):
-    monkeypatch.setenv("JARNIK_THREADS", "2")
+def test_converge_small_table(capsys):
     code, out, _ = run_capture(
         capsys,
         ["converge", "--domain", "diamond", "--curve", "C1",
@@ -182,6 +191,22 @@ def test_converge_small_table(capsys, monkeypatch):
     assert lines[0] == "domain,Q,curve,sup_distance,bound"
     assert lines[1].startswith("diamond,8,C1,")
     assert lines[2].startswith("diamond,16,C1,")
+
+
+# sha256 of the `converge` CSV bytes, pinned so that any change of its output shows
+GOLDEN_CONVERGE_SHA256 = {
+    ("square", "C"): "72bbcdedaf19549e9c0d3ce21074755fb022151a317dcfb27df724323c3c5fb2",
+    ("diamond", "C1"): "9d997056f9b7da4e2a7f06ad5b76bb311568176188e4dafb22ca8a8c068bfd57",
+}
+
+
+@pytest.mark.parametrize("domain, curve", sorted(GOLDEN_CONVERGE_SHA256))
+def test_converge_golden_bytes(capsys, domain, curve):
+    argv = ["converge", "--domain", domain, "--curve", curve,
+            "--q-list", "20,40", "--samples", "2048"]
+    code, out, _ = run_capture(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_CONVERGE_SHA256[domain, curve]
 
 
 def test_converge_rejects_mismatched_pairing(capsys):
@@ -218,6 +243,44 @@ def test_curvature_trace_csv(capsys):
     lines = out.splitlines()
     assert lines[0] == "Q,q1,q2,r_squared_num,r_squared_den,r_tilde,predicted"
     assert lines[1].split(",")[:5] == ["4", "2", "3", "1105", "2"]
+
+
+# sha256 of the `curvature` CSV bytes over Q = 5..3000, for three irrational
+# and two one-sided rational slopes
+GOLDEN_CURVATURE_SHA256 = {
+    ("const:inv-sqrt3", None): "583a130f540a6908f83ea1e70c4ebed05508f4808e5ec32e28f4934502bd6af6",
+    ("const:e-2", None): "2effd0fcc908d04969b3c492eda09d2626aed1f0023fe8342b86d4209b43efce",
+    ("cf:[0;1,(2,3)]", None): "b4eb4cbe9417d7f543ef5ecc920c50d419cd4b591b267f4873863ce25f4d8ac3",
+    ("rat:2/5", "-"): "07ac95ecf0dccf15c4ae2bdcf8dabe1c13eae579618aa02c9bf2a38ed2ad44f4",
+    ("rat:1/2", "+"): "1b5b2b34d52227816404f7ee6379ca1a965c87738ee62bac2489160f43a5edca",
+}
+
+
+@pytest.mark.parametrize("lam, side", list(GOLDEN_CURVATURE_SHA256))
+def test_curvature_golden_bytes(capsys, lam, side):
+    argv = ["curvature", "--lambda", lam, "--q-min", "5", "--q-max", "3000"]
+    code, out, _ = run_capture(capsys, argv + (["--side", side] if side else []))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_CURVATURE_SHA256[lam, side]
+
+
+def test_curvature_order_above_cap_exit_2(capsys):
+    # refused while the arguments are parsed, before any work
+    code, out, err = run_capture(
+        capsys,
+        ["curvature", "--lambda", "const:e-2", "--q-max", str(MAX_TRACE_ORDER + 1)],
+    )
+    assert code == 2 and out == ""
+    assert str(MAX_TRACE_ORDER + 1) in err and "MAX_TRACE_ORDER" in err
+    assert MAX_TRACE_ORDER >= 100_000
+
+
+def test_curvature_slope_outside_unit_interval(capsys):
+    code, out, err = run_capture(
+        capsys, ["curvature", "--lambda", "surd:(1+sqrt(5))/2", "--q-max", "50"]
+    )
+    assert code == 2 and out == ""
+    assert err == "jarnik: argument error: quotient stream requires a value in (0, 1)\n"
 
 
 def test_curvature_rational_needs_side(capsys):
@@ -290,11 +353,3 @@ def test_unknown_command_exit_2(capsys):
     assert run(["frobnicate"]) == 2
     capsys.readouterr()
 
-
-def test_thread_count_env(monkeypatch):
-    monkeypatch.setenv("JARNIK_THREADS", "3")
-    assert thread_count() == 3
-    monkeypatch.setenv("JARNIK_THREADS", "junk")
-    assert thread_count() >= 1
-    monkeypatch.setenv("JARNIK_THREADS", "-2")
-    assert thread_count() == 1

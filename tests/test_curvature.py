@@ -14,15 +14,17 @@ from jarnik.curvature import (
     local_radius,
     predicted_radius,
     scale_ladder,
-    square_scale_factor,
     trace_csv,
     trace_svg,
 )
-from jarnik.curvature import _bounds_for
+from jarnik import curvature
+from jarnik.curvature import _bounds_for, _x_by_moebius
 from jarnik.domains import square
 from jarnik.limit_curves import curve_C
-from jarnik.number_theory import E_MINUS_2, INV_SQRT3, parse_real
+from jarnik.number_theory import E_MINUS_2, INV_SQRT3, moebius_sieve, parse_real
 from jarnik.polygon import build_polygon, fundamental_vertex, scale_factor, scale_polygon
+
+from oracles import square_scale_factor
 
 
 def float_circumradius(p0, p1, p2):
@@ -122,8 +124,26 @@ def test_scale_ladder_matches_direct_factor():
 
 
 def test_scale_ladder_crosscheck_runs():
-    # the Mobius-identity crosscheck fires every 64 steps without tripping
-    assert scale_ladder(256, crosscheck_every=64)[256] == square_scale_factor(256)
+    # the Mobius divisor identity holds at every 64th rung, not only at the top
+    ladder = scale_ladder(256)
+    mu = moebius_sieve(256)
+    for order in range(64, 257, 64):
+        assert ladder[order] == Fraction(3 * _x_by_moebius(order, mu), 2)
+    assert ladder[256] == square_scale_factor(256)
+
+
+def test_scale_ladder_guard_catches_a_wrong_totient(monkeypatch):
+    # one wrong phi(q) far below the top still changes X(q_max, 1)
+    sieve = curvature.totient_sieve
+
+    def perturbed(limit):
+        phi = sieve(limit)
+        phi[97] += 1
+        return phi
+
+    monkeypatch.setattr(curvature, "totient_sieve", perturbed)
+    with pytest.raises(ArithmeticError):
+        scale_ladder(1000)
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +249,17 @@ def test_trace_rational_side_plus_decays():
     assert trace[0].lambda_spec == "rat:1/2+"
     # left endpoint stays pinned at 1/2
     assert all(s.neighbors.left == Fraction(1, 2) for s in trace)
+
+
+def test_trace_rejects_slope_outside_unit_interval_before_ladder(monkeypatch):
+    def no_ladder(q_max):
+        raise AssertionError("ladder built for a rejected slope")
+
+    monkeypatch.setattr(curvature, "scale_ladder", no_ladder)
+    with pytest.raises(ValueError, match="quotient stream requires a value in"):
+        curvature_trace(parse_real("surd:(1+sqrt(5))/2"), 2, 10**5)
+    with pytest.raises(ValueError, match="must lie in"):
+        curvature_trace(Fraction(3, 2), 2, 10**5, side="+")
 
 
 def test_trace_validation():

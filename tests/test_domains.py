@@ -154,6 +154,16 @@ def test_infinite_parameters_alias_square():
     assert parse_domain("ball:inf") == square()
 
 
+def test_float_parameters_must_be_integral():
+    # Fraction(0.3) has a numerator near 5.4e15, an exponent membership would use
+    with pytest.raises(ValueError):
+        ball(0.3)
+    with pytest.raises(ValueError):
+        octagon(2.5)
+    assert ball(2.0) == ball(2)
+    assert octagon(3.0) == octagon(3)
+
+
 def test_parse_domain_grammar():
     assert parse_domain("square") == square()
     assert parse_domain("diamond") == diamond()

@@ -13,7 +13,9 @@ from jarnik.number_theory import (
     QuadraticSurd,
     RationalReal,
     cf_expand,
+    convergent_walk,
     convergents,
+    farey_neighbor_walk,
     farey_neighbors,
     farey_neighbors_sided,
     farey_sequence,
@@ -327,6 +329,29 @@ def test_farey_neighbors_corpus_vs_brute_force():
             sb = farey_neighbors_stern_brocot(spec, order)
             assert (sb.left, sb.right) == (nb.left, nb.right)
             assert spec.cmp(nb.left) > 0 > spec.cmp(nb.right)
+
+
+def test_farey_neighbor_walk_matches_single_steps():
+    for text in CORPUS:
+        spec = parse_real(text)
+        walk = list(farey_neighbor_walk(spec, 3, 400))
+        assert [nb.order for nb in walk] == list(range(3, 401))
+        for nb in walk[::7] + walk[-1:]:
+            assert nb == farey_neighbors(spec, nb.order), (text, nb.order)
+
+
+def test_farey_neighbor_walk_checks_arguments_before_iteration():
+    with pytest.raises(ValueError, match="quotient stream requires a value in"):
+        farey_neighbor_walk(parse_real("surd:(1+sqrt(5))/2"), 1, 10)
+    with pytest.raises(ValueError):
+        farey_neighbor_walk(RationalReal(Fraction(1, 2)), 1, 10)
+    with pytest.raises(ValueError):
+        farey_neighbor_walk(INV_SQRT3, 5, 4)
+
+
+def test_convergent_walk_starts_at_one_over_zero():
+    pairs = list(convergent_walk([1, 1, 2, 1, 2]))
+    assert pairs == [(1, 0), (0, 1), (1, 1), (1, 2), (3, 5), (4, 7), (11, 19)]
 
 
 def test_farey_neighbors_sided_examples():

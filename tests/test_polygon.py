@@ -187,13 +187,13 @@ def test_farey_walk_matches_enumeration_oracle(domain):
             # (1, 1) lies outside, and with it the whole fundamental arc
             assert PrimitiveVector(1, 1) not in vectors and len(vectors) == 4
         poly = build_polygon(spec, order)
-        assert poly == oracles.polygon_from_vectors(spec, order, vectors)
+        oracle = oracles.polygon_from_vectors(spec, order, vectors)
+        assert poly == oracle
         assert Counter(primitive_vectors(spec, order)) == Counter(vectors)
-        x1, y1 = oracles.vertex_from_vectors(vectors, 1)
-        r = Fraction(2 * (x1 + y1) - 1, 2)
+        ys = [y for _, y in oracle.vertices]
+        r = Fraction(max(ys) - min(ys), 2)  # half the height
         assert scale_factor(spec, order) == r
-        if r > 0:  # R is read off the polygon's own vertices
-            assert scale_polygon(poly).scale == r
+        assert scale_polygon(poly).scale == r
         for lam in ORACLE_SLOPES:
             assert fundamental_vertex(spec, order, lam) == oracles.vertex_from_vectors(vectors, lam)
 
