@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -85,11 +85,31 @@ def _distance_to_C(points: np.ndarray) -> np.ndarray:
 
 
 def _curve_sample_cloud(curve: LimitCurve, samples: int) -> tuple[np.ndarray, float]:
-    lams = np.linspace(0.0, 1.0, samples)
-    arc = np.array([curve.point(l) for l in lams])
+    arc = curve.points(np.linspace(0.0, 1.0, samples))
     gaps = np.linalg.norm(np.diff(arc, axis=0), axis=1)
-    cloud = np.concatenate([np.asarray(img) for img in dihedral_images(arc)])
-    return cloud, float(gaps.max())
+    return dihedral_images(arc).reshape(-1, 2), float(gaps.max())
+
+
+def curve_distance(
+    curve: LimitCurve, samples: int = 2**14
+) -> Callable[[ScaledPolygon], tuple[float, float]]:
+    """(measured distance, sampling slack) of a polygon's vertices and edge
+    midpoints to the full eight-fold curve; slack is zero for the exact
+    parabolic path.  The sample cloud and its tree are built once, here."""
+    if samples < 1000:
+        raise ValueError("need at least 1000 curve samples")
+    if curve.family == "C":
+        return lambda poly: (float(_distance_to_C(_poly_probe_points(poly)).max()), 0.0)
+    from scipy.spatial import cKDTree  # imported here: it is most of `import jarnik`
+
+    cloud, gap = _curve_sample_cloud(curve, samples)
+    tree = cKDTree(cloud)
+
+    def details(poly: ScaledPolygon) -> tuple[float, float]:
+        dists, _ = tree.query(_poly_probe_points(poly), k=1)
+        return float(dists.max()), gap
+
+    return details
 
 
 def distance_to_curve(
@@ -104,18 +124,8 @@ def distance_to_curve(
 def distance_details(
     poly: ScaledPolygon, curve: LimitCurve, samples: int = 2**14
 ) -> tuple[float, float]:
-    """(measured distance, sampling slack); slack is zero for the exact
-    parabolic path."""
-    if samples < 1000:
-        raise ValueError("need at least 1000 curve samples")
-    points = _poly_probe_points(poly)
-    if curve.family == "C":
-        return float(_distance_to_C(points).max()), 0.0
-    from scipy.spatial import cKDTree  # imported here: it is most of `import jarnik`
-
-    cloud, gap = _curve_sample_cloud(curve, samples)
-    dists, _ = cKDTree(cloud).query(points, k=1)
-    return float(dists.max()), gap
+    """(measured distance, sampling slack) of one polygon; see curve_distance."""
+    return curve_distance(curve, samples)(poly)
 
 
 # ---------------------------------------------------------------------------
@@ -163,12 +173,13 @@ def convergence_table(
     curve: LimitCurve,
     samples: int = 2**14,
 ) -> list[ConvergenceRecord]:
-    """Sup-distance records along a ladder of orders, sorted by order."""
+    """Sup-distance records along a ladder of orders, sorted by order; the
+    curve's sample cloud is built once for all of them."""
     check_pairing(spec, curve)
+    details = curve_distance(curve, samples)
 
     def row(order: int) -> ConvergenceRecord:
-        poly = scale_polygon(build_polygon(spec, order))
-        measured, slack = distance_details(poly, curve, samples)
+        measured, slack = details(scale_polygon(build_polygon(spec, order)))
         return ConvergenceRecord(str(spec), order, str(curve), measured, measured + slack)
 
     return [row(q) for q in sorted(set(q_list))]

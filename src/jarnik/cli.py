@@ -31,6 +31,10 @@ MAX_ORDER = 800
 # Largest `curvature --q-max`: a trace holds about 1 KB per order, and one
 # at the cap peaks at about 320 MB of RSS.
 MAX_TRACE_ORDER = 300_000
+# Largest `--samples` of `limit-curve` and `converge`: an arc is sampled as
+# one array; at the cap `converge` peaks at about 540 MB of RSS and
+# `limit-curve --format svg` at about 730 MB.
+MAX_SAMPLES = 2**20
 
 
 def _write_artifact(text: str, path: str | None) -> None:
@@ -49,19 +53,21 @@ def _write_artifact(text: str, path: str | None) -> None:
         raise
 
 
-def _capped(cap: int, name: str) -> Callable[[str], int]:
-    """An argparse type for orders in 1..cap; `name` is the cap's name in messages."""
+def _capped(cap: int, name: str, what: str = "order") -> Callable[[str], int]:
+    """An argparse type for integers in 1..cap; `name` is the cap's name and
+    `what` the kind of number in messages."""
 
-    def order(raw: str) -> int:
+    def bounded(raw: str) -> int:
         value = int(raw)
         if not 1 <= value <= cap:
-            raise argparse.ArgumentTypeError(f"order {value} is outside 1..{cap} ({name})")
+            raise argparse.ArgumentTypeError(f"{what} {value} is outside 1..{cap} ({name})")
         return value
 
-    return order
+    return bounded
 
 
 _order = _capped(MAX_ORDER, "MAX_ORDER")
+_samples = _capped(MAX_SAMPLES, "MAX_SAMPLES", "samples")
 
 
 def _parse_q_list(raw: str) -> list[int]:
@@ -88,7 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_curve = sub.add_parser("limit-curve", help="sample a limit curve's fundamental arc")
     p_curve.add_argument("--curve", required=True, help="C | C1 | Cdelta:<d> | Cp:<p>")
-    p_curve.add_argument("--samples", type=int, default=256)
+    p_curve.add_argument("--samples", type=_samples, default=256,
+                         help=f"arc samples, 2 to {MAX_SAMPLES}")
     p_curve.add_argument("--format", choices=("csv", "svg"), default="csv")
     p_curve.add_argument("--output", help="output path (default: stdout)")
 
@@ -97,7 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument("--curve", required=True)
     p_conv.add_argument("--q-list", required=True, type=_parse_q_list,
                         help=f"comma-separated orders up to {MAX_ORDER}, e.g. 50,100,200")
-    p_conv.add_argument("--samples", type=int, default=2**14)
+    p_conv.add_argument("--samples", type=_samples, default=2**14,
+                        help=f"curve samples, 1000 to {MAX_SAMPLES}")
     p_conv.add_argument("--output", help="output path (default: stdout)")
 
     p_curv = sub.add_parser("curvature", help="trace of scaled local radii over a range of orders")

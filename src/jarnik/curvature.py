@@ -237,7 +237,8 @@ def curvature_trace(
 
     The slope is checked before the R(Q) ladder is built.  An irrational
     slope takes one Farey neighbor walk over the orders; a rational one
-    takes one local_radius call per order.
+    takes its neighbors at q_min first, which refuses a cut point that
+    order cannot hold, then one local_radius call per further order.
     """
     if not 2 <= q_min <= q_max:
         raise ValueError("need 2 <= q_min <= q_max")
@@ -246,8 +247,10 @@ def curvature_trace(
         walk = farey_neighbor_walk(lam, q_min, q_max)
         ladder = scale_ladder(q_max)
         return [_sample(nb, lambda_spec, lam_value, ladder[nb.order]) for nb in walk]
+    first = farey_neighbors_sided(frac, side, q_min)
     ladder = scale_ladder(q_max)
-    return [local_radius(q, lam, side=side, scale=ladder[q]) for q in range(q_min, q_max + 1)]
+    rest = [local_radius(q, lam, side=side, scale=ladder[q]) for q in range(q_min + 1, q_max + 1)]
+    return [_sample(first, lambda_spec, lam_value, ladder[q_min]), *rest]
 
 
 def limsup_liminf_estimate(

@@ -11,6 +11,10 @@ Four families, each given by its fundamental arc over lam in [0, 1]:
 The full curve is the orbit of the fundamental arc under the dihedral
 group of order eight.  Where an algebraic form of the arc is known the
 curve exposes an implicit residual for verification.
+
+`LimitCurve.points` evaluates an arc at a whole array of parameters with
+numpy; every other sampler reads it.  The incomplete beta functions come
+from `scipy.special.betainc`, imported on first use.
 """
 
 from __future__ import annotations
@@ -18,13 +22,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
+
+import numpy as np
 
 Point = tuple[float, float]
-
-_CF_EPS = 1e-15
-_CF_MAXIT = 500
-_FPMIN = 1e-300
 
 
 # ---------------------------------------------------------------------------
@@ -43,61 +45,15 @@ def beta_complete(a: float, b: float) -> float:
     return math.exp(log_beta(a, b))
 
 
-def _beta_continued_fraction(a: float, b: float, x: float) -> float:
-    # modified Lentz iteration for the standard continued fraction of I_x
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _FPMIN:
-        d = _FPMIN
-    d = 1.0 / d
-    h = d
-    for m in range(1, _CF_MAXIT + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _CF_EPS:
-            return h
-    raise ArithmeticError("incomplete beta continued fraction did not converge")
-
-
 def reg_inc_beta(z: float, a: float, b: float) -> float:
-    """Regularized incomplete beta I_z(a, b), absolute error below 1e-12.
-
-    The continued fraction is applied directly for z below the split point
-    (a+1)/(a+b+2) and through the symmetry I_z(a,b) = 1 - I_{1-z}(b,a)
-    above it, which keeps the iteration well conditioned on both sides.
-    """
+    """Regularized incomplete beta I_z(a, b), by scipy.special.betainc."""
     if a <= 0 or b <= 0:
         raise ValueError("beta parameters must be positive")
     if not 0.0 <= z <= 1.0:
         raise ValueError("argument of I_z must lie in [0, 1]")
-    if z == 0.0:
-        return 0.0
-    if z == 1.0:
-        return 1.0
-    ln_front = a * math.log(z) + b * math.log1p(-z) - log_beta(a, b)
-    front = math.exp(ln_front)
-    if z < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_continued_fraction(a, b, z) / a
-    return 1.0 - front * _beta_continued_fraction(b, a, 1.0 - z) / b
+    from scipy.special import betainc  # imported here: `import jarnik` loads no scipy
+
+    return float(betainc(float(a), float(b), float(z)))
 
 
 def inc_beta(z: float, a: float, b: float) -> float:
@@ -128,53 +84,24 @@ class BetaKernel:
 # ---------------------------------------------------------------------------
 
 
-def _check_lambda(lam: float) -> float:
-    lam = float(lam)
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError("arc parameter must lie in [0, 1]")
-    return lam
-
-
 def curve_C(lam: float) -> Point:
     """Arc of y = 3x^2/4 - 1 from (0,-1) to (2/3,-2/3)."""
-    lam = _check_lambda(lam)
-    return (2.0 * lam / 3.0, lam * lam / 3.0 - 1.0)
+    return LimitCurve("C").point(lam)
 
 
 def curve_C1(lam: float) -> Point:
     """Arc of sqrt(1-|x|) + sqrt(1-|y|) = 1 from (0,-1) to (3/4,-3/4)."""
-    lam = _check_lambda(lam)
-    den = (1.0 + lam) ** 2
-    return (lam * (2.0 + lam) / den, -(2.0 * lam + 1.0) / den)
+    return LimitCurve("C1").point(lam)
 
 
 def curve_Cdelta(delta: float, lam: float) -> Point:
     """Octagon-family arc: a tilted parabola from (0,-1) to the diagonal."""
-    delta = float(delta)
-    if delta <= 0:
-        raise ValueError("octagon shape parameter must be positive")
-    lam = _check_lambda(lam)
-    den = (delta + lam) ** 2 * (3.0 * delta + 1.0)
-    x = lam * (2.0 * delta + lam) * (delta + 1.0) ** 2 / den
-    y = delta * lam * lam * (delta + 1.0) ** 2 / den - 1.0
-    return (x, y)
+    return LimitCurve("Cdelta", delta).point(lam)
 
 
 def curve_Cp(p: float, lam: float) -> Point:
     """Ball-family arc via regularized incomplete beta functions."""
-    p = float(p)
-    if p <= 0:
-        raise ValueError("ball exponent must be positive")
-    lam = _check_lambda(lam)
-    if lam == 0.0:
-        return (0.0, -1.0)
-    t = lam**p
-    mu = t / (1.0 + t)
-    pref = math.exp(-3.0 / p * math.log1p(t))  # (1 + lam^p)^(-3/p)
-    b_pp = beta_complete(1.0 / p, 2.0 / p)
-    x = reg_inc_beta(mu, 1.0 / p, 1.0 + 2.0 / p) - p * lam * pref / (2.0 * b_pp)
-    y = reg_inc_beta(mu, 2.0 / p, 1.0 + 1.0 / p) - p * lam * lam * pref / b_pp - 1.0
-    return (x, y)
+    return LimitCurve("Cp", p).point(lam)
 
 
 def curve_Cp_alternate_y(p: float, lam: float) -> float:
@@ -187,7 +114,9 @@ def curve_Cp_alternate_y(p: float, lam: float) -> float:
     p = float(p)
     if p <= 0:
         raise ValueError("ball exponent must be positive")
-    lam = _check_lambda(lam)
+    lam = float(lam)
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError("arc parameter must lie in [0, 1]")
     if lam == 0.0:
         return -1.0
     t = lam**p
@@ -307,7 +236,7 @@ class LimitCurve:
     """A limit-curve family member: parametric arc plus optional residual."""
 
     family: str  # "C" | "C1" | "Cdelta" | "Cp"
-    param: Fraction | None = None
+    param: Fraction | float | None = None
 
     def __post_init__(self) -> None:
         if self.family in ("C", "C1"):
@@ -319,14 +248,36 @@ class LimitCurve:
         else:
             raise ValueError(f"unknown curve family {self.family!r}")
 
-    def point(self, lam: float) -> Point:
+    def points(self, lams: Sequence[float] | np.ndarray) -> np.ndarray:
+        """The arc at every parameter of `lams`, each in [0, 1], as an (n, 2) array."""
+        lam = np.asarray(lams, dtype=float)
+        if lam.ndim != 1 or not ((lam >= 0.0) & (lam <= 1.0)).all():
+            raise ValueError("arc parameter must lie in [0, 1]")
         if self.family == "C":
-            return curve_C(lam)
-        if self.family == "C1":
-            return curve_C1(lam)
-        if self.family == "Cdelta":
-            return curve_Cdelta(float(self.param), lam)
-        return curve_Cp(float(self.param), lam)
+            x, y = 2.0 * lam / 3.0, lam * lam / 3.0 - 1.0
+        elif self.family == "C1":
+            den = (1.0 + lam) ** 2
+            x, y = lam * (2.0 + lam) / den, -(2.0 * lam + 1.0) / den
+        elif self.family == "Cdelta":
+            d = float(self.param)
+            den = (d + lam) ** 2 * (3.0 * d + 1.0)
+            x = lam * (2.0 * d + lam) * (d + 1.0) ** 2 / den
+            y = d * lam * lam * (d + 1.0) ** 2 / den - 1.0
+        else:
+            from scipy.special import betainc  # imported here: `import jarnik` loads no scipy
+
+            p = float(self.param)
+            t = lam**p
+            mu = t / (1.0 + t)
+            pref = np.exp(-3.0 / p * np.log1p(t))  # (1 + lam^p)^(-3/p)
+            b_pp = beta_complete(1.0 / p, 2.0 / p)
+            x = betainc(1.0 / p, 1.0 + 2.0 / p, mu) - p * lam * pref / (2.0 * b_pp)
+            y = betainc(2.0 / p, 1.0 + 1.0 / p, mu) - p * lam * lam * pref / b_pp - 1.0
+        return np.column_stack((x, y))
+
+    def point(self, lam: float) -> Point:
+        x, y = self.points([lam])[0].tolist()
+        return (x, y)
 
     def arc_start(self) -> Point:
         return (0.0, -1.0)
@@ -392,32 +343,33 @@ def _parse_positive(raw: str) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def sample_arc(curve: LimitCurve, samples: int) -> list[tuple[float, float, float]]:
-    """(lam, x, y) rows on a uniform parameter grid with both endpoints."""
+def _uniform_grid(samples: int) -> np.ndarray:
+    """lam = i / (samples - 1) for i = 0..samples-1, both endpoints included."""
     if samples < 2:
         raise ValueError("need at least two samples")
-    rows = []
-    for i in range(samples):
-        lam = i / (samples - 1)
-        x, y = curve.point(lam)
-        rows.append((lam, x, y))
-    return rows
+    return np.arange(samples) / (samples - 1)
 
 
-def dihedral_images(points: Iterable[Point]) -> list[list[Point]]:
-    """The eight dihedral images of a point sequence."""
-    pts = list(points)
-    maps = [
-        lambda x, y: (x, y),
-        lambda x, y: (y, x),
-        lambda x, y: (-y, x),
-        lambda x, y: (-x, y),
-        lambda x, y: (-x, -y),
-        lambda x, y: (-y, -x),
-        lambda x, y: (y, -x),
-        lambda x, y: (x, -y),
-    ]
-    return [[m(x, y) for x, y in pts] for m in maps]
+def sample_arc(curve: LimitCurve, samples: int) -> list[tuple[float, float, float]]:
+    """(lam, x, y) rows on a uniform parameter grid with both endpoints."""
+    lams = _uniform_grid(samples)
+    xs, ys = curve.points(lams).T.tolist()
+    return list(zip(lams.tolist(), xs, ys))
+
+
+# signs of the eight dihedral maps (x, y), (y, x), (-y, x), (-x, y),
+# (-x, -y), (-y, -x), (y, -x), (x, -y), applied to (x, y) or to (y, x)
+_DIHEDRAL_SIGNS = np.array(
+    [(1, 1), (1, 1), (-1, 1), (-1, 1), (-1, -1), (-1, -1), (1, -1), (1, -1)], dtype=float
+)
+
+
+def dihedral_images(points: np.ndarray) -> np.ndarray:
+    """The eight dihedral images of an (n, 2) point array, as an (8, n, 2) array."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    swapped = pts[:, ::-1]
+    stacked = np.stack([pts, swapped, swapped, pts, pts, swapped, swapped, pts])
+    return stacked * _DIHEDRAL_SIGNS[:, None, :]
 
 
 def curve_csv(curve: LimitCurve, samples: int) -> str:
@@ -429,10 +381,10 @@ def curve_csv(curve: LimitCurve, samples: int) -> str:
 
 def curve_svg(curve: LimitCurve, samples: int) -> str:
     """Fundamental arc plus its eight dihedral images as a single path."""
-    arc = [(x, y) for _, x, y in sample_arc(curve, samples)]
+    arc = curve.points(_uniform_grid(samples))
     subpaths = []
     for image in dihedral_images(arc):
-        coords = " L ".join(f"{x:.6f} {-y:.6f}" for x, y in image)
+        coords = " L ".join(f"{x:.6f} {-y:.6f}" for x, y in image.tolist())
         subpaths.append(f"M {coords}")
     path = " ".join(subpaths)
     return (

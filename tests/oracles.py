@@ -8,6 +8,9 @@ instead; these stay as the reference that walk must reproduce.  The Farey
 neighbours of an irrational are likewise recomputed by mediant descent, a
 route independent of the package's convergent walk, and R(Q) for the
 square region is summed directly from the totients, without the ladder.
+The limit-curve arcs are evaluated one parameter at a time by their
+closed forms, with the regularized incomplete beta of the ball family
+computed by a modified Lentz continued fraction instead of scipy.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from jarnik.domains import DomainSpec, lattice_contains
+from jarnik.limit_curves import log_beta
 from jarnik.number_theory import FareyNeighbors, RationalReal, RealSpec, totient_sieve
 from jarnik.polygon import LatticePolygon, PrimitiveVector
 
@@ -113,3 +117,98 @@ def square_scale_factor(order: int) -> Fraction:
     """R(Q) for the square region, exact, via the totient sieve."""
     phi = totient_sieve(order)
     return Fraction(3 * sum(q * phi[q] for q in range(1, order + 1)), 2)
+
+
+_CF_EPS = 1e-15
+_CF_MAXIT = 500
+_FPMIN = 1e-300
+
+
+def _beta_continued_fraction(a: float, b: float, x: float) -> float:
+    # modified Lentz iteration for the standard continued fraction of I_x
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    if abs(d) < _FPMIN:
+        d = _FPMIN
+    d = 1.0 / d
+    h = d
+    for m in range(1, _CF_MAXIT + 1):
+        m2 = 2 * m
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + aa * d
+        if abs(d) < _FPMIN:
+            d = _FPMIN
+        c = 1.0 + aa / c
+        if abs(c) < _FPMIN:
+            c = _FPMIN
+        d = 1.0 / d
+        h *= d * c
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + aa * d
+        if abs(d) < _FPMIN:
+            d = _FPMIN
+        c = 1.0 + aa / c
+        if abs(c) < _FPMIN:
+            c = _FPMIN
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < _CF_EPS:
+            return h
+    raise ArithmeticError("incomplete beta continued fraction did not converge")
+
+
+def lentz_reg_inc_beta(z: float, a: float, b: float) -> float:
+    """Regularized incomplete beta I_z(a, b) by the continued fraction,
+    applied directly below the split point (a+1)/(a+b+2) and through
+    I_z(a,b) = 1 - I_{1-z}(b,a) above it."""
+    if z == 0.0:
+        return 0.0
+    if z == 1.0:
+        return 1.0
+    front = math.exp(a * math.log(z) + b * math.log1p(-z) - log_beta(a, b))
+    if z < (a + 1.0) / (a + b + 2.0):
+        return front * _beta_continued_fraction(a, b, z) / a
+    return 1.0 - front * _beta_continued_fraction(b, a, 1.0 - z) / b
+
+
+def scalar_arc_point(family: str, param: float | None, lam: float) -> tuple[float, float]:
+    """One point of a fundamental arc, by the closed forms in Python floats."""
+    if family == "C":
+        return (2.0 * lam / 3.0, lam * lam / 3.0 - 1.0)
+    if family == "C1":
+        den = (1.0 + lam) ** 2
+        return (lam * (2.0 + lam) / den, -(2.0 * lam + 1.0) / den)
+    if family == "Cdelta":
+        delta = param
+        den = (delta + lam) ** 2 * (3.0 * delta + 1.0)
+        x = lam * (2.0 * delta + lam) * (delta + 1.0) ** 2 / den
+        y = delta * lam * lam * (delta + 1.0) ** 2 / den - 1.0
+        return (x, y)
+    p = param
+    if lam == 0.0:
+        return (0.0, -1.0)
+    t = lam**p
+    mu = t / (1.0 + t)
+    pref = math.exp(-3.0 / p * math.log1p(t))  # (1 + lam^p)^(-3/p)
+    b_pp = math.exp(log_beta(1.0 / p, 2.0 / p))
+    x = lentz_reg_inc_beta(mu, 1.0 / p, 1.0 + 2.0 / p) - p * lam * pref / (2.0 * b_pp)
+    y = lentz_reg_inc_beta(mu, 2.0 / p, 1.0 + 1.0 / p) - p * lam * lam * pref / b_pp - 1.0
+    return (x, y)
+
+
+def dihedral_images(points: Sequence[tuple[float, float]]) -> list[list[tuple[float, float]]]:
+    """The eight dihedral images of a point sequence, one map at a time."""
+    pts = list(points)
+    maps = [
+        lambda x, y: (x, y),
+        lambda x, y: (y, x),
+        lambda x, y: (-y, x),
+        lambda x, y: (-x, y),
+        lambda x, y: (-x, -y),
+        lambda x, y: (-y, -x),
+        lambda x, y: (y, -x),
+        lambda x, y: (x, -y),
+    ]
+    return [[m(x, y) for x, y in pts] for m in maps]

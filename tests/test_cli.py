@@ -6,7 +6,8 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from jarnik.cli import MAX_ORDER, MAX_TRACE_ORDER, build_parser, run
+from jarnik import curvature
+from jarnik.cli import MAX_ORDER, MAX_SAMPLES, MAX_TRACE_ORDER, build_parser, run
 
 
 def run_capture(capsys, argv):
@@ -175,6 +176,34 @@ def test_limit_curve_bad_spec(capsys):
     assert code == 2
 
 
+# sha256 of the `limit-curve` CSV bytes at 1001 samples; C, C1 and Cdelta:2
+# were recorded from the scalar arcs, Cp:2 and Cp:3 once scipy's betainc
+# evaluated the ball family
+GOLDEN_LIMIT_CURVE_SHA256 = {
+    "C": "d386edf04e42bcd6fedffc97a13adced9ee49dc9fed4e51b82062d398a193c99",
+    "C1": "97556cf04005c49dfdccb23f39f474f3b13164d43f18db31683a87f2860fa259",
+    "Cdelta:2": "3503c2c084ecb60d6ad5233125bf1defadde554a235ad5f6b4ce766d0f305fb2",
+    "Cp:2": "ab3b259ddde6444ea2840cc915a9a2548f2d45368a2c8eac42906fa269620492",
+    "Cp:3": "9e4a3ae66d6b9802adbb9ebc2004a1e9ce55035c8a03a68f305b81ec9e6116d1",
+}
+
+
+@pytest.mark.parametrize("curve", list(GOLDEN_LIMIT_CURVE_SHA256))
+def test_limit_curve_golden_bytes(capsys, curve):
+    code, out, _ = run_capture(capsys, ["limit-curve", "--curve", curve, "--samples", "1001"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_LIMIT_CURVE_SHA256[curve]
+
+
+def test_limit_curve_samples_above_cap_exit_2(capsys):
+    # refused while the arguments are parsed, before any arc is sampled
+    code, out, err = run_capture(
+        capsys, ["limit-curve", "--curve", "Cp:3", "--samples", str(MAX_SAMPLES + 1)]
+    )
+    assert code == 2 and out == ""
+    assert str(MAX_SAMPLES + 1) in err and "MAX_SAMPLES" in err
+
+
 # ---------------------------------------------------------------------------
 # converge
 # ---------------------------------------------------------------------------
@@ -197,6 +226,7 @@ def test_converge_small_table(capsys):
 GOLDEN_CONVERGE_SHA256 = {
     ("square", "C"): "72bbcdedaf19549e9c0d3ce21074755fb022151a317dcfb27df724323c3c5fb2",
     ("diamond", "C1"): "9d997056f9b7da4e2a7f06ad5b76bb311568176188e4dafb22ca8a8c068bfd57",
+    ("octagon:2", "Cdelta:2"): "441927f2898ff50e5c72baa36dba88e456091f7ecd4cbab03608282e9b3de755",
 }
 
 
@@ -227,6 +257,16 @@ def test_converge_order_above_cap_exit_2(capsys):
     )
     assert code == 2 and out == ""
     assert str(MAX_ORDER + 1) in err and str(MAX_ORDER) in err
+
+
+def test_converge_samples_above_cap_exit_2(capsys):
+    code, out, err = run_capture(
+        capsys,
+        ["converge", "--domain", "ball:3", "--curve", "Cp:3",
+         "--q-list", "5", "--samples", str(MAX_SAMPLES + 1)],
+    )
+    assert code == 2 and out == ""
+    assert str(MAX_SAMPLES + 1) in err and "MAX_SAMPLES" in err
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +321,25 @@ def test_curvature_slope_outside_unit_interval(capsys):
     )
     assert code == 2 and out == ""
     assert err == "jarnik: argument error: quotient stream requires a value in (0, 1)\n"
+
+
+@pytest.mark.parametrize("lam, side, q_min, message", [
+    ("rat:2/5", "-", "2", "denominator of 2/5 exceeds Farey order 2"),
+    ("rat:1/1", "+", "2", "1/1 has no successor in [0, 1]"),
+    ("rat:0/1", "-", "5", "0/1 has no predecessor in [0, 1]"),
+], ids=["2/5-", "1/1+", "0/1-"])
+def test_curvature_rational_slope_refused_before_ladder(capsys, monkeypatch, lam, side, q_min, message):
+    def no_ladder(q_max):
+        raise AssertionError(f"R(Q) ladder built up to {q_max}")
+
+    monkeypatch.setattr(curvature, "scale_ladder", no_ladder)
+    code, out, err = run_capture(
+        capsys,
+        ["curvature", "--lambda", lam, "--side", side, "--q-min", q_min,
+         "--q-max", str(MAX_TRACE_ORDER)],
+    )
+    assert code == 2 and out == ""
+    assert err == f"jarnik: argument error: {message}\n"
 
 
 def test_curvature_rational_needs_side(capsys):
@@ -343,6 +402,18 @@ def test_import_leaves_scipy_spatial_unloaded():
     src = os.path.dirname(os.path.dirname(jarnik.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = "import sys, jarnik, jarnik.cli; print('scipy.spatial' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60, env=env
+    )
+    assert result.stdout.strip() == "False"
+
+
+def test_import_leaves_scipy_special_unloaded():
+    import jarnik
+
+    src = os.path.dirname(os.path.dirname(jarnik.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, jarnik, jarnik.cli; print('scipy.special' in sys.modules)"
     result = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60, env=env
     )

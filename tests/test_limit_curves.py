@@ -2,10 +2,12 @@ import math
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jarnik import limit_curves
 from jarnik.limit_curves import (
     BetaKernel,
     LimitCurve,
@@ -18,13 +20,13 @@ from jarnik.limit_curves import (
     curve_Cp_exact,
     curve_csv,
     curve_svg,
-    dihedral_images,
     inc_beta,
     parse_curve,
     reg_inc_beta,
     rotate_scale_C,
     sample_arc,
 )
+from oracles import dihedral_images, lentz_reg_inc_beta, scalar_arc_point
 
 GRID = [i / 1000 for i in range(1001)]
 
@@ -310,3 +312,58 @@ def test_curve_svg_well_formed():
     path = root.find("{http://www.w3.org/2000/svg}path")
     assert path is not None
     assert path.get("d").count("M ") == 8  # one subpath per dihedral image
+
+
+# ---------------------------------------------------------------------------
+# Vectorised arcs against the scalar oracle
+# ---------------------------------------------------------------------------
+
+ORACLE_CURVES = [
+    LimitCurve("C"),
+    LimitCurve("C1"),
+    LimitCurve("Cdelta", Fraction(2)),
+    LimitCurve("Cdelta", Fraction(1, 3)),
+    LimitCurve("Cp", Fraction(2)),
+    LimitCurve("Cp", Fraction(3)),
+    LimitCurve("Cp", Fraction(5, 3)),
+]
+
+
+@pytest.mark.parametrize("curve", ORACLE_CURVES, ids=str)
+def test_points_match_scalar_oracle(curve):
+    lams = np.linspace(0.0, 1.0, 2**14)
+    param = None if curve.param is None else float(curve.param)
+    want = np.array([scalar_arc_point(curve.family, param, lam) for lam in lams.tolist()])
+    got = curve.points(lams)
+    assert got.shape == (2**14, 2)
+    assert np.abs(got - want).max() <= 4e-15
+
+
+@pytest.mark.parametrize("curve", ORACLE_CURVES, ids=str)
+def test_points_of_one_parameter_is_point(curve):
+    for lam in (0.0, 1e-9, 0.25, 1 / 3, 0.5, 0.999, 1.0):
+        assert tuple(curve.points([lam])[0].tolist()) == curve.point(lam)
+
+
+@pytest.mark.parametrize("curve", ORACLE_CURVES, ids=str)
+def test_points_reject_parameters_outside_unit_interval(curve):
+    for bad in (1.0 + 1e-12, -1e-300, -0.5, 2.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            curve.points([0.5, bad])
+        with pytest.raises(ValueError):
+            curve.point(bad)
+
+
+def test_reg_inc_beta_agrees_with_continued_fraction_oracle():
+    for a, b in ((0.5, 3.0), (1 / 3, 1 + 2 / 3), (2 / 3, 1 + 1 / 3), (0.6, 2.2), (4.0, 0.5)):
+        for z in GRID[::50]:
+            assert abs(reg_inc_beta(z, a, b) - lentz_reg_inc_beta(z, a, b)) < 1e-14
+
+
+def test_dihedral_images_match_oracle():
+    arc = LimitCurve("Cp", Fraction(5, 3)).points(np.linspace(0.0, 1.0, 257))
+    got = limit_curves.dihedral_images(arc)
+    want = np.array(dihedral_images(arc.tolist()))
+    assert got.shape == (8, 257, 2)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))  # -0.0 where the oracle has it
