@@ -27,25 +27,20 @@ from .domains import (
     moment_integrals,
     octagon,
     parse_domain,
-    scale_factor_asymptote,
     square,
 )
 from .limit_curves import (
-    BetaKernel,
     LimitCurve,
     curve_C,
     curve_C1,
     curve_Cdelta,
     curve_Cp,
-    curve_Cp_alternate_y,
     parse_curve,
     reg_inc_beta,
-    rotate_scale_C,
 )
 from .number_theory import (
     ContinuedFraction,
     FareyNeighbors,
-    MoebiusTable,
     QuadraticSurd,
     RationalReal,
     RealSpec,
@@ -57,7 +52,6 @@ from .number_theory import (
     farey_sequence,
     moebius_sieve,
     parse_real,
-    partial_zeta_inverse,
 )
 from .polygon import (
     LatticePolygon,

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .domains import DomainSpec, moment_integrals
+from .domains import DomainSpec
 from .limit_curves import LimitCurve, dihedral_images
 from .polygon import ScaledPolygon, build_polygon, fundamental_vertex, scale_polygon
 
@@ -142,15 +142,12 @@ class ConvergenceRecord:
     bound: float
 
 
+_CURVE_FAMILY = {"square": "C", "diamond": "C1", "octagon": "Cdelta", "ball": "Cp"}
+
+
 def expected_curve(spec: DomainSpec) -> LimitCurve:
-    """The limit curve proved for each region family."""
-    if spec.kind == "square":
-        return LimitCurve("C")
-    if spec.kind == "diamond":
-        return LimitCurve("C1")
-    if spec.kind == "octagon":
-        return LimitCurve("Cdelta", spec.param)
-    return LimitCurve("Cp", spec.param)
+    """The limit curve proved for the region's family."""
+    return LimitCurve(_CURVE_FAMILY[spec.kind], spec.param)
 
 
 def _canonical_curve(curve: LimitCurve) -> tuple[str, Fraction | None]:
@@ -249,12 +246,3 @@ def lemma_check(q_list: Sequence[int], lam_grid: Sequence[Fraction]) -> LemmaRep
         max(r.x_normalized_error for r in rows),
         max(r.y_normalized_error for r in rows),
     )
-
-
-def moment_route_ratio(spec: DomainSpec, order: int, lam: Fraction) -> tuple[float, float]:
-    """Ratios of the exact vertex sums to the integral predictions
-    Q^3/zeta(2) * (mx, my); both tend to 1."""
-    x, y = fundamental_vertex(spec, order, lam)
-    moments = moment_integrals(spec, lam)
-    main = order**3 * 6.0 / math.pi**2
-    return (x / (main * float(moments.mx)), y / (main * float(moments.my)))

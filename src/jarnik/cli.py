@@ -35,6 +35,11 @@ MAX_TRACE_ORDER = 300_000
 # one array; at the cap `converge` peaks at about 540 MB of RSS and
 # `limit-curve --format svg` at about 730 MB.
 MAX_SAMPLES = 2**20
+# Largest numerator m and denominator n of a ball exponent: membership takes
+# m-th powers and n-th integer roots, and at MAX_ORDER the row caps of 199/10
+# take about 4 s, while 101/100 does not finish in a minute.
+MAX_BALL_NUMERATOR = 200
+MAX_BALL_DENOMINATOR = 10
 
 
 def _write_artifact(text: str, path: str | None) -> None:
@@ -70,6 +75,17 @@ _order = _capped(MAX_ORDER, "MAX_ORDER")
 _samples = _capped(MAX_SAMPLES, "MAX_SAMPLES", "samples")
 
 
+def _parse_domain(raw: str) -> domains.DomainSpec:
+    spec = domains.parse_domain(raw)
+    p = spec.param
+    if spec.kind == "ball" and (p.numerator > MAX_BALL_NUMERATOR or p.denominator > MAX_BALL_DENOMINATOR):
+        raise ValueError(
+            f"ball exponent {p} needs a numerator at most {MAX_BALL_NUMERATOR} (MAX_BALL_NUMERATOR) "
+            f"and a denominator at most {MAX_BALL_DENOMINATOR} (MAX_BALL_DENOMINATOR)"
+        )
+    return spec
+
+
 def _parse_q_list(raw: str) -> list[int]:
     orders = [_order(tok) for tok in raw.split(",") if tok]
     if not orders:
@@ -86,7 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_poly = sub.add_parser("polygon", help="build a polygon and export its vertices")
-    p_poly.add_argument("--domain", required=True, help="square | diamond | octagon:<d> | ball:<p>")
+    p_poly.add_argument("--domain", required=True, help="square | diamond | octagon:<d> | ball:<p>, "
+                        f"p = m/n with m <= {MAX_BALL_NUMERATOR} and n <= {MAX_BALL_DENOMINATOR}")
     p_poly.add_argument("--q", required=True, type=_order, help=f"order 1 <= Q <= {MAX_ORDER}")
     p_poly.add_argument("--scaled", action="store_true", help="emit the rescaled, centered polygon")
     p_poly.add_argument("--format", choices=("csv", "svg"), default="csv")
@@ -123,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_polygon(args: argparse.Namespace) -> str:
-    spec = domains.parse_domain(args.domain)
+    spec = _parse_domain(args.domain)
     poly = polygon.build_polygon(spec, args.q)
     shape = polygon.scale_polygon(poly) if args.scaled else poly
     return polygon.polygon_csv(shape) if args.format == "csv" else polygon.polygon_svg(shape)
@@ -131,18 +148,14 @@ def _cmd_polygon(args: argparse.Namespace) -> str:
 
 def _cmd_limit_curve(args: argparse.Namespace) -> str:
     curve = limit_curves.parse_curve(args.curve)
-    if args.samples < 2:
-        raise ValueError("--samples must be at least 2")
     if args.format == "csv":
         return limit_curves.curve_csv(curve, args.samples)
     return limit_curves.curve_svg(curve, args.samples)
 
 
 def _cmd_converge(args: argparse.Namespace) -> str:
-    spec = domains.parse_domain(args.domain)
+    spec = _parse_domain(args.domain)
     curve = limit_curves.parse_curve(args.curve)
-    if args.samples < 1000:
-        raise ValueError("--samples must be at least 1000")
     records = analysis.convergence_table(spec, args.q_list, curve, samples=args.samples)
     return analysis.convergence_csv(records)
 

@@ -54,13 +54,6 @@ def circumradius_squared(
     return Fraction(num, 4 * cross * cross)
 
 
-def _neighbor_radius_squared(neighbors: FareyNeighbors) -> Fraction:
-    a1, q1 = neighbors.left.numerator, neighbors.left.denominator
-    a2, q2 = neighbors.right.numerator, neighbors.right.denominator
-    num = (a1 * a1 + q1 * q1) * (a2 * a2 + q2 * q2) * ((a1 + a2) ** 2 + (q1 + q2) ** 2)
-    return Fraction(num, 4)
-
-
 def limit_curve_radius(lam: float) -> float:
     """Radius of curvature of the parabolic limit curve at parameter lam."""
     return (2.0 / 3.0) * (1.0 + lam * lam) ** 1.5
@@ -193,14 +186,16 @@ def _sample(
     neighbors: FareyNeighbors, lambda_spec: str, lam_value: float, scale: Fraction
 ) -> CurvatureSample:
     order = neighbors.order
-    r_sq = _neighbor_radius_squared(neighbors)
+    a1, q1 = neighbors.left.numerator, neighbors.left.denominator
+    a2, q2 = neighbors.right.numerator, neighbors.right.denominator
+    r_sq = circumradius_squared((0, 0), (q1, a1), (q1 + q2, a1 + a2))
     return CurvatureSample(
         order,
         lambda_spec,
         neighbors,
         r_sq,
         math.sqrt(r_sq) / float(scale),
-        predicted_radius(order, lam_value, neighbors.left.denominator, neighbors.right.denominator),
+        predicted_radius(order, lam_value, q1, q2),
     )
 
 

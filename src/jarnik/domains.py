@@ -4,10 +4,12 @@ Every region is closed, star-shaped about the origin and carries the
 eight-fold dihedral symmetry of the unit square, so membership only
 depends on (u, v) = (max(|x|,|y|), min(|x|,|y|)):
 
-    square       u <= 1
-    diamond      u + v <= 1
-    octagon(d)   d*u + v <= d        (slopes +-d at the vertex (1,0))
+    square       u <= 1              octagon d = inf, slope (1, 0)
+    diamond      u + v <= 1          octagon d = 1, slope (1, 1)
+    octagon(d)   d*u + v <= d        slope (dn, dd) with d = dn/dd
     ball(p)      u^p + v^p <= 1
+
+so each polygonal region is dn*u + dd*v <= dn for its integer slope.
 
 Lattice membership of (q/Q, a/Q) is decided in integer arithmetic; for
 ball exponents whose reduced denominator is not 1 or 2 an escalating
@@ -22,11 +24,11 @@ functions for the balls.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
 
-from .limit_curves import beta_complete, inc_beta
+from .limit_curves import inc_beta
 
 Rational = Union[int, Fraction]
 
@@ -35,16 +37,21 @@ Rational = Union[int, Fraction]
 class DomainSpec:
     kind: str  # "square" | "diamond" | "octagon" | "ball"
     param: Fraction | None = None  # octagon slope d or ball exponent p
+    # (dn, dd) of a polygonal region dn*u + dd*v <= dn; None for a ball
+    slope: tuple[int, int] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind in ("square", "diamond"):
             if self.param is not None:
                 raise ValueError(f"{self.kind} takes no parameter")
+            slope = (1, 0) if self.kind == "square" else (1, 1)
         elif self.kind in ("octagon", "ball"):
             if self.param is None or self.param <= 0:
                 raise ValueError(f"{self.kind} needs a positive parameter")
+            slope = (self.param.numerator, self.param.denominator) if self.kind == "octagon" else None
         else:
             raise ValueError(f"unknown domain kind {self.kind!r}")
+        object.__setattr__(self, "slope", slope)
 
     def __str__(self) -> str:
         if self.param is None:
@@ -87,15 +94,11 @@ def parse_domain(text: str) -> DomainSpec:
     square for both families.
     """
     text = text.strip()
-    if text == "square":
-        return square()
-    if text == "diamond":
-        return diamond()
+    if text in ("square", "diamond"):
+        return DomainSpec(text)
     name, sep, raw = text.partition(":")
     if sep and name in ("octagon", "ball"):
-        if raw == "inf":
-            return square()
-        value = Fraction(raw)
+        value = math.inf if raw == "inf" else Fraction(raw)
         return octagon(value) if name == "octagon" else ball(value)
     raise ValueError(f"unsupported domain specification: {text!r}")
 
@@ -166,12 +169,8 @@ def lattice_contains(spec: DomainSpec, q: int, a: int, order: int) -> bool:
     u, v = abs(q), abs(a)
     if u < v:
         u, v = v, u
-    if spec.kind == "square":
-        return u <= order
-    if spec.kind == "diamond":
-        return u + v <= order
-    if spec.kind == "octagon":
-        dn, dd = spec.param.numerator, spec.param.denominator
+    if spec.slope is not None:
+        dn, dd = spec.slope
         return dn * u + dd * v <= dn * order
     pn, pd = spec.param.numerator, spec.param.denominator
     return _ball_sum_within(u**pn, v**pn, order**pn, pd)
@@ -204,7 +203,7 @@ def moment_integrals(spec: DomainSpec, lam: Rational | float) -> MomentPair:
     evaluated in floating point through the incomplete beta function with
     mu = lam^p/(1 + lam^p).
     """
-    if spec.kind == "ball":
+    if spec.slope is None:
         lamf = float(lam)
         if not 0.0 <= lamf <= 1.0:
             raise ValueError("wedge slope must lie in [0, 1]")
@@ -218,27 +217,9 @@ def moment_integrals(spec: DomainSpec, lam: Rational | float) -> MomentPair:
         my = inc_beta(mu, 2.0 / p, 1.0 + 1.0 / p) / p - lamf * lamf * pref / 3.0
         return MomentPair(mx, my)
 
-    lamq = Fraction(lam) if not isinstance(lam, float) else Fraction(lam)
+    lamq = Fraction(lam)
     if not 0 <= lamq <= 1:
         raise ValueError("wedge slope must lie in [0, 1]")
-    if spec.kind == "square":
-        return MomentPair(lamq / 3, lamq * lamq / 6)
-    if spec.kind == "diamond":
-        den = 6 * (1 + lamq) ** 2
-        return MomentPair(lamq * (2 + lamq) / den, lamq * lamq / den)
-    d = spec.param
-    den = 6 * (d + lamq) ** 2
-    return MomentPair(d * lamq * (2 * d + lamq) / den, d * d * lamq * lamq / den)
-
-
-def scale_factor_asymptote(spec: DomainSpec) -> float:
-    """Coefficient c with R(Q) ~ c Q^3, namely 6 (mx(1) + my(1)) / pi^2.
-
-    Square 3/pi^2, diamond 1/pi^2, octagon d(3d+1)/(pi^2 (d+1)^2), ball
-    2 B(1/p, 2/p)/(p pi^2).
-    """
-    if spec.kind == "ball":
-        p = float(spec.param)
-        return 2.0 * beta_complete(1.0 / p, 2.0 / p) / (p * math.pi**2)
-    moments = moment_integrals(spec, 1)
-    return float(6 * (moments.mx + moments.my)) / math.pi**2
+    dn, dd = spec.slope
+    den = 6 * (dn + dd * lamq) ** 2
+    return MomentPair(dn * lamq * (2 * dn + dd * lamq) / den, dn * dn * lamq * lamq / den)

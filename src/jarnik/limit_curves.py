@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -61,24 +61,6 @@ def inc_beta(z: float, a: float, b: float) -> float:
     return reg_inc_beta(z, a, b) * beta_complete(a, b)
 
 
-@dataclass(frozen=True)
-class BetaKernel:
-    """Fixed-parameter beta evaluator used by the ball-family curves."""
-
-    a: float
-    b: float
-
-    @property
-    def complete(self) -> float:
-        return beta_complete(self.a, self.b)
-
-    def incomplete(self, z: float) -> float:
-        return inc_beta(z, self.a, self.b)
-
-    def regularized(self, z: float) -> float:
-        return reg_inc_beta(z, self.a, self.b)
-
-
 # ---------------------------------------------------------------------------
 # Parametric arcs
 # ---------------------------------------------------------------------------
@@ -102,71 +84,6 @@ def curve_Cdelta(delta: float, lam: float) -> Point:
 def curve_Cp(p: float, lam: float) -> Point:
     """Ball-family arc via regularized incomplete beta functions."""
     return LimitCurve("Cp", p).point(lam)
-
-
-def curve_Cp_alternate_y(p: float, lam: float) -> float:
-    """Second closed form of the ball-family y coordinate.
-
-    Algebraically equal to curve_Cp(p, lam)[1] through the contiguous
-    relations of I_z; kept as an independent evaluation path and checked
-    against the primary one in tests.
-    """
-    p = float(p)
-    if p <= 0:
-        raise ValueError("ball exponent must be positive")
-    lam = float(lam)
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError("arc parameter must lie in [0, 1]")
-    if lam == 0.0:
-        return -1.0
-    t = lam**p
-    mu = t / (1.0 + t)
-    pref = math.exp(-3.0 / p * math.log1p(t))
-    b_pp = beta_complete(1.0 / p, 2.0 / p)
-    return -(reg_inc_beta(1.0 - mu, 1.0 / p, 1.0 + 2.0 / p) - p * lam * lam * pref / (2.0 * b_pp))
-
-
-def rotate_scale_C(point: Sequence[float]) -> Point:
-    """Rotate by pi/4 and expand by 3/(2 sqrt 2); maps the curve C onto C1.
-
-    The combined linear map is exactly (x, y) -> (3(x-y)/4, 3(x+y)/4).
-    """
-    x, y = point
-    return (3.0 * (x - y) / 4.0, 3.0 * (x + y) / 4.0)
-
-
-def curve_Cp_exact(m: int, t: Fraction) -> tuple[Fraction, Fraction]:
-    """Exact arc point for p = 1/m at lam = t^m, rational in t = lam^p.
-
-    For reciprocal-integer exponents the incomplete beta integrals are
-    polynomials, so the arc is a rational function of t.  Used as an
-    independent oracle for the floating-point path.
-    """
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    t = Fraction(t)
-    if not 0 <= t <= 1:
-        raise ValueError("t must lie in [0, 1]")
-    mu = t / (1 + t)
-
-    def inc_beta_int(z: Fraction, a: int, b: int) -> Fraction:
-        # B_z(a,b) = sum_j C(b-1,j) (-1)^j z^(a+j)/(a+j)
-        total = Fraction(0)
-        for j in range(b):
-            total += Fraction(math.comb(b - 1, j) * (-1) ** j, a + j) * z ** (a + j)
-        return total
-
-    def beta_int(a: int, b: int) -> Fraction:
-        return Fraction(math.factorial(a - 1) * math.factorial(b - 1), math.factorial(a + b - 1))
-
-    i_x = inc_beta_int(mu, m, 1 + 2 * m) / beta_int(m, 1 + 2 * m)
-    i_y = inc_beta_int(mu, 2 * m, 1 + m) / beta_int(2 * m, 1 + m)
-    pref = Fraction(1, 1) / (1 + t) ** (3 * m)  # (1 + lam^p)^(-3/p)
-    b_pp = beta_int(m, 2 * m)
-    lam = t**m
-    x = i_x - Fraction(1, m) * lam * pref / (2 * b_pp)
-    y = i_y - Fraction(1, m) * lam * lam * pref / b_pp - 1
-    return (x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -208,27 +125,6 @@ def cp_half_scaled_residual(x: float, y: float) -> float:
         num += term
         scale += abs(term)
     return abs(num) / scale
-
-
-def _residual_C(x: float, y: float) -> float:
-    return y - (0.75 * x * x - 1.0)
-
-
-def _residual_C1(x: float, y: float) -> float:
-    return math.sqrt(1.0 - abs(x)) + math.sqrt(1.0 - abs(y)) - 1.0
-
-
-def _make_residual_Cdelta(delta: float) -> Callable[[float, float], float]:
-    def residual(x: float, y: float) -> float:
-        lhs = 4.0 * delta * (1.0 + delta) ** 2 * (y + 1.0)
-        rhs = (1.0 + 3.0 * delta) * (delta * x + y + 1.0) ** 2
-        return lhs - rhs
-
-    return residual
-
-
-def _residual_Cp2(x: float, y: float) -> float:
-    return x * x + y * y - 1.0
 
 
 @dataclass(frozen=True)
@@ -279,18 +175,7 @@ class LimitCurve:
         x, y = self.points([lam])[0].tolist()
         return (x, y)
 
-    def arc_start(self) -> Point:
-        return (0.0, -1.0)
-
     def arc_end(self) -> Point:
-        if self.family == "C":
-            return (2.0 / 3.0, -2.0 / 3.0)
-        if self.family == "C1":
-            return (0.75, -0.75)
-        if self.family == "Cdelta":
-            d = float(self.param)
-            c = (2.0 * d + 1.0) / (3.0 * d + 1.0)
-            return (c, -c)
         return self.point(1.0)
 
     def implicit_residual(self, x: float, y: float) -> float | None:
@@ -299,17 +184,16 @@ class LimitCurve:
         For the p = 1/2 ball curve the residual is scaled (see
         cp_half_scaled_residual); elsewhere it is the plain defect.
         """
-        if self.family == "C":
-            return _residual_C(x, y)
-        if self.family == "C1":
-            return _residual_C1(x, y)
-        if self.family == "Cdelta":
-            return _make_residual_Cdelta(float(self.param))(x, y)
         p = self.param
+        if self.family == "C":
+            return y - (0.75 * x * x - 1.0)
+        if self.family == "C1" or (self.family == "Cp" and p == 1):
+            return math.sqrt(1.0 - abs(x)) + math.sqrt(1.0 - abs(y)) - 1.0
+        if self.family == "Cdelta":
+            d = float(p)
+            return 4.0 * d * (1.0 + d) ** 2 * (y + 1.0) - (1.0 + 3.0 * d) * (d * x + y + 1.0) ** 2
         if p == 2:
-            return _residual_Cp2(x, y)
-        if p == 1:
-            return _residual_C1(x, y)
+            return x * x + y * y - 1.0
         if p == Fraction(1, 2):
             return cp_half_scaled_residual(x, y)
         return None

@@ -31,21 +31,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MoebiusTable:
-    """Values of mu(n) for 1 <= n <= limit, immutable after construction."""
-
-    limit: int
-    values: tuple[int, ...]  # values[n] = mu(n); index 0 unused
-
-    def __getitem__(self, n: int) -> int:
-        if not 1 <= n <= self.limit:
-            raise IndexError(f"mu({n}) outside sieve range 1..{self.limit}")
-        return self.values[n]
-
-
-def moebius_sieve(limit: int) -> MoebiusTable:
-    """Sieve mu(1..limit) with a linear prime sieve.
+def moebius_sieve(limit: int) -> list[int]:
+    """mu(0..limit) as a list (mu[0] = 0), by a linear prime sieve.
 
     mu(1) = 1; mu(n) = 0 when a prime square divides n; otherwise
     (-1)^(number of prime factors).
@@ -69,7 +56,7 @@ def moebius_sieve(limit: int) -> MoebiusTable:
                 mu[ip] = 0
                 break
             mu[ip] = -mu[i]
-    return MoebiusTable(limit, tuple(mu))
+    return mu
 
 
 def totient_sieve(limit: int) -> list[int]:
@@ -82,25 +69,6 @@ def totient_sieve(limit: int) -> list[int]:
             for m in range(p, limit + 1, p):
                 phi[m] -= phi[m] // p
     return phi
-
-
-def partial_zeta_inverse(order: int) -> Fraction:
-    """Exact value of sum_{q <= order} mu(q)/q^2.
-
-    Tends to 6/pi^2 with tail below 1/order.  Computed over the common
-    denominator lcm(1..order)^2 so no intermediate reduction is needed.
-    """
-    mu = moebius_sieve(order)
-    lcm = 1
-    for q in range(2, order + 1):
-        lcm = math.lcm(lcm, q)
-    big = lcm * lcm
-    total = 0
-    for q in range(1, order + 1):
-        m = mu[q]
-        if m:
-            total += m * (big // (q * q))
-    return Fraction(total, big)
 
 
 # ---------------------------------------------------------------------------

@@ -39,13 +39,9 @@ def _row_caps(spec: DomainSpec, order: int) -> list[int]:
     in the region.  Closed forms for the polygonal regions; for balls a
     float seed corrected by exact membership calls."""
     rows = range(order + 1)
-    if spec.kind == "square":
-        return list(rows)
-    if spec.kind == "diamond":
-        return [min(q, order - q) for q in rows]
-    if spec.kind == "octagon":
-        dn, dd = spec.param.numerator, spec.param.denominator
-        return [min(q, dn * (order - q) // dd) for q in rows]
+    if spec.slope is not None:
+        dn, dd = spec.slope
+        return [min(q, dn * (order - q) // dd) if dd else q for q in rows]
     p = float(spec.param)
     caps = []
     for q in rows:

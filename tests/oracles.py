@@ -11,6 +11,11 @@ square region is summed directly from the totients, without the ladder.
 The limit-curve arcs are evaluated one parameter at a time by their
 closed forms, with the regularized incomplete beta of the ball family
 computed by a modified Lentz continued fraction instead of scipy.
+
+The last section holds second routes to quantities the package computes
+once: exact ball-family arcs for p = 1/m, a second closed form of the
+ball arc's y, the map of C onto C1, the partial sums of mu(q)/q^2, the
+moment-route vertex ratios and the asymptote of R(Q).
 """
 
 from __future__ import annotations
@@ -19,10 +24,16 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from jarnik.domains import DomainSpec, lattice_contains
-from jarnik.limit_curves import log_beta
-from jarnik.number_theory import FareyNeighbors, RationalReal, RealSpec, totient_sieve
-from jarnik.polygon import LatticePolygon, PrimitiveVector
+from jarnik.domains import DomainSpec, lattice_contains, moment_integrals
+from jarnik.limit_curves import Point, beta_complete, log_beta, reg_inc_beta
+from jarnik.number_theory import (
+    FareyNeighbors,
+    RationalReal,
+    RealSpec,
+    moebius_sieve,
+    totient_sieve,
+)
+from jarnik.polygon import LatticePolygon, PrimitiveVector, fundamental_vertex
 
 
 def primitive_vectors(spec: DomainSpec, order: int) -> list[PrimitiveVector]:
@@ -212,3 +223,114 @@ def dihedral_images(points: Sequence[tuple[float, float]]) -> list[list[tuple[fl
         lambda x, y: (x, -y),
     ]
     return [[m(x, y) for x, y in pts] for m in maps]
+
+
+# ---------------------------------------------------------------------------
+# Second routes
+# ---------------------------------------------------------------------------
+
+
+def curve_Cp_alternate_y(p: float, lam: float) -> float:
+    """Second closed form of the ball-family y coordinate.
+
+    Algebraically equal to curve_Cp(p, lam)[1] through the contiguous
+    relations of I_z; kept as an independent evaluation path and checked
+    against the primary one in tests.
+    """
+    p = float(p)
+    if p <= 0:
+        raise ValueError("ball exponent must be positive")
+    lam = float(lam)
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError("arc parameter must lie in [0, 1]")
+    if lam == 0.0:
+        return -1.0
+    t = lam**p
+    mu = t / (1.0 + t)
+    pref = math.exp(-3.0 / p * math.log1p(t))
+    b_pp = beta_complete(1.0 / p, 2.0 / p)
+    return -(reg_inc_beta(1.0 - mu, 1.0 / p, 1.0 + 2.0 / p) - p * lam * lam * pref / (2.0 * b_pp))
+
+
+def rotate_scale_C(point: Sequence[float]) -> Point:
+    """Rotate by pi/4 and expand by 3/(2 sqrt 2); maps the curve C onto C1.
+
+    The combined linear map is exactly (x, y) -> (3(x-y)/4, 3(x+y)/4).
+    """
+    x, y = point
+    return (3.0 * (x - y) / 4.0, 3.0 * (x + y) / 4.0)
+
+
+def curve_Cp_exact(m: int, t: Fraction) -> tuple[Fraction, Fraction]:
+    """Exact arc point for p = 1/m at lam = t^m, rational in t = lam^p.
+
+    For reciprocal-integer exponents the incomplete beta integrals are
+    polynomials, so the arc is a rational function of t.  Used as an
+    independent oracle for the floating-point path.
+    """
+    if m < 1:
+        raise ValueError("m must be a positive integer")
+    t = Fraction(t)
+    if not 0 <= t <= 1:
+        raise ValueError("t must lie in [0, 1]")
+    mu = t / (1 + t)
+
+    def inc_beta_int(z: Fraction, a: int, b: int) -> Fraction:
+        # B_z(a,b) = sum_j C(b-1,j) (-1)^j z^(a+j)/(a+j)
+        total = Fraction(0)
+        for j in range(b):
+            total += Fraction(math.comb(b - 1, j) * (-1) ** j, a + j) * z ** (a + j)
+        return total
+
+    def beta_int(a: int, b: int) -> Fraction:
+        return Fraction(math.factorial(a - 1) * math.factorial(b - 1), math.factorial(a + b - 1))
+
+    i_x = inc_beta_int(mu, m, 1 + 2 * m) / beta_int(m, 1 + 2 * m)
+    i_y = inc_beta_int(mu, 2 * m, 1 + m) / beta_int(2 * m, 1 + m)
+    pref = Fraction(1, 1) / (1 + t) ** (3 * m)  # (1 + lam^p)^(-3/p)
+    b_pp = beta_int(m, 2 * m)
+    lam = t**m
+    x = i_x - Fraction(1, m) * lam * pref / (2 * b_pp)
+    y = i_y - Fraction(1, m) * lam * lam * pref / b_pp - 1
+    return (x, y)
+
+
+def partial_zeta_inverse(order: int) -> Fraction:
+    """Exact value of sum_{q <= order} mu(q)/q^2.
+
+    Tends to 6/pi^2 with tail below 1/order.  Computed over the common
+    denominator lcm(1..order)^2 so no intermediate reduction is needed.
+    """
+    mu = moebius_sieve(order)
+    lcm = 1
+    for q in range(2, order + 1):
+        lcm = math.lcm(lcm, q)
+    big = lcm * lcm
+    total = 0
+    for q in range(1, order + 1):
+        m = mu[q]
+        if m:
+            total += m * (big // (q * q))
+    return Fraction(total, big)
+
+
+def moment_route_ratio(spec: DomainSpec, order: int, lam: Fraction) -> tuple[float, float]:
+    """Ratios of the exact vertex sums to the integral predictions
+    Q^3/zeta(2) * (mx, my); both tend to 1."""
+    x, y = fundamental_vertex(spec, order, lam)
+    moments = moment_integrals(spec, lam)
+    main = order**3 * 6.0 / math.pi**2
+    return (x / (main * float(moments.mx)), y / (main * float(moments.my)))
+
+
+def scale_factor_asymptote(spec: DomainSpec) -> float:
+    """Coefficient c with R(Q) ~ c Q^3, namely 6 (mx(1) + my(1)) / pi^2.
+
+    Square 3/pi^2, diamond 1/pi^2, octagon d(3d+1)/(pi^2 (d+1)^2), ball
+    2 B(1/p, 2/p)/(p pi^2).
+    """
+    if spec.kind == "ball":
+        p = float(spec.param)
+        return 2.0 * beta_complete(1.0 / p, 2.0 / p) / (p * math.pi**2)
+    moments = moment_integrals(spec, 1)
+    return float(6 * (moments.mx + moments.my)) / math.pi**2

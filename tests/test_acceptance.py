@@ -21,7 +21,6 @@ from jarnik.limit_curves import (
     curve_C1,
     curve_Cdelta,
     curve_Cp,
-    curve_Cp_alternate_y,
     reg_inc_beta,
 )
 from jarnik.number_theory import (
@@ -42,6 +41,7 @@ from jarnik.polygon import (
 )
 from jarnik.analysis import distance_to_curve
 
+from oracles import curve_Cp_alternate_y
 from test_number_theory import CORPUS, brute_force_farey
 
 P4_RUN = [

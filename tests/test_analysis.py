@@ -13,11 +13,12 @@ from jarnik.analysis import (
     distance_to_curve,
     expected_curve,
     lemma_check,
-    moment_route_ratio,
 )
 from jarnik.domains import ball, diamond, octagon, square
 from jarnik.limit_curves import LimitCurve, curve_C1
 from jarnik.polygon import ScaledPolygon, build_polygon, scale_polygon
+
+from oracles import moment_route_ratio
 
 
 def scaled_square(order):

@@ -6,8 +6,15 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from jarnik import curvature
-from jarnik.cli import MAX_ORDER, MAX_SAMPLES, MAX_TRACE_ORDER, build_parser, run
+from jarnik import analysis, curvature
+from jarnik.cli import (
+    MAX_BALL_NUMERATOR,
+    MAX_ORDER,
+    MAX_SAMPLES,
+    MAX_TRACE_ORDER,
+    build_parser,
+    run,
+)
 
 
 def run_capture(capsys, argv):
@@ -86,6 +93,27 @@ def test_polygon_large_ball_exponent(capsys):
     assert code == 0 and len(scaled.splitlines()) == len(plain.splitlines())
 
 
+@pytest.mark.parametrize("exponent", ["101/100", "1001/1000", "1000/999"])
+def test_polygon_slow_ball_exponent_exit_2(capsys, exponent):
+    # exact membership at these exponents does not finish in a minute at
+    # MAX_ORDER; they are refused before any polygon is built
+    code, out, err = run_capture(
+        capsys, ["polygon", "--domain", f"ball:{exponent}", "--q", str(MAX_ORDER)]
+    )
+    assert code == 2 and out == ""
+    assert "MAX_BALL_DENOMINATOR" in err
+
+
+def test_converge_large_ball_numerator_exit_2(capsys):
+    code, out, err = run_capture(
+        capsys,
+        ["converge", "--domain", f"ball:{MAX_BALL_NUMERATOR + 1}",
+         "--curve", f"Cp:{MAX_BALL_NUMERATOR + 1}", "--q-list", "5"],
+    )
+    assert code == 2 and out == ""
+    assert str(MAX_BALL_NUMERATOR) in err and "MAX_BALL_NUMERATOR" in err
+
+
 # sha256 of the CSV bytes, pinned so that any change of polygon output shows
 GOLDEN_POLYGON_SHA256 = {
     ("square", 12, False): "f73782cd727fb58e23e0c27464bba4ab49828da0ab873542f2deee12d6d9ae2e",
@@ -108,6 +136,11 @@ GOLDEN_POLYGON_SHA256 = {
     ("ball:5/3", 12, True): "85ba46a14d4c9e85d7880afa30be1b46905eab6c6cd3832b4fa5393c6d84886d",
     ("ball:5/3", 37, False): "2c561223d2f7919c9950e6bbc6e0f6fb35306325d2105aa2cebcaef90870413d",
     ("ball:5/3", 37, True): "0965bcc0921797a6127c479592dbe192063295d6ae69822b629d14d09e827408",
+    # slopes whose reduced denominator is not 1 round d (Q - q) down in the row caps
+    ("octagon:1/3", 37, False): "6fc96cfc085c096402e8b5400ec5c6bc043289129480c55cb5be566014ee0c57",
+    ("octagon:5/2", 41, True): "ca551024eae67dcfef744f5e3e334e0376ee7e3d5cf616b26869b11bc2411859",
+    # the diamond's shape under the octagon's label
+    ("octagon:1", 30, False): "a6c66d9cdef22d902891e7fc31eedf73da17514d6ea0ddb78bed10d82cde209f",
 }
 
 
@@ -185,6 +218,7 @@ GOLDEN_LIMIT_CURVE_SHA256 = {
     "Cdelta:2": "3503c2c084ecb60d6ad5233125bf1defadde554a235ad5f6b4ce766d0f305fb2",
     "Cp:2": "ab3b259ddde6444ea2840cc915a9a2548f2d45368a2c8eac42906fa269620492",
     "Cp:3": "9e4a3ae66d6b9802adbb9ebc2004a1e9ce55035c8a03a68f305b81ec9e6116d1",
+    "Cdelta:1/3": "2b3c7193d4f8bd350652a79969779f23eb2a05076066def7f65150d082ece3ac",
 }
 
 
@@ -202,6 +236,12 @@ def test_limit_curve_samples_above_cap_exit_2(capsys):
     )
     assert code == 2 and out == ""
     assert str(MAX_SAMPLES + 1) in err and "MAX_SAMPLES" in err
+
+
+def test_limit_curve_one_sample_exit_2(capsys):
+    code, out, err = run_capture(capsys, ["limit-curve", "--curve", "C", "--samples", "1"])
+    assert code == 2 and out == ""
+    assert "argument error" in err
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +267,7 @@ GOLDEN_CONVERGE_SHA256 = {
     ("square", "C"): "72bbcdedaf19549e9c0d3ce21074755fb022151a317dcfb27df724323c3c5fb2",
     ("diamond", "C1"): "9d997056f9b7da4e2a7f06ad5b76bb311568176188e4dafb22ca8a8c068bfd57",
     ("octagon:2", "Cdelta:2"): "441927f2898ff50e5c72baa36dba88e456091f7ecd4cbab03608282e9b3de755",
+    ("octagon:1/3", "Cdelta:1/3"): "34caf369794551a79587642561fbc06f5a0fecb4ff1dcd98dd76e259bccf6e76",
 }
 
 
@@ -267,6 +308,19 @@ def test_converge_samples_above_cap_exit_2(capsys):
     )
     assert code == 2 and out == ""
     assert str(MAX_SAMPLES + 1) in err and "MAX_SAMPLES" in err
+
+
+def test_converge_too_few_samples_exit_2_before_any_polygon(capsys, monkeypatch):
+    def no_polygon(spec, order):
+        raise AssertionError(f"polygon {spec} built at order {order}")
+
+    monkeypatch.setattr(analysis, "build_polygon", no_polygon)
+    code, out, err = run_capture(
+        capsys,
+        ["converge", "--domain", "ball:3", "--curve", "Cp:3", "--q-list", "5", "--samples", "999"],
+    )
+    assert code == 2 and out == ""
+    assert "argument error" in err
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,11 @@ from jarnik.domains import (
     moment_integrals,
     octagon,
     parse_domain,
-    scale_factor_asymptote,
     square,
 )
 from jarnik.domains import _ball_sum_within
+
+from oracles import scale_factor_asymptote
 
 ALL_SPECS = [
     square(),
@@ -134,6 +135,14 @@ def test_lattice_contains_matches_fraction_route():
             assert lattice_contains(spec, q, a, order) == contains(
                 spec, Fraction(q, order), Fraction(a, order)
             )
+
+
+def test_polygonal_regions_hold_one_slope():
+    assert square().slope == (1, 0)
+    assert diamond().slope == (1, 1)
+    assert parse_domain("octagon:5/2").slope == (5, 2)
+    assert octagon(Fraction(10, 4)).slope == (5, 2)
+    assert ball(2).slope is None
 
 
 def test_domain_validation():

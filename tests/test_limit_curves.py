@@ -9,24 +9,27 @@ from hypothesis import strategies as st
 
 from jarnik import limit_curves
 from jarnik.limit_curves import (
-    BetaKernel,
     LimitCurve,
     cp_half_scaled_residual,
     curve_C,
     curve_C1,
     curve_Cdelta,
     curve_Cp,
-    curve_Cp_alternate_y,
-    curve_Cp_exact,
     curve_csv,
     curve_svg,
     inc_beta,
     parse_curve,
     reg_inc_beta,
-    rotate_scale_C,
     sample_arc,
 )
-from oracles import dihedral_images, lentz_reg_inc_beta, scalar_arc_point
+from oracles import (
+    curve_Cp_alternate_y,
+    curve_Cp_exact,
+    dihedral_images,
+    lentz_reg_inc_beta,
+    rotate_scale_C,
+    scalar_arc_point,
+)
 
 GRID = [i / 1000 for i in range(1001)]
 
@@ -83,13 +86,6 @@ def test_reg_inc_beta_reflection_identity(z, a, b):
 def test_reg_inc_beta_monotone_in_z():
     values = [reg_inc_beta(z, 0.5, 2.5) for z in GRID[::10]]
     assert all(v2 >= v1 for v1, v2 in zip(values, values[1:]))
-
-
-def test_beta_kernel_object():
-    kernel = BetaKernel(2.0, 3.0)
-    assert kernel.complete == pytest.approx(1 / 12, rel=1e-13)
-    assert kernel.regularized(0.3) == pytest.approx(0.3483, abs=1e-12)
-    assert kernel.incomplete(1.0) == pytest.approx(kernel.complete, rel=1e-13)
 
 
 # ---------------------------------------------------------------------------

@@ -21,11 +21,10 @@ from jarnik.number_theory import (
     farey_sequence,
     moebius_sieve,
     parse_real,
-    partial_zeta_inverse,
     totient_sieve,
 )
 
-from oracles import farey_neighbors_stern_brocot
+from oracles import farey_neighbors_stern_brocot, partial_zeta_inverse
 
 # exact irrationals exercised against the brute-force Farey oracle
 CORPUS = [

@@ -134,6 +134,13 @@ def test_p4_vertex_run():
     assert run == P4_RUN
 
 
+def test_diamond_octagon_one_and_ball_one_build_the_same_polygon():
+    for order in range(1, 41):
+        want = build_polygon(diamond(), order).vertices
+        assert build_polygon(octagon(1), order).vertices == want
+        assert build_polygon(ball(1), order).vertices == want
+
+
 def test_order_1_octagon():
     poly = build_polygon(square(), 1)
     want = [PrimitiveVector(*v) for v in
