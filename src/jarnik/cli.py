@@ -21,15 +21,16 @@ import os
 import sys
 import tempfile
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from . import analysis, curvature, domains, limit_curves, number_theory, polygon
 
 # Largest order for `polygon` and `converge`: a polygon of order Q has about
 # 2.4 Q^2 vertices, and one order at the cap peaks below 1 GB of RSS.
 MAX_ORDER = 800
-# Largest `curvature --q-max`: a trace holds about 1 KB per order, and one
-# at the cap peaks at about 320 MB of RSS.
+# Largest `curvature --q-max`: the CSV is written row by row, and what grows
+# with the order is the totient and Mobius sieves; a trace at the cap takes
+# about 2.5 s and peaks at about 45 MB of RSS, 30 MB of it the import.
 MAX_TRACE_ORDER = 300_000
 # Largest `--samples` of `limit-curve` and `converge`: an arc is sampled as
 # one array; at the cap `converge` peaks at about 540 MB of RSS and
@@ -37,20 +38,26 @@ MAX_TRACE_ORDER = 300_000
 MAX_SAMPLES = 2**20
 # Largest numerator m and denominator n of a ball exponent: membership takes
 # m-th powers and n-th integer roots, and at MAX_ORDER the row caps of 199/10
-# take about 4 s, while 101/100 does not finish in a minute.
+# take about 0.1 s, those of 1000/3 and 999/4 about 1.5 s.
 MAX_BALL_NUMERATOR = 200
 MAX_BALL_DENOMINATOR = 10
 
 
-def _write_artifact(text: str, path: str | None) -> None:
+def _write_artifact(chunks: Iterable[str], path: str | None) -> None:
+    """Write the chunks to stdout, or to a temporary file beside `path`, opened
+    before the first chunk is drawn and renamed onto `path` after the last."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".jarnik-tmp-")
+    if os.path.isdir(path):
+        raise ValueError(f"cannot write {path}: Is a directory")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".jarnik-tmp-")
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -139,28 +146,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_polygon(args: argparse.Namespace) -> str:
+def _cmd_polygon(args: argparse.Namespace) -> Iterator[str]:
     spec = _parse_domain(args.domain)
     poly = polygon.build_polygon(spec, args.q)
     shape = polygon.scale_polygon(poly) if args.scaled else poly
-    return polygon.polygon_csv(shape) if args.format == "csv" else polygon.polygon_svg(shape)
+    yield polygon.polygon_csv(shape) if args.format == "csv" else polygon.polygon_svg(shape)
 
 
-def _cmd_limit_curve(args: argparse.Namespace) -> str:
+def _cmd_limit_curve(args: argparse.Namespace) -> Iterator[str]:
     curve = limit_curves.parse_curve(args.curve)
-    if args.format == "csv":
-        return limit_curves.curve_csv(curve, args.samples)
-    return limit_curves.curve_svg(curve, args.samples)
+    export = limit_curves.curve_csv if args.format == "csv" else limit_curves.curve_svg
+    yield export(curve, args.samples)
 
 
-def _cmd_converge(args: argparse.Namespace) -> str:
+def _cmd_converge(args: argparse.Namespace) -> Iterator[str]:
     spec = _parse_domain(args.domain)
     curve = limit_curves.parse_curve(args.curve)
     records = analysis.convergence_table(spec, args.q_list, curve, samples=args.samples)
-    return analysis.convergence_csv(records)
+    yield analysis.convergence_csv(records)
 
 
-def _cmd_curvature(args: argparse.Namespace) -> str:
+def _cmd_curvature(args: argparse.Namespace) -> Iterator[str]:
     lam = number_theory.parse_real(args.lam)
     if lam.is_rational and args.side is None:
         raise ValueError("rational slope needs --side '+' or '-'")
@@ -168,13 +174,11 @@ def _cmd_curvature(args: argparse.Namespace) -> str:
         raise ValueError("--side applies only to rational slopes")
     if not 2 <= args.q_min <= args.q_max:
         raise ValueError("need 2 <= --q-min <= --q-max")
-    trace = curvature.curvature_trace(lam, args.q_min, args.q_max, side=args.side)
     if args.format == "csv":
-        return curvature.trace_csv(trace)
-    bounds = None
-    if not lam.is_rational:
-        bounds = curvature._bounds_for(lam)
-    return curvature.trace_svg(trace, bounds)
+        yield from curvature.trace_lines(lam, args.q_min, args.q_max, side=args.side)
+        return
+    trace = curvature.curvature_trace(lam, args.q_min, args.q_max, side=args.side)
+    yield curvature.trace_svg(trace, None if lam.is_rational else curvature._bounds_for(lam))
 
 
 def _selftest_checks() -> list[tuple[str, bool, str]]:
@@ -198,6 +202,12 @@ def _selftest_checks() -> list[tuple[str, bool, str]]:
     record("circumradius^2 1105/2", r2 == Fraction(1105, 2), f"got {r2}")
     r2b = curvature.circumradius_squared((4, 1), (7, 2), (9, 3))
     record("circumradius^2 725/2", r2b == Fraction(725, 2), f"got {r2b}")
+
+    ((_, a1, q1, a2, q2, x),) = curvature.curvature_rows(number_theory.INV_SQRT3, 4, 4)
+    r2_row = curvature.circumradius_squared((0, 0), (q1, a1), (q1 + q2, a1 + a2))
+    r2_local, ladder = curvature.local_radius(4, number_theory.INV_SQRT3).r_squared, Fraction(3 * x, 2)
+    record("integer row of 1/sqrt(3) at order 4: local_radius's r^2, R(4) = 51/2",
+           r2_row == r2_local and ladder == Fraction(51, 2), f"got {r2_row}, {r2_local}, {ladder}")
 
     farey4 = number_theory.farey_sequence(4)
     want_farey = [Fraction(n, d) for n, d in
@@ -254,6 +264,12 @@ def _cmd_selftest() -> tuple[str, bool]:
     return "\n".join(lines) + "\n", all_ok
 
 
+# Each command is a generator of output chunks, so its work starts after
+# _write_artifact has opened the output.
+_COMMANDS = {"polygon": _cmd_polygon, "limit-curve": _cmd_limit_curve,
+             "converge": _cmd_converge, "curvature": _cmd_curvature}
+
+
 def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -261,26 +277,17 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits 2 on bad usage
         return int(exc.code or 0)
     try:
-        if args.command == "polygon":
-            text = _cmd_polygon(args)
-        elif args.command == "limit-curve":
-            text = _cmd_limit_curve(args)
-        elif args.command == "converge":
-            text = _cmd_converge(args)
-        elif args.command == "curvature":
-            text = _cmd_curvature(args)
-        else:
+        if args.command == "selftest":
             text, ok = _cmd_selftest()
-            _write_artifact(text, None)
+            sys.stdout.write(text)
             return 0 if ok else 1
+        _write_artifact(_COMMANDS[args.command](args), args.output)
     except ValueError as exc:
         print(f"jarnik: argument error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:
         print(f"jarnik: computation failed: {exc}", file=sys.stderr)
         return 1
-    output = getattr(args, "output", None)
-    _write_artifact(text, output)
     return 0
 
 

@@ -18,8 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
-from typing import Sequence
+from itertools import accumulate, chain, islice
+from typing import Iterator, Sequence
 
 from .number_theory import (
     FareyNeighbors,
@@ -28,8 +28,7 @@ from .number_theory import (
     RationalReal,
     RealSpec,
     convergent_walk,
-    farey_neighbor_walk,
-    farey_neighbors,
+    farey_neighbor_rows,
     farey_neighbors_sided,
     moebius_sieve,
     totient_sieve,
@@ -85,26 +84,24 @@ def _x_by_moebius(order: int, mu) -> int:
     return total
 
 
-def scale_ladder(q_max: int) -> list[Fraction]:
-    """R(Q) = 3 X(Q,1)/2 for Q = 0..q_max, built incrementally.
-
-    The increment from Q-1 to Q is exactly the contribution Q phi(Q) of
-    the vectors entering at denominator Q.  The top X(q_max,1) is then
-    recomputed through the independent Mobius divisor identity: every
-    phi(q) enters it with weight q, so a wrong value anywhere shows there.
-    """
+def _x_ladder(q_max: int) -> Iterator[int]:
+    """X(Q,1) for Q = 0..q_max as a running sum of Q phi(Q), the vectors
+    entering at denominator Q.  Before this returns, X(q_max,1) is checked
+    through the independent Mobius divisor identity: every phi(q) enters it
+    with weight q, so a wrong value anywhere shows there."""
     if q_max < 1:
         raise ValueError("ladder top must be a positive integer")
     phi = totient_sieve(q_max)
-    ladder = [Fraction(0)] * (q_max + 1)
-    x = 0
-    for q in range(1, q_max + 1):
-        x += q * phi[q]
-        ladder[q] = Fraction(3 * x, 2)
+    x = sum(q * f for q, f in enumerate(phi))
     check = _x_by_moebius(q_max, moebius_sieve(q_max))
     if check != x:
         raise ArithmeticError(f"scale ladder drift at Q={q_max}: {x} != {check}")
-    return ladder
+    return accumulate(q * f for q, f in enumerate(phi))
+
+
+def scale_ladder(q_max: int) -> list[Fraction]:
+    """R(Q) = 3 X(Q,1)/2 for Q = 0..q_max."""
+    return [Fraction(3 * x, 2) for x in _x_ladder(q_max)]
 
 
 # ---------------------------------------------------------------------------
@@ -182,70 +179,75 @@ def _cut_point(lam: RealSpec | Fraction, side: str | None) -> tuple[Fraction | N
     return None, str(lam), float(lam)
 
 
-def _sample(
-    neighbors: FareyNeighbors, lambda_spec: str, lam_value: float, scale: Fraction
-) -> CurvatureSample:
-    order = neighbors.order
-    a1, q1 = neighbors.left.numerator, neighbors.left.denominator
-    a2, q2 = neighbors.right.numerator, neighbors.right.denominator
-    r_sq = circumradius_squared((0, 0), (q1, a1), (q1 + q2, a1 + a2))
-    return CurvatureSample(
-        order,
-        lambda_spec,
-        neighbors,
-        r_sq,
-        math.sqrt(r_sq) / float(scale),
-        predicted_radius(order, lam_value, q1, q2),
-    )
+def _checked_rows(walk, xs: Iterator[int]) -> Iterator[tuple[int, ...]]:
+    for (order, a1, q1, a2, q2), x in zip(walk, xs):
+        if a2 * q1 - a1 * q2 != 1 or q1 > order or q2 > order:
+            raise ArithmeticError(f"{a1}/{q1}, {a2}/{q2} are not Farey neighbors of order {order}")
+        yield order, a1, q1, a2, q2, x
 
 
-def local_radius(
-    order: int,
-    lam: RealSpec | Fraction,
-    side: str | None = None,
-    scale: Fraction | None = None,
-) -> CurvatureSample:
-    """One curvature sample at a single order.
+def curvature_rows(
+    lam: RealSpec | Fraction, q_min: int, q_max: int, side: str | None = None
+) -> Iterator[tuple[int, int, int, int, int, int]]:
+    """(Q, a1, q1, a2, q2, X(Q,1)) for every order Q in [q_min, q_max]: the
+    neighbors a1/q1 < a2/q2 of the slope and R(Q) = 3 X(Q,1)/2, in integers.
 
-    Rational lam needs a side ('+' or '-'); irrational lam must come as an
-    exact RealSpec.  Pass a precomputed scale to avoid resieving R(Q).
-    """
-    if order < 2:
-        raise ValueError("curvature needs order >= 2")
-    frac, lambda_spec, lam_value = _cut_point(lam, side)
-    if frac is None:
-        neighbors = farey_neighbors(lam, order)
-    else:
-        neighbors = farey_neighbors_sided(frac, side, order)
-    if scale is None:
-        scale = scale_ladder(order)[order]
-    return _sample(neighbors, lambda_spec, lam_value, scale)
-
-
-def curvature_trace(
-    lam: RealSpec | Fraction,
-    q_min: int,
-    q_max: int,
-    side: str | None = None,
-) -> list[CurvatureSample]:
-    """One sample per integer order in [q_min, q_max].
-
-    The slope is checked before the R(Q) ladder is built.  An irrational
-    slope takes one Farey neighbor walk over the orders; a rational one
-    takes its neighbors at q_min first, which refuses a cut point that
-    order cannot hold, then one local_radius call per further order.
+    The slope, then the ladder, are checked before this returns: a refused
+    slope builds no ladder, and a failed check yields no row.  A rational
+    slope takes its neighbors at q_min, which refuses a cut point that order
+    cannot hold; its free neighbor c/d then steps by (a, b), the cut point,
+    each time the order admits d + b, as (c + a)/(d + b) is unimodular too.
     """
     if not 2 <= q_min <= q_max:
         raise ValueError("need 2 <= q_min <= q_max")
-    frac, lambda_spec, lam_value = _cut_point(lam, side)
+    frac, _, _ = _cut_point(lam, side)
     if frac is None:
-        walk = farey_neighbor_walk(lam, q_min, q_max)
-        ladder = scale_ladder(q_max)
-        return [_sample(nb, lambda_spec, lam_value, ladder[nb.order]) for nb in walk]
-    first = farey_neighbors_sided(frac, side, q_min)
-    ladder = scale_ladder(q_max)
-    rest = [local_radius(q, lam, side=side, scale=ladder[q]) for q in range(q_min + 1, q_max + 1)]
-    return [_sample(first, lambda_spec, lam_value, ladder[q_min]), *rest]
+        walk = farey_neighbor_rows(lam, q_min, q_max)
+    else:
+        first = farey_neighbors_sided(frac, side, q_min)
+        a, b = frac.as_integer_ratio()
+        c, d = (first.right if side == "+" else first.left).as_integer_ratio()
+        steps = ((q, (q - d) // b) for q in range(q_min, q_max + 1))
+        if side == "+":
+            walk = ((q, a, b, c + k * a, d + k * b) for q, k in steps)
+        else:
+            walk = ((q, c + k * a, d + k * b, a, b) for q, k in steps)
+    return _checked_rows(walk, islice(_x_ladder(q_max), q_min, None))
+
+
+def _row_values(row: tuple[int, ...], lam_value: float) -> tuple:
+    """(Q, q1, q2, r^2 numerator, r^2 denominator, r_tilde, predicted) of a
+    row; unimodular neighbors make r^2 = num/4."""
+    order, a1, q1, a2, q2, x = row
+    num = (a1 * a1 + q1 * q1) * (a2 * a2 + q2 * q2) * ((a1 + a2) ** 2 + (q1 + q2) ** 2)
+    g = math.gcd(num, 4)
+    r_tilde = math.sqrt((num // g) / (4 // g)) / (3 * x / 2)
+    return order, q1, q2, num // g, 4 // g, r_tilde, predicted_radius(order, lam_value, q1, q2)
+
+
+def local_radius(order: int, lam: RealSpec | Fraction, side: str | None = None) -> CurvatureSample:
+    """The curvature sample at a single order; see curvature_trace."""
+    return curvature_trace(lam, order, order, side)[0]
+
+
+def curvature_trace(
+    lam: RealSpec | Fraction, q_min: int, q_max: int, side: str | None = None
+) -> list[CurvatureSample]:
+    """One sample per integer order in [q_min, q_max], from curvature_rows.
+
+    Rational lam needs a side ('+' or '-'); irrational lam must come as an
+    exact RealSpec.
+    """
+    rows = curvature_rows(lam, q_min, q_max, side)
+    _, lambda_spec, lam_value = _cut_point(lam, side)
+    samples = []
+    for row in rows:
+        order, a1, q1, a2, q2, _ = row
+        *_, num, den, r_tilde, predicted = _row_values(row, lam_value)
+        neighbors = FareyNeighbors(Fraction(a1, q1), Fraction(a2, q2), order)
+        r_squared = Fraction(num, den)
+        samples.append(CurvatureSample(order, lambda_spec, neighbors, r_squared, r_tilde, predicted))
+    return samples
 
 
 def limsup_liminf_estimate(
@@ -271,14 +273,27 @@ def limsup_liminf_estimate(
 # ---------------------------------------------------------------------------
 
 
+_CSV_HEADER = "Q,q1,q2,r_squared_num,r_squared_den,r_tilde,predicted\n"
+
+
+def _csv_line(order, q1, q2, num, den, r_tilde: float, predicted: float) -> str:
+    return f"{order},{q1},{q2},{num},{den},{r_tilde!r},{predicted!r}\n"
+
+
 def trace_csv(samples: Sequence[CurvatureSample]) -> str:
-    lines = ["Q,q1,q2,r_squared_num,r_squared_den,r_tilde,predicted"]
-    for s in samples:
-        lines.append(
-            f"{s.order},{s.q1},{s.q2},{s.r_squared.numerator},"
-            f"{s.r_squared.denominator},{s.r_tilde!r},{s.predicted!r}"
-        )
-    return "\n".join(lines) + "\n"
+    fields = ((s.order, s.q1, s.q2, *s.r_squared.as_integer_ratio(), s.r_tilde, s.predicted)
+              for s in samples)
+    return _CSV_HEADER + "".join(_csv_line(*f) for f in fields)
+
+
+def trace_lines(
+    lam: RealSpec | Fraction, q_min: int, q_max: int, side: str | None = None
+) -> Iterator[str]:
+    """The text of trace_csv(curvature_trace(...)), line by line from
+    curvature_rows, with its checks done before this returns."""
+    rows = curvature_rows(lam, q_min, q_max, side)
+    lam_value = _cut_point(lam, side)[2]
+    return chain([_CSV_HEADER], (_csv_line(*_row_values(row, lam_value)) for row in rows))
 
 
 def trace_svg(samples: Sequence[CurvatureSample], bounds: CurvatureBounds | None = None) -> str:

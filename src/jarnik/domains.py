@@ -136,8 +136,10 @@ def _ball_sum_within(A: int, B: int, C: int, b: int) -> bool:
     A, B > 0, Besicovitch's theorem (b-th roots of distinct b-th-power-free
     integers are linearly independent over Q) allows a tie only when
     A^(b-1) B = tB^b and A^(b-1) C = tC^b; multiplied by A^((b-1)/b) the
-    comparison is then A + tB <= tC.  Any other case is settled by scaled
-    integer roots at escalating precision, which separate the two sides.
+    comparison is then A + tB <= tC.  Scaled integer roots at escalating
+    precision settle every other case.  A tie never passes either bracket
+    test, so the costly tie test runs only when the first bracket, which
+    separates almost every point, does not.
     """
     if b == 1:
         return A + B <= C
@@ -147,10 +149,6 @@ def _ball_sum_within(A: int, B: int, C: int, b: int) -> bool:
         return gap >= 0 and 4 * A * B <= gap * gap
     if not (A and B):
         return max(A, B) <= C
-    lead = A ** (b - 1)
-    tb, tc = _iroot_floor(lead * B, b), _iroot_floor(lead * C, b)
-    if tb**b == lead * B and tc**b == lead * C:
-        return A + tb <= tc
     for bits in (32, 64, 128, 256, 512, 1024, 4096):
         scale = 1 << bits
         sb = scale**b
@@ -161,6 +159,11 @@ def _ball_sum_within(A: int, B: int, C: int, b: int) -> bool:
             return True
         if lo > rc_lo + 1:
             return False
+        if bits == 32:
+            lead = A ** (b - 1)
+            tb, tc = _iroot_floor(lead * B, b), _iroot_floor(lead * C, b)
+            if tb**b == lead * B and tc**b == lead * C:
+                return A + tb <= tc
     raise ArithmeticError("membership comparison did not separate; boundary case")
 
 

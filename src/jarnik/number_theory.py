@@ -406,9 +406,9 @@ def convergents(cf: ContinuedFraction, count: int | None = None) -> list[Fractio
 # ---------------------------------------------------------------------------
 
 
-def farey_neighbor_walk(lam: RealSpec, q_min: int, q_max: int) -> Iterator[FareyNeighbors]:
-    """The two consecutive order-Q Farey fractions around irrational lam,
-    for every order Q = q_min..q_max.
+def farey_neighbor_rows(lam: RealSpec, q_min: int, q_max: int) -> Iterator[tuple[int, ...]]:
+    """(Q, a1, q1, a2, q2) for the two consecutive order-Q Farey fractions
+    a1/q1 < a2/q2 around irrational lam, for every order Q = q_min..q_max.
 
     Uses the convergent/secondary-convergent description: with j k_n +
     k_{n-1} <= Q < (j+1) k_n + k_{n-1} and 1 <= j <= b_n, the bracketing
@@ -429,21 +429,25 @@ def _neighbor_walk(
     window: tuple[tuple[int, int], ...],
     q_min: int,
     q_max: int,
-) -> Iterator[FareyNeighbors]:
+) -> Iterator[tuple[int, ...]]:
     # window: the convergents n-1, n and n+1, with k_n + k_{n-1} <= Q < k_{n+1} + k_n
     (hp, kp), (h, k), (hn, kn) = window
     for order in range(q_min, q_max + 1):
         while kn + k <= order:
             (hp, kp), (h, k), (hn, kn) = (h, k), (hn, kn), next(pairs)
         j = (order - kp) // k
-        primary = Fraction(h, k)
-        secondary = Fraction(j * h + hp, j * k + kp)
         # the secondary lies between h_{n-1}/k_{n-1} and h_n/k_n, so it is
         # the left neighbor exactly when h_n/k_n is the larger of the two
         if h * kp > hp * k:
-            yield FareyNeighbors(secondary, primary, order)
+            yield order, j * h + hp, j * k + kp, h, k
         else:
-            yield FareyNeighbors(primary, secondary, order)
+            yield order, h, k, j * h + hp, j * k + kp
+
+
+def farey_neighbor_walk(lam: RealSpec, q_min: int, q_max: int) -> Iterator[FareyNeighbors]:
+    """farey_neighbor_rows as FareyNeighbors."""
+    rows = farey_neighbor_rows(lam, q_min, q_max)
+    return (FareyNeighbors(Fraction(a1, q1), Fraction(a2, q2), q) for q, a1, q1, a2, q2 in rows)
 
 
 def farey_neighbors(lam: RealSpec, order: int) -> FareyNeighbors:

@@ -8,6 +8,10 @@ instead; these stay as the reference that walk must reproduce.  The Farey
 neighbours of an irrational are likewise recomputed by mediant descent, a
 route independent of the package's convergent walk, and R(Q) for the
 square region is summed directly from the totients, without the ladder.
+The curvature trace is rebuilt the way the package built it before its
+integer rows: one neighbour query and one exact `Fraction` circumradius
+per order.  Ball membership keeps the order in which the package first
+ran its tests: the Besicovitch tie test before any bracketing.
 The limit-curve arcs are evaluated one parameter at a time by their
 closed forms, with the regularized incomplete beta of the ball family
 computed by a modified Lentz continued fraction instead of scipy.
@@ -24,12 +28,15 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from jarnik.domains import DomainSpec, lattice_contains, moment_integrals
+from jarnik.curvature import circumradius_squared, predicted_radius
+from jarnik.domains import DomainSpec, _iroot_floor, lattice_contains, moment_integrals
 from jarnik.limit_curves import Point, beta_complete, log_beta, reg_inc_beta
 from jarnik.number_theory import (
     FareyNeighbors,
     RationalReal,
     RealSpec,
+    farey_neighbors,
+    farey_neighbors_sided,
     moebius_sieve,
     totient_sieve,
 )
@@ -128,6 +135,57 @@ def square_scale_factor(order: int) -> Fraction:
     """R(Q) for the square region, exact, via the totient sieve."""
     phi = totient_sieve(order)
     return Fraction(3 * sum(q * phi[q] for q in range(1, order + 1)), 2)
+
+
+def fraction_trace_csv(lam: RealSpec, q_min: int, q_max: int, side: str | None = None) -> str:
+    """The `curvature` CSV by Fractions: per order, the neighbours by
+    farey_neighbors (or farey_neighbors_sided at a rational slope), r^2 as
+    the circumradius of the vertex triple, and R(Q) from a running sum of
+    the totients."""
+    phi = totient_sieve(q_max)
+    x = sum(q * phi[q] for q in range(q_min))
+    lam_value = float(lam)
+    lines = ["Q,q1,q2,r_squared_num,r_squared_den,r_tilde,predicted"]
+    for order in range(q_min, q_max + 1):
+        x += order * phi[order]
+        if side is None:
+            nb = farey_neighbors(lam, order)
+        else:
+            nb = farey_neighbors_sided(lam.value, side, order)
+        a1, q1 = nb.left.numerator, nb.left.denominator
+        a2, q2 = nb.right.numerator, nb.right.denominator
+        r_sq = circumradius_squared((0, 0), (q1, a1), (q1 + q2, a1 + a2))
+        r_tilde = math.sqrt(r_sq) / float(Fraction(3 * x, 2))
+        predicted = predicted_radius(order, lam_value, q1, q2)
+        lines.append(f"{order},{q1},{q2},{r_sq.numerator},{r_sq.denominator},{r_tilde!r},{predicted!r}")
+    return "\n".join(lines) + "\n"
+
+
+def ball_sum_within_tie_first(A: int, B: int, C: int, b: int) -> bool:
+    """A^(1/b) + B^(1/b) <= C^(1/b), deciding the Besicovitch tie before
+    bracketing the two sides by scaled integer roots."""
+    if b == 1:
+        return A + B <= C
+    if b == 2:
+        gap = C - A - B
+        return gap >= 0 and 4 * A * B <= gap * gap
+    if not (A and B):
+        return max(A, B) <= C
+    lead = A ** (b - 1)
+    tb, tc = _iroot_floor(lead * B, b), _iroot_floor(lead * C, b)
+    if tb**b == lead * B and tc**b == lead * C:
+        return A + tb <= tc
+    for bits in (32, 64, 128, 256, 512, 1024, 4096):
+        scale = 1 << bits
+        sb = scale**b
+        lo = _iroot_floor(A * sb, b) + _iroot_floor(B * sb, b)
+        hi = lo + 2
+        rc_lo = _iroot_floor(C * sb, b)
+        if hi <= rc_lo:
+            return True
+        if lo > rc_lo + 1:
+            return False
+    raise ArithmeticError("membership comparison did not separate; boundary case")
 
 
 _CF_EPS = 1e-15

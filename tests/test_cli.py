@@ -6,7 +6,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from jarnik import analysis, curvature
+from jarnik import analysis, curvature, limit_curves, polygon
 from jarnik.cli import (
     MAX_BALL_NUMERATOR,
     MAX_ORDER,
@@ -386,7 +386,7 @@ def test_curvature_rational_slope_refused_before_ladder(capsys, monkeypatch, lam
     def no_ladder(q_max):
         raise AssertionError(f"R(Q) ladder built up to {q_max}")
 
-    monkeypatch.setattr(curvature, "scale_ladder", no_ladder)
+    monkeypatch.setattr(curvature, "_x_ladder", no_ladder)
     code, out, err = run_capture(
         capsys,
         ["curvature", "--lambda", lam, "--side", side, "--q-min", q_min,
@@ -394,6 +394,23 @@ def test_curvature_rational_slope_refused_before_ladder(capsys, monkeypatch, lam
     )
     assert code == 2 and out == ""
     assert err == f"jarnik: argument error: {message}\n"
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "file"])
+def test_curvature_wrong_totient_fails_before_any_output(capsys, monkeypatch, tmp_path, to_file):
+    sieve = curvature.totient_sieve
+
+    def perturbed(limit):
+        phi = sieve(limit)
+        phi[97] += 1
+        return phi
+
+    monkeypatch.setattr(curvature, "totient_sieve", perturbed)
+    argv = ["curvature", "--lambda", "const:inv-sqrt3", "--q-min", "2", "--q-max", "1000"]
+    code, out, err = run_capture(capsys, argv + (["--output", str(tmp_path / "t.csv")] if to_file else []))
+    assert code == 1 and out == ""
+    assert err.startswith("jarnik: computation failed: scale ladder drift at Q=1000")
+    assert os.listdir(tmp_path) == []
 
 
 def test_curvature_rational_needs_side(capsys):
@@ -419,6 +436,28 @@ def test_curvature_bad_range(capsys):
         capsys, ["curvature", "--lambda", "const:e-2", "--q-min", "50", "--q-max", "10"]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, module, work", [
+    (["polygon", "--domain", "square", "--q", "8"], polygon, "build_polygon"),
+    (["limit-curve", "--curve", "C"], limit_curves, "curve_csv"),
+    (["converge", "--domain", "square", "--curve", "C", "--q-list", "8"], analysis, "convergence_table"),
+    (["curvature", "--lambda", "const:e-2", "--q-max", "50"], curvature, "trace_lines"),
+], ids=["polygon", "limit-curve", "converge", "curvature"])
+@pytest.mark.parametrize("where, reason", [
+    ("missing/out.csv", "No such file or directory"),
+    ("", "Is a directory"),
+], ids=["missing-directory", "directory"])
+def test_unwritable_output_refused_before_any_work(capsys, monkeypatch, tmp_path, argv, module, work, where, reason):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started for an unwritable output")
+
+    monkeypatch.setattr(module, work, no_work)
+    target = tmp_path / where
+    code, out, err = run_capture(capsys, argv + ["--output", str(target)])
+    assert code == 2 and out == ""
+    assert err == f"jarnik: argument error: cannot write {target}: {reason}\n"
+    assert os.listdir(tmp_path) == []
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from jarnik.curvature import (
     predicted_radius,
     scale_ladder,
     trace_csv,
+    trace_lines,
     trace_svg,
 )
 from jarnik import curvature
@@ -24,7 +25,7 @@ from jarnik.limit_curves import curve_C
 from jarnik.number_theory import E_MINUS_2, INV_SQRT3, moebius_sieve, parse_real
 from jarnik.polygon import build_polygon, fundamental_vertex, scale_factor, scale_polygon
 
-from oracles import square_scale_factor
+from oracles import fraction_trace_csv, square_scale_factor
 
 
 def float_circumradius(p0, p1, p2):
@@ -255,7 +256,7 @@ def test_trace_rejects_slope_outside_unit_interval_before_ladder(monkeypatch):
     def no_ladder(q_max):
         raise AssertionError("ladder built for a rejected slope")
 
-    monkeypatch.setattr(curvature, "scale_ladder", no_ladder)
+    monkeypatch.setattr(curvature, "_x_ladder", no_ladder)
     with pytest.raises(ValueError, match="quotient stream requires a value in"):
         curvature_trace(parse_real("surd:(1+sqrt(5))/2"), 2, 10**5)
     with pytest.raises(ValueError, match="must lie in"):
@@ -327,6 +328,28 @@ def test_trace_csv_format():
     assert len(lines) == 6
     first = lines[1].split(",")
     assert first[0] == "4" and first[3] == "1105" and first[4] == "2"
+
+
+@pytest.mark.parametrize(
+    "text, side, q_min",
+    [
+        ("surd:(-1+sqrt(5))/2", None, 2),
+        ("const:e-2", None, 2),
+        ("cf:[0;1,(2,3)]", None, 2),
+        ("rat:2/5", "+", 5),
+        ("rat:2/5", "-", 5),
+        ("rat:0/1", "+", 2),
+        ("rat:1/1", "-", 2),
+        ("rat:3/7", "-", 7),
+    ],
+)
+def test_integer_rows_match_fraction_route(text, side, q_min):
+    # 2/5 cannot start below order 5; it and 3/7 start where the order
+    # first holds the cut point
+    lam = parse_real(text)
+    want = fraction_trace_csv(lam, q_min, 2000, side)
+    assert "".join(trace_lines(lam, q_min, 2000, side)) == want
+    assert trace_csv(curvature_trace(lam, q_min, 2000, side)) == want
 
 
 def test_trace_svg_well_formed():

@@ -18,7 +18,7 @@ from jarnik.domains import (
 )
 from jarnik.domains import _ball_sum_within
 
-from oracles import scale_factor_asymptote
+from oracles import ball_sum_within_tie_first, scale_factor_asymptote
 
 ALL_SPECS = [
     square(),
@@ -100,6 +100,23 @@ def test_ball_third_boundary_points_decided():
     assert not lattice_contains(spec, 2, 3, 16)
     assert lattice_contains(spec, 3, 3, 24)
     assert lattice_contains(spec, 2, 16, 54)
+
+
+@pytest.mark.parametrize("exponent", ["1/3", "5/3", "7/4", "199/10"])
+def test_bracket_first_membership_matches_tie_first_oracle(exponent):
+    # every lattice point 0 <= v <= u <= Q, for every order up to 40 and the
+    # ball:1/3 tie orders 16, 24 and 54
+    p = Fraction(exponent)
+    pn, pd = p.numerator, p.denominator
+    orders = list(range(1, 41)) + ([54] if p == Fraction(1, 3) else [])
+    for order in orders:
+        C = order**pn
+        for u in range(order + 1):
+            A = u**pn
+            for v in range(u + 1):
+                B = v**pn
+                want = ball_sum_within_tie_first(A, B, C, pd)
+                assert _ball_sum_within(A, B, C, pd) == want, (exponent, order, u, v)
 
 
 def test_octagon_vertices_on_boundary():
