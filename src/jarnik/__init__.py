@@ -59,6 +59,7 @@ from .polygon import (
     ScaledPolygon,
     build_polygon,
     fundamental_vertex,
+    fundamental_vertices,
     primitive_vectors,
     scale_polygon,
 )

@@ -20,7 +20,7 @@ import numpy as np
 
 from .domains import DomainSpec
 from .limit_curves import LimitCurve, dihedral_images
-from .polygon import ScaledPolygon, build_polygon, fundamental_vertex, scale_polygon
+from .polygon import ScaledPolygon, build_polygon, fundamental_vertices, scale_polygon
 
 
 # ---------------------------------------------------------------------------
@@ -29,7 +29,7 @@ from .polygon import ScaledPolygon, build_polygon, fundamental_vertex, scale_pol
 
 
 def _poly_probe_points(poly: ScaledPolygon) -> np.ndarray:
-    verts = np.asarray(poly.vertices, dtype=float)
+    verts = poly.xy
     mids = 0.5 * (verts + np.roll(verts, 1, axis=0))
     return np.concatenate([verts, mids])
 
@@ -230,14 +230,13 @@ def lemma_check(q_list: Sequence[int], lam_grid: Sequence[Fraction]) -> LemmaRep
         raise ValueError("need at least one order")
     from .domains import square
 
+    lams = [Fraction(lam) for lam in lam_grid]
+    if not all(0 < lam <= 1 for lam in lams):
+        raise ValueError("lemma grid needs slopes in (0, 1]")
     rows = []
     for order in sorted(set(q_list)):
         norm = order / math.log(order)
-        for lam in lam_grid:
-            lam = Fraction(lam)
-            if not 0 < lam <= 1:
-                raise ValueError("lemma grid needs slopes in (0, 1]")
-            x, y = fundamental_vertex(square(), order, lam)
+        for lam, (x, y) in zip(lams, fundamental_vertices(square(), order, lams)):
             xerr = abs(x * math.pi**2 / (2 * float(lam) * order**3) - 1.0) * norm
             yerr = abs(y * math.pi**2 / (float(lam) ** 2 * order**3) - 1.0) * norm
             rows.append(LemmaRow(order, lam, x, y, xerr, yerr))

@@ -26,8 +26,9 @@ from typing import Callable, Iterable, Iterator
 from . import analysis, curvature, domains, limit_curves, number_theory, polygon
 
 # Largest order for `polygon` and `converge`: a polygon of order Q has about
-# 2.4 Q^2 vertices, and one order at the cap peaks below 1 GB of RSS.
-MAX_ORDER = 800
+# 2.4 Q^2 vertices; at the cap `converge` of the square against C peaks at
+# about 900 MB of RSS (1.08 GB at Q = 1000), `polygon --scaled` at 545 MB.
+MAX_ORDER = 900
 # Largest `curvature --q-max`: the CSV is written row by row, and what grows
 # with the order is the totient and Mobius sieves; a trace at the cap takes
 # about 2.5 s and peaks at about 45 MB of RSS, 30 MB of it the import.
@@ -38,7 +39,7 @@ MAX_TRACE_ORDER = 300_000
 MAX_SAMPLES = 2**20
 # Largest numerator m and denominator n of a ball exponent: membership takes
 # m-th powers and n-th integer roots, and at MAX_ORDER the row caps of 199/10
-# take about 0.1 s, those of 1000/3 and 999/4 about 1.5 s.
+# take about 0.15 s, those of 1000/3 and 999/4 about 1.5 s.
 MAX_BALL_NUMERATOR = 200
 MAX_BALL_DENOMINATOR = 10
 
@@ -177,8 +178,8 @@ def _cmd_curvature(args: argparse.Namespace) -> Iterator[str]:
     if args.format == "csv":
         yield from curvature.trace_lines(lam, args.q_min, args.q_max, side=args.side)
         return
-    trace = curvature.curvature_trace(lam, args.q_min, args.q_max, side=args.side)
-    yield curvature.trace_svg(trace, None if lam.is_rational else curvature._bounds_for(lam))
+    points = list(curvature.trace_points(lam, args.q_min, args.q_max, side=args.side))
+    yield curvature.points_svg(points, None if lam.is_rational else curvature._bounds_for(lam))
 
 
 def _selftest_checks() -> list[tuple[str, bool, str]]:

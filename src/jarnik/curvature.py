@@ -263,8 +263,7 @@ def limsup_liminf_estimate(
         raise ValueError("limit estimates are defined for irrational slopes")
     if q_max < 8:
         raise ValueError("window too small")
-    window = curvature_trace(lam, max(2, q_max // 4), q_max)
-    values = [s.r_tilde for s in window]
+    values = [r_tilde for _, r_tilde in trace_points(lam, max(2, q_max // 4), q_max)]
     return (max(values), min(values), _bounds_for(lam))
 
 
@@ -296,13 +295,29 @@ def trace_lines(
     return chain([_CSV_HEADER], (_csv_line(*_row_values(row, lam_value)) for row in rows))
 
 
+def trace_points(
+    lam: RealSpec | Fraction, q_min: int, q_max: int, side: str | None = None
+) -> Iterator[tuple[int, float]]:
+    """(Q, r_tilde) of curvature_trace(...), from curvature_rows with no
+    Fraction built, with its checks done before this returns."""
+    rows = curvature_rows(lam, q_min, q_max, side)
+    lam_value = _cut_point(lam, side)[2]
+    values = (_row_values(row, lam_value) for row in rows)
+    return ((order, r_tilde) for order, _, _, _, _, r_tilde, _ in values)
+
+
 def trace_svg(samples: Sequence[CurvatureSample], bounds: CurvatureBounds | None = None) -> str:
+    """points_svg of the samples' (Q, r_tilde)."""
+    return points_svg([(s.order, s.r_tilde) for s in samples], bounds)
+
+
+def points_svg(points: Sequence[tuple[int, float]], bounds: CurvatureBounds | None = None) -> str:
     """Step plot of the scaled radius against log Q, with the theoretical
     band and the limit-curve radius drawn as horizontal rules."""
-    if not samples:
+    if not points:
         raise ValueError("empty trace")
-    xs = [math.log10(s.order) for s in samples]
-    ys = [s.r_tilde for s in samples]
+    xs = [math.log10(order) for order, _ in points]
+    ys = [r_tilde for _, r_tilde in points]
     x0, x1 = min(xs), max(xs)
     top = max(ys + ([bounds.band_high] if bounds else [])) * 1.05
     width, height = 640.0, 400.0

@@ -141,6 +141,9 @@ GOLDEN_POLYGON_SHA256 = {
     ("octagon:5/2", 41, True): "ca551024eae67dcfef744f5e3e334e0376ee7e3d5cf616b26869b11bc2411859",
     # the diamond's shape under the octagon's label
     ("octagon:1", 30, False): "a6c66d9cdef22d902891e7fc31eedf73da17514d6ea0ddb78bed10d82cde209f",
+    # larger scaled polygons, whose coordinates are formatted once per distinct value
+    ("square", 200, True): "8b3a4dc442e096f2fb499df0616b3698d092bf8923b1a110a4d4f6ba7e901ec3",
+    ("ball:5/3", 150, True): "02548a63496e51c42686addfc9ec3f998b5f8aa098cc78756d3d8a3226e7dcaf",
 }
 
 
@@ -150,6 +153,23 @@ def test_polygon_golden_bytes(capsys, domain, order, scaled):
     code, out, _ = run_capture(capsys, argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_POLYGON_SHA256[domain, order, scaled]
+
+
+# sha256 of the `polygon --format svg` bytes
+GOLDEN_POLYGON_SVG_SHA256 = {
+    ("square", 37, False): "903466125b60a93acab43582519fae14ce7ad288f68b52e7603065957b3939d6",
+    ("square", 37, True): "96e5599b1cf195c2c88a8c5b891410a9833de2cbb8d87f6bda3a6237233bf400",
+    ("octagon:5/2", 41, False): "495478710b02c78152c098ba75cafcd79c0ad35cba444f8cf6cabd7823f3636d",
+    ("octagon:5/2", 41, True): "698f4833a63fad53b0640156711bf6ed6679dccb2091a87346bba7c02e0bb312",
+}
+
+
+@pytest.mark.parametrize("domain, order, scaled", sorted(GOLDEN_POLYGON_SVG_SHA256))
+def test_polygon_svg_golden_bytes(capsys, domain, order, scaled):
+    argv = ["polygon", "--domain", domain, "--q", str(order), "--format", "svg"]
+    code, out, _ = run_capture(capsys, argv + (["--scaled"] if scaled else []))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_POLYGON_SVG_SHA256[domain, order, scaled]
 
 
 @pytest.mark.parametrize("domain, order", [("ball:2", 1), ("ball:1/3", 7)])
@@ -356,6 +376,21 @@ def test_curvature_golden_bytes(capsys, lam, side):
     code, out, _ = run_capture(capsys, argv + (["--side", side] if side else []))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_CURVATURE_SHA256[lam, side]
+
+
+# sha256 of the `curvature --format svg` bytes over Q = 10..2000
+GOLDEN_CURVATURE_SVG_SHA256 = {
+    ("const:inv-sqrt3", None): "18d9bc951c7a9f033a0512ffdde5da56f77c28b81294953d9191520228fb18aa",
+    ("rat:1/2", "+"): "f36ac28c50e8b91b6f83d3b53f56c4bf008dbe1054852aec12c8e78774c4ae5e",
+}
+
+
+@pytest.mark.parametrize("lam, side", list(GOLDEN_CURVATURE_SVG_SHA256))
+def test_curvature_svg_golden_bytes(capsys, lam, side):
+    argv = ["curvature", "--lambda", lam, "--q-min", "10", "--q-max", "2000", "--format", "svg"]
+    code, out, _ = run_capture(capsys, argv + (["--side", side] if side else []))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_CURVATURE_SVG_SHA256[lam, side]
 
 
 def test_curvature_order_above_cap_exit_2(capsys):

@@ -16,6 +16,7 @@ from jarnik.curvature import (
     scale_ladder,
     trace_csv,
     trace_lines,
+    trace_points,
     trace_svg,
 )
 from jarnik import curvature
@@ -350,6 +351,13 @@ def test_integer_rows_match_fraction_route(text, side, q_min):
     want = fraction_trace_csv(lam, q_min, 2000, side)
     assert "".join(trace_lines(lam, q_min, 2000, side)) == want
     assert trace_csv(curvature_trace(lam, q_min, 2000, side)) == want
+
+
+@pytest.mark.parametrize("text, side", [("const:inv-sqrt3", None), ("const:e-2", None), ("rat:2/5", "-")])
+def test_trace_points_are_the_float_column_of_the_trace(text, side):
+    lam = parse_real(text)
+    want = [(s.order, s.r_tilde) for s in curvature_trace(lam, 5, 1500, side)]
+    assert list(trace_points(lam, 5, 1500, side)) == want
 
 
 def test_trace_svg_well_formed():

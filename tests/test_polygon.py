@@ -10,8 +10,10 @@ from jarnik.domains import ball, contains, diamond, octagon, parse_domain, squar
 from jarnik.number_theory import INV_SQRT3, farey_sequence
 from jarnik.polygon import (
     PrimitiveVector,
+    ScaledPolygon,
     build_polygon,
     fundamental_vertex,
+    fundamental_vertices,
     polygon_csv,
     polygon_svg,
     primitive_vectors,
@@ -203,6 +205,44 @@ def test_farey_walk_matches_enumeration_oracle(domain):
         assert scale_polygon(poly).scale == r
         for lam in ORACLE_SLOPES:
             assert fundamental_vertex(spec, order, lam) == oracles.vertex_from_vectors(vectors, lam)
+
+
+@pytest.mark.parametrize("domain", ["square", "octagon:1/3", "ball:5/3"])
+def test_fundamental_vertices_from_one_arc_match_oracle(domain):
+    spec = parse_domain(domain)
+    lams = ORACLE_SLOPES + [0, Fraction(1, 10**9), Fraction(2, 3) - Fraction(1, 10**9)]
+    for order in (1, 7, 30, 70):
+        vectors = oracles.primitive_vectors(spec, order)
+        want = [oracles.vertex_from_vectors(vectors, lam) for lam in lams]
+        assert fundamental_vertices(spec, order, lams) == want
+
+
+@pytest.mark.parametrize(
+    "domain",
+    ["square", "diamond", "octagon:2", "octagon:1/3", "ball:2", "ball:5/3", "ball:3",
+     "ball:1/2", "ball:1/3"],
+)
+def test_array_scaling_and_export_match_per_vertex_formatting(domain):
+    # the oracle grid of test_farey_walk_matches_enumeration_oracle, against
+    # the per-tuple scaling and the per-vertex repr and svg formatting
+    spec = parse_domain(domain)
+    for order in ORACLE_ORDERS:
+        poly = build_polygon(spec, order)
+        sp = scale_polygon(poly)
+        rf = float(sp.scale)
+        assert sp.vertices == tuple(((x + 0.5) / rf, (y - rf) / rf) for x, y in poly.vertices)
+        for shape in (poly, sp):
+            want_csv = "x,y\n" + "".join(f"{x!r},{y!r}\n" for x, y in shape.vertices)
+            assert polygon_csv(shape) == want_csv
+            want_path = " L ".join(f"{x:.6f} {-y:.6f}" for x, y in shape.vertices)
+            assert f'd="M {want_path} Z"' in polygon_svg(shape)
+
+
+def test_distinct_value_export_keeps_the_sign_of_zero():
+    # 0.0 and -0.0 compare equal but print differently
+    sp = ScaledPolygon(((0.0, -0.0), (-0.0, 0.0), (0.5, -0.0), (-0.5, 0.0)), Fraction(1), 1, square())
+    assert polygon_csv(sp) == "x,y\n0.0,-0.0\n-0.0,0.0\n0.5,-0.0\n-0.5,0.0\n"
+    assert 'd="M 0.000000 0.000000 L -0.000000 -0.000000 L 0.500000 0.000000 L -0.500000 -0.000000 Z"' in polygon_svg(sp)
 
 
 def test_sort_ccw_matches_fraction_key_oracle():
