@@ -29,9 +29,11 @@ from . import analysis, curvature, domains, limit_curves, number_theory, polygon
 # 2.4 Q^2 vertices; at the cap `converge` of the square against C peaks at
 # about 900 MB of RSS (1.08 GB at Q = 1000), `polygon --scaled` at 545 MB.
 MAX_ORDER = 900
-# Largest `curvature --q-max`: the CSV is written row by row, and what grows
-# with the order is the totient and Mobius sieves; a trace at the cap takes
-# about 2.5 s and peaks at about 45 MB of RSS, 30 MB of it the import.
+# Largest `curvature --q-max`, at most curvature.MAX_LADDER_ORDER: the CSV is
+# written a run of orders at a time, and what grows with the order is the
+# R(Q) ladder, whose peak is the totient list; a trace at the cap takes about
+# 1 s (1.6 s for rat:2/5, 2.8 s for the cut points 0/1 and 1/1, whose runs
+# are one order long) and peaks at about 48 MB of RSS, 30 MB of it the import.
 MAX_TRACE_ORDER = 300_000
 # Largest `--samples` of `limit-curve` and `converge`: an arc is sampled as
 # one array; at the cap `converge` peaks at about 540 MB of RSS and
@@ -204,7 +206,7 @@ def _selftest_checks() -> list[tuple[str, bool, str]]:
     r2b = curvature.circumradius_squared((4, 1), (7, 2), (9, 3))
     record("circumradius^2 725/2", r2b == Fraction(725, 2), f"got {r2b}")
 
-    ((_, a1, q1, a2, q2, x),) = curvature.curvature_rows(number_theory.INV_SQRT3, 4, 4)
+    ((_, _, a1, q1, a2, q2, _, _, (x,)),) = curvature.curvature_runs(number_theory.INV_SQRT3, 4, 4)
     r2_row = curvature.circumradius_squared((0, 0), (q1, a1), (q1 + q2, a1 + a2))
     r2_local, ladder = curvature.local_radius(4, number_theory.INV_SQRT3).r_squared, Fraction(3 * x, 2)
     record("integer row of 1/sqrt(3) at order 4: local_radius's r^2, R(4) = 51/2",

@@ -18,8 +18,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, islice
+from itertools import islice
 from typing import Iterator, Sequence
+
+import numpy as np
 
 from .number_theory import (
     FareyNeighbors,
@@ -28,8 +30,7 @@ from .number_theory import (
     RationalReal,
     RealSpec,
     convergent_walk,
-    farey_neighbor_rows,
-    farey_neighbors_sided,
+    farey_neighbor_runs,
     moebius_sieve,
     totient_sieve,
 )
@@ -70,38 +71,46 @@ def predicted_radius(order: int, lam: float, q1: int, q2: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _sum_squares(n: int) -> int:
-    return n * (n + 1) * (2 * n + 1) // 6
+# Largest ladder top: below it every intermediate of _x_ladder fits int64.
+# X(Q,1) <= S2(Q) <= Q^3, m(m+1)(2m+1) <= 6 Q^3 for m <= Q, and the terms
+# d S2(Q//d) <= 8 Q^3/(3 d^2) of the Mobius sum add up to at most
+# (4/9) pi^2 Q^3 < 5 Q^3; 6 * (10**6)**3 < 2**63.
+MAX_LADDER_ORDER = 10**6
+_BLOCK = 4096  # most orders in one item of curvature_runs, so a trace streams
 
 
 def _x_by_moebius(order: int, mu) -> int:
     # X(Q,1) = sum_{d<=Q} mu(d) d S2(Q//d), an exact divisor-sum identity
-    total = 0
-    for d in range(1, order + 1):
-        m = mu[d]
-        if m:
-            total += m * d * _sum_squares(order // d)
-    return total
+    d = np.arange(1, order + 1, dtype=np.int64)
+    m = order // d
+    terms = m * (m + 1)
+    terms *= 2 * m + 1
+    terms //= 6
+    terms *= d
+    terms *= np.asarray(mu[1 : order + 1], dtype=np.int64)
+    return int(terms.sum())
 
 
-def _x_ladder(q_max: int) -> Iterator[int]:
-    """X(Q,1) for Q = 0..q_max as a running sum of Q phi(Q), the vectors
-    entering at denominator Q.  Before this returns, X(q_max,1) is checked
-    through the independent Mobius divisor identity: every phi(q) enters it
-    with weight q, so a wrong value anywhere shows there."""
-    if q_max < 1:
-        raise ValueError("ladder top must be a positive integer")
-    phi = totient_sieve(q_max)
-    x = sum(q * f for q, f in enumerate(phi))
-    check = _x_by_moebius(q_max, moebius_sieve(q_max))
+def _x_ladder(q_max: int) -> np.ndarray:
+    """X(Q,1) for Q = 0..q_max as an int64 array, the running sum of
+    Q phi(Q), the vectors entering at denominator Q.  Before this returns,
+    X(q_max,1) is checked through the independent Mobius divisor identity:
+    every phi(q) enters it with weight q, so a wrong value anywhere shows
+    there."""
+    if not 1 <= q_max <= MAX_LADDER_ORDER:
+        raise ValueError(f"ladder top {q_max} is outside 1..{MAX_LADDER_ORDER} (MAX_LADDER_ORDER)")
+    xs = np.arange(q_max + 1, dtype=np.int64)
+    xs *= np.asarray(totient_sieve(q_max), dtype=np.int64)
+    xs.cumsum(out=xs)
+    x, check = int(xs[-1]), _x_by_moebius(q_max, moebius_sieve(q_max))
     if check != x:
         raise ArithmeticError(f"scale ladder drift at Q={q_max}: {x} != {check}")
-    return accumulate(q * f for q, f in enumerate(phi))
+    return xs
 
 
 def scale_ladder(q_max: int) -> list[Fraction]:
     """R(Q) = 3 X(Q,1)/2 for Q = 0..q_max."""
-    return [Fraction(3 * x, 2) for x in _x_ladder(q_max)]
+    return [Fraction(3 * x, 2) for x in _x_ladder(q_max).tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +118,7 @@ def scale_ladder(q_max: int) -> list[Fraction]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CurvatureSample:
     order: int
     lambda_spec: str
@@ -179,50 +188,48 @@ def _cut_point(lam: RealSpec | Fraction, side: str | None) -> tuple[Fraction | N
     return None, str(lam), float(lam)
 
 
-def _checked_rows(walk, xs: Iterator[int]) -> Iterator[tuple[int, ...]]:
-    for (order, a1, q1, a2, q2), x in zip(walk, xs):
-        if a2 * q1 - a1 * q2 != 1 or q1 > order or q2 > order:
-            raise ArithmeticError(f"{a1}/{q1}, {a2}/{q2} are not Farey neighbors of order {order}")
-        yield order, a1, q1, a2, q2, x
-
-
-def curvature_rows(
+def curvature_runs(
     lam: RealSpec | Fraction, q_min: int, q_max: int, side: str | None = None
-) -> Iterator[tuple[int, int, int, int, int, int]]:
-    """(Q, a1, q1, a2, q2, X(Q,1)) for every order Q in [q_min, q_max]: the
-    neighbors a1/q1 < a2/q2 of the slope and R(Q) = 3 X(Q,1)/2, in integers.
+) -> Iterator[tuple]:
+    """(lo, hi, a1, q1, a2, q2, num, den, xs) for the runs of
+    farey_neighbor_runs over [q_min, q_max], a long run in blocks of at
+    most _BLOCK orders: the neighbors a1/q1 < a2/q2 of the slope at every
+    order in lo..hi, r^2 = num/den of their vertex in lowest terms
+    (unimodular neighbors make it a quarter of an integer), and xs the
+    X(Q,1) of those orders as ints, R(Q) = 3 X(Q,1)/2.
 
     The slope, then the ladder, are checked before this returns: a refused
-    slope builds no ladder, and a failed check yields no row.  A rational
-    slope takes its neighbors at q_min, which refuses a cut point that order
-    cannot hold; its free neighbor c/d then steps by (a, b), the cut point,
-    each time the order admits d + b, as (c + a)/(d + b) is unimodular too.
+    slope builds no ladder, and a failed check yields no run.  Each run is
+    certified in integers before it is yielded: a unimodular pair with
+    max(q1, q2) <= lo and q1 + q2 > hi is consecutive in F_Q for every Q in
+    the run; it must bracket an irrational slope (by lam.cmp) or hold a cut
+    point on its side, and the runs must tile [q_min, q_max].
     """
     if not 2 <= q_min <= q_max:
         raise ValueError("need 2 <= q_min <= q_max")
     frac, _, _ = _cut_point(lam, side)
-    if frac is None:
-        walk = farey_neighbor_rows(lam, q_min, q_max)
-    else:
-        first = farey_neighbors_sided(frac, side, q_min)
-        a, b = frac.as_integer_ratio()
-        c, d = (first.right if side == "+" else first.left).as_integer_ratio()
-        steps = ((q, (q - d) // b) for q in range(q_min, q_max + 1))
-        if side == "+":
-            walk = ((q, a, b, c + k * a, d + k * b) for q, k in steps)
-        else:
-            walk = ((q, c + k * a, d + k * b, a, b) for q, k in steps)
-    return _checked_rows(walk, islice(_x_ladder(q_max), q_min, None))
+    runs = farey_neighbor_runs(lam if frac is None else frac, q_min, q_max, side)
+    cut = None if frac is None else frac.as_integer_ratio()
+    return _certified(runs, lam, side, cut, _x_ladder(q_max).tolist(), q_min, q_max)
 
 
-def _row_values(row: tuple[int, ...], lam_value: float) -> tuple:
-    """(Q, q1, q2, r^2 numerator, r^2 denominator, r_tilde, predicted) of a
-    row; unimodular neighbors make r^2 = num/4."""
-    order, a1, q1, a2, q2, x = row
-    num = (a1 * a1 + q1 * q1) * (a2 * a2 + q2 * q2) * ((a1 + a2) ** 2 + (q1 + q2) ** 2)
-    g = math.gcd(num, 4)
-    r_tilde = math.sqrt((num // g) / (4 // g)) / (3 * x / 2)
-    return order, q1, q2, num // g, 4 // g, r_tilde, predicted_radius(order, lam_value, q1, q2)
+def _certified(runs, lam, side, cut, xs: list[int], lo_next: int, q_max: int) -> Iterator[tuple]:
+    for lo, hi, a1, q1, a2, q2 in runs:
+        if not (lo == lo_next <= hi <= q_max and a2 * q1 - a1 * q2 == 1
+                and q1 <= lo >= q2 and q1 + q2 > hi
+                and (lam.cmp(Fraction(a1, q1)) > 0 > lam.cmp(Fraction(a2, q2)) if cut is None
+                     else ((a1, q1) if side == "+" else (a2, q2)) == cut)):
+            raise ArithmeticError(
+                f"{a1}/{q1}, {a2}/{q2} are not the Farey neighbors of the slope for orders {lo}..{hi}")
+        num = (a1 * a1 + q1 * q1) * (a2 * a2 + q2 * q2) * ((a1 + a2) ** 2 + (q1 + q2) ** 2)
+        g = math.gcd(num, 4)
+        while lo <= hi:
+            end = hi if hi - lo < _BLOCK else lo + _BLOCK - 1
+            yield lo, end, a1, q1, a2, q2, num // g, 4 // g, xs[lo : end + 1]
+            lo = end + 1
+        lo_next = lo
+    if lo_next != q_max + 1:
+        raise ArithmeticError(f"the neighbor runs stop at order {lo_next - 1}, before {q_max}")
 
 
 def local_radius(order: int, lam: RealSpec | Fraction, side: str | None = None) -> CurvatureSample:
@@ -233,20 +240,25 @@ def local_radius(order: int, lam: RealSpec | Fraction, side: str | None = None) 
 def curvature_trace(
     lam: RealSpec | Fraction, q_min: int, q_max: int, side: str | None = None
 ) -> list[CurvatureSample]:
-    """One sample per integer order in [q_min, q_max], from curvature_rows.
+    """One sample per integer order in [q_min, q_max], from curvature_runs:
+    the samples of one run (or block) share its FareyNeighbors, of its
+    first order, and its r^2.
 
     Rational lam needs a side ('+' or '-'); irrational lam must come as an
     exact RealSpec.
     """
-    rows = curvature_rows(lam, q_min, q_max, side)
+    runs = curvature_runs(lam, q_min, q_max, side)
     _, lambda_spec, lam_value = _cut_point(lam, side)
+    shape = (1.0 + lam_value * lam_value) ** 1.5
     samples = []
-    for row in rows:
-        order, a1, q1, a2, q2, _ = row
-        *_, num, den, r_tilde, predicted = _row_values(row, lam_value)
-        neighbors = FareyNeighbors(Fraction(a1, q1), Fraction(a2, q2), order)
-        r_squared = Fraction(num, den)
-        samples.append(CurvatureSample(order, lambda_spec, neighbors, r_squared, r_tilde, predicted))
+    for lo, hi, a1, q1, a2, q2, num, den, xs in runs:
+        neighbors = FareyNeighbors(Fraction(a1, q1), Fraction(a2, q2), lo)
+        r_squared, root, p = Fraction(num, den), math.sqrt(num / den), q1 * q2 * (q1 + q2)
+        samples += [
+            CurvatureSample(order, lambda_spec, neighbors, r_squared, root / (3 * x / 2),
+                            p / order**3 * _SQUARE_COEFF * shape)
+            for order, x in zip(range(lo, hi + 1), xs)
+        ]
     return samples
 
 
@@ -275,35 +287,45 @@ def limsup_liminf_estimate(
 _CSV_HEADER = "Q,q1,q2,r_squared_num,r_squared_den,r_tilde,predicted\n"
 
 
-def _csv_line(order, q1, q2, num, den, r_tilde: float, predicted: float) -> str:
-    return f"{order},{q1},{q2},{num},{den},{r_tilde!r},{predicted!r}\n"
-
-
 def trace_csv(samples: Sequence[CurvatureSample]) -> str:
-    fields = ((s.order, s.q1, s.q2, *s.r_squared.as_integer_ratio(), s.r_tilde, s.predicted)
-              for s in samples)
-    return _CSV_HEADER + "".join(_csv_line(*f) for f in fields)
+    return _CSV_HEADER + "".join(
+        f"{s.order},{s.q1},{s.q2},{s.r_squared.numerator},{s.r_squared.denominator},"
+        f"{s.r_tilde!r},{s.predicted!r}\n" for s in samples)
 
 
 def trace_lines(
     lam: RealSpec | Fraction, q_min: int, q_max: int, side: str | None = None
 ) -> Iterator[str]:
-    """The text of trace_csv(curvature_trace(...)), line by line from
-    curvature_rows, with its checks done before this returns."""
-    rows = curvature_rows(lam, q_min, q_max, side)
+    """The text of trace_csv(curvature_trace(...)), a run at a time from
+    curvature_runs, with its checks done before this returns."""
+    runs = curvature_runs(lam, q_min, q_max, side)
     lam_value = _cut_point(lam, side)[2]
-    return chain([_CSV_HEADER], (_csv_line(*_row_values(row, lam_value)) for row in rows))
+    shape = (1.0 + lam_value * lam_value) ** 1.5  # the factor of predicted_radius
+
+    def lines():
+        yield _CSV_HEADER
+        for lo, hi, _, q1, _, q2, num, den, xs in runs:
+            mid, root, p = f",{q1},{q2},{num},{den},", math.sqrt(num / den), q1 * q2 * (q1 + q2)
+            yield "".join([
+                f"{order}{mid}{root / (3 * x / 2)!r},{p / order**3 * _SQUARE_COEFF * shape!r}\n"
+                for order, x in zip(range(lo, hi + 1), xs)
+            ])
+
+    return lines()
 
 
 def trace_points(
     lam: RealSpec | Fraction, q_min: int, q_max: int, side: str | None = None
 ) -> Iterator[tuple[int, float]]:
-    """(Q, r_tilde) of curvature_trace(...), from curvature_rows with no
+    """(Q, r_tilde) of curvature_trace(...), from curvature_runs with no
     Fraction built, with its checks done before this returns."""
-    rows = curvature_rows(lam, q_min, q_max, side)
-    lam_value = _cut_point(lam, side)[2]
-    values = (_row_values(row, lam_value) for row in rows)
-    return ((order, r_tilde) for order, _, _, _, _, r_tilde, _ in values)
+    runs = curvature_runs(lam, q_min, q_max, side)
+    return (
+        (order, root / (3 * x / 2))
+        for lo, hi, *_, num, den, xs in runs
+        for root in [math.sqrt(num / den)]
+        for order, x in zip(range(lo, hi + 1), xs)
+    )
 
 
 def trace_svg(samples: Sequence[CurvatureSample], bounds: CurvatureBounds | None = None) -> str:

@@ -25,50 +25,62 @@ from fractions import Fraction
 from itertools import islice, pairwise
 from typing import Callable, Iterable, Iterator, Sequence
 
+import numpy as np
+
 
 # ---------------------------------------------------------------------------
-# Mobius function
+# Mobius and totient sieves
 # ---------------------------------------------------------------------------
+
+
+def _small_primes_and_cofactors(limit: int) -> tuple[list[int], np.ndarray]:
+    """The primes p <= sqrt(limit), and for n = 0..limit what is left of n
+    once every such p is divided out: 1 or one prime above sqrt(limit)."""
+    if limit < 1:
+        raise ValueError("sieve limit must be a positive integer")
+    rest = np.arange(limit + 1, dtype=np.int64)
+    primes = []
+    for p in range(2, math.isqrt(limit) + 1):
+        if rest[p] == p:  # no smaller prime divides p
+            primes.append(p)
+            power = p
+            while power <= limit:
+                rest[power::power] //= p
+                power *= p
+    return primes, rest
 
 
 def moebius_sieve(limit: int) -> list[int]:
-    """mu(0..limit) as a list (mu[0] = 0), by a linear prime sieve.
+    """mu(0..limit) as a list (mu[0] = 0), sieved on an int64 array.
 
     mu(1) = 1; mu(n) = 0 when a prime square divides n; otherwise
     (-1)^(number of prime factors).
     """
-    if limit < 1:
-        raise ValueError("sieve limit must be a positive integer")
-    mu = [0] * (limit + 1)
-    mu[1] = 1
-    is_comp = bytearray(limit + 1)
-    primes: list[int] = []
-    for i in range(2, limit + 1):
-        if not is_comp[i]:
-            primes.append(i)
-            mu[i] = -1
-        for p in primes:
-            ip = i * p
-            if ip > limit:
-                break
-            is_comp[ip] = 1
-            if i % p == 0:
-                mu[ip] = 0
-                break
-            mu[ip] = -mu[i]
-    return mu
+    primes, rest = _small_primes_and_cofactors(limit)
+    mu = np.ones(limit + 1, dtype=np.int64)
+    mu[0] = 0
+    for p in primes:
+        mu[p::p] *= -1
+        mu[p * p :: p * p] = 0
+    mu[rest > 1] *= -1
+    return mu.tolist()
 
 
 def totient_sieve(limit: int) -> list[int]:
-    """phi(0..limit) as a list (phi[0] = 0)."""
-    if limit < 1:
-        raise ValueError("sieve limit must be a positive integer")
-    phi = list(range(limit + 1))
-    for p in range(2, limit + 1):
-        if phi[p] == p:  # p prime
-            for m in range(p, limit + 1, p):
-                phi[m] -= phi[m] // p
-    return phi
+    """phi(0..limit) as a list (phi[0] = 0), sieved on an int64 array.
+
+    Each prime p <= sqrt(limit) takes phi(n) -= phi(n)/p on its multiples,
+    then the one prime cofactor above sqrt(limit) that n may have, which
+    still divides phi(n) at that point, is taken out the same way.
+    """
+    primes, rest = _small_primes_and_cofactors(limit)
+    phi = np.arange(limit + 1, dtype=np.int64)
+    for p in primes:
+        phi[p::p] -= phi[p::p] // p
+    big = rest > 1
+    phi[big] -= phi[big] // rest[big]
+    del rest, big  # before the list of Python ints is built beside phi
+    return phi.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -406,48 +418,69 @@ def convergents(cf: ContinuedFraction, count: int | None = None) -> list[Fractio
 # ---------------------------------------------------------------------------
 
 
-def farey_neighbor_rows(lam: RealSpec, q_min: int, q_max: int) -> Iterator[tuple[int, ...]]:
-    """(Q, a1, q1, a2, q2) for the two consecutive order-Q Farey fractions
-    a1/q1 < a2/q2 around irrational lam, for every order Q = q_min..q_max.
+def farey_neighbor_runs(
+    lam: RealSpec | Fraction, q_min: int, q_max: int, side: str | None = None
+) -> Iterator[tuple[int, ...]]:
+    """(lo, hi, a1, q1, a2, q2), in runs that tile the orders q_min..q_max:
+    a1/q1 < a2/q2 are the consecutive Farey fractions around lam at every
+    order in lo..hi.
 
-    Uses the convergent/secondary-convergent description: with j k_n +
-    k_{n-1} <= Q < (j+1) k_n + k_{n-1} and 1 <= j <= b_n, the bracketing
-    denominators are k_n and j k_n + k_{n-1}.  The arguments are checked
-    before the walk is returned: reading b_1 rejects a value outside (0, 1).
+    An irrational lam is walked by its convergents: with j k_n + k_{n-1} <=
+    Q < (j+1) k_n + k_{n-1}, 1 <= j <= b_n, the bracketing denominators are
+    k_n and j k_n + k_{n-1}.  A rational cut point (a Fraction a/b) takes a
+    side and its sided neighbors at q_min; the free neighbor c/d then steps
+    by (a, b) each time the order admits d + b, as (c + a)/(d + b) is
+    unimodular too.  The arguments are checked before the walk is returned:
+    reading b_1 rejects a value outside (0, 1), and the sided neighbors a
+    cut point that order q_min cannot hold.
     """
     if not 1 <= q_min <= q_max:
         raise ValueError("need 1 <= q_min <= q_max")
+    if isinstance(lam, Fraction):
+        first = farey_neighbors_sided(lam, side, q_min)
+        c, d = (first.right if side == "+" else first.left).as_integer_ratio()
+        return _rational_runs(*lam.as_integer_ratio(), c, d, side, q_min, q_max)
     if lam.is_rational:
         raise ValueError("rational cut point; use farey_neighbors_sided")
     pairs = convergent_walk(lam.quotients())
-    window = next(pairs), next(pairs), next(pairs)
-    return _neighbor_walk(pairs, window, q_min, q_max)
+    return _convergent_runs(pairs, (next(pairs), next(pairs), next(pairs)), q_min, q_max)
 
 
-def _neighbor_walk(
-    pairs: Iterator[tuple[int, int]],
-    window: tuple[tuple[int, int], ...],
-    q_min: int,
-    q_max: int,
-) -> Iterator[tuple[int, ...]]:
-    # window: the convergents n-1, n and n+1, with k_n + k_{n-1} <= Q < k_{n+1} + k_n
+def _convergent_runs(pairs: Iterator[tuple[int, int]], window: tuple, lo: int, q_max: int) -> Iterator[tuple]:
+    # window: the convergents n-1, n and n+1, with k_n + k_{n-1} <= lo < k_{n+1} + k_n
     (hp, kp), (h, k), (hn, kn) = window
-    for order in range(q_min, q_max + 1):
-        while kn + k <= order:
+    while lo <= q_max:
+        while kn + k <= lo:
             (hp, kp), (h, k), (hn, kn) = (h, k), (hn, kn), next(pairs)
-        j = (order - kp) // k
+        j = (lo - kp) // k
+        hi = min(q_max, (j + 1) * k + kp - 1, kn + k - 1)
         # the secondary lies between h_{n-1}/k_{n-1} and h_n/k_n, so it is
         # the left neighbor exactly when h_n/k_n is the larger of the two
         if h * kp > hp * k:
-            yield order, j * h + hp, j * k + kp, h, k
+            yield lo, hi, j * h + hp, j * k + kp, h, k
         else:
-            yield order, h, k, j * h + hp, j * k + kp
+            yield lo, hi, h, k, j * h + hp, j * k + kp
+        lo = hi + 1
+
+
+def _rational_runs(a: int, b: int, c: int, d: int, side: str, lo: int, q_max: int) -> Iterator[tuple]:
+    while lo <= q_max:
+        step = (lo - d) // b
+        c1, d1 = c + step * a, d + step * b
+        hi = min(q_max, d1 + b - 1)
+        yield (lo, hi, a, b, c1, d1) if side == "+" else (lo, hi, c1, d1, a, b)
+        lo = hi + 1
 
 
 def farey_neighbor_walk(lam: RealSpec, q_min: int, q_max: int) -> Iterator[FareyNeighbors]:
-    """farey_neighbor_rows as FareyNeighbors."""
-    rows = farey_neighbor_rows(lam, q_min, q_max)
-    return (FareyNeighbors(Fraction(a1, q1), Fraction(a2, q2), q) for q, a1, q1, a2, q2 in rows)
+    """The neighbors of irrational lam at every order Q = q_min..q_max: the
+    runs of farey_neighbor_runs, one FareyNeighbors per order."""
+    runs = farey_neighbor_runs(lam, q_min, q_max)
+    return (
+        FareyNeighbors(Fraction(a1, q1), Fraction(a2, q2), q)
+        for lo, hi, a1, q1, a2, q2 in runs
+        for q in range(lo, hi + 1)
+    )
 
 
 def farey_neighbors(lam: RealSpec, order: int) -> FareyNeighbors:

@@ -7,7 +7,11 @@ an O(Q^2 log Q) sort, so the package builds its polygons by the Farey walk
 instead; these stay as the reference that walk must reproduce.  The Farey
 neighbours of an irrational are likewise recomputed by mediant descent, a
 route independent of the package's convergent walk, and R(Q) for the
-square region is summed directly from the totients, without the ladder.
+square region is summed directly from the totients, without the ladder,
+and the totients and the Mobius function come from the list sieves the
+package used before its int64 ones.  The neighbours at a run of orders are
+checked against a plain scan: the best fraction on each side of the slope
+over every denominator up to the order.
 The curvature trace is rebuilt the way the package built it before its
 integer rows: one neighbour query and one exact `Fraction` circumradius
 per order.  Ball membership keeps the order in which the package first
@@ -37,8 +41,6 @@ from jarnik.number_theory import (
     RealSpec,
     farey_neighbors,
     farey_neighbors_sided,
-    moebius_sieve,
-    totient_sieve,
 )
 from jarnik.polygon import LatticePolygon, PrimitiveVector, fundamental_vertex
 
@@ -113,6 +115,58 @@ def vertex_from_vectors(
     return (sum(v.q for v in chosen), sum(v.a for v in chosen))
 
 
+def totient_list_sieve(limit: int) -> list[int]:
+    """phi(0..limit) as a list (phi[0] = 0), one prime at a time."""
+    if limit < 1:
+        raise ValueError("sieve limit must be a positive integer")
+    phi = list(range(limit + 1))
+    for p in range(2, limit + 1):
+        if phi[p] == p:  # p prime
+            for m in range(p, limit + 1, p):
+                phi[m] -= phi[m] // p
+    return phi
+
+
+def moebius_linear_sieve(limit: int) -> list[int]:
+    """mu(0..limit) as a list (mu[0] = 0), by a linear prime sieve."""
+    if limit < 1:
+        raise ValueError("sieve limit must be a positive integer")
+    mu = [0] * (limit + 1)
+    mu[1] = 1
+    is_comp = bytearray(limit + 1)
+    primes: list[int] = []
+    for i in range(2, limit + 1):
+        if not is_comp[i]:
+            primes.append(i)
+            mu[i] = -1
+        for p in primes:
+            ip = i * p
+            if ip > limit:
+                break
+            is_comp[ip] = 1
+            if i % p == 0:
+                mu[ip] = 0
+                break
+            mu[ip] = -mu[i]
+    return mu
+
+
+def farey_neighbor_scan(lam: RealSpec, q_min: int, q_max: int, side: str | None = None):
+    """(Q, a1, q1, a2, q2) for Q = q_min..q_max: the largest fraction below
+    lam and the smallest above it with denominator at most Q, as a running
+    max and min over every denominator.  A rational cut point with a side
+    takes lam itself as the neighbour on that side."""
+    below, above = Fraction(-1), Fraction(2)
+    for q in range(1, q_max + 1):
+        a = lam.floor_scaled(q)
+        below = max(below, Fraction(a if lam.cmp(Fraction(a, q)) > 0 else a - 1, q))
+        above = min(above, Fraction(a + 1, q))
+        if q >= q_min:
+            left = lam.value if side == "+" else below
+            right = lam.value if side == "-" else above
+            yield q, left.numerator, left.denominator, right.numerator, right.denominator
+
+
 def farey_neighbors_stern_brocot(lam: RealSpec, order: int) -> FareyNeighbors:
     """Same query as farey_neighbors, by mediant descent from (0/1, 1/1)."""
     if order < 1:
@@ -133,7 +187,7 @@ def farey_neighbors_stern_brocot(lam: RealSpec, order: int) -> FareyNeighbors:
 
 def square_scale_factor(order: int) -> Fraction:
     """R(Q) for the square region, exact, via the totient sieve."""
-    phi = totient_sieve(order)
+    phi = totient_list_sieve(order)
     return Fraction(3 * sum(q * phi[q] for q in range(1, order + 1)), 2)
 
 
@@ -142,7 +196,7 @@ def fraction_trace_csv(lam: RealSpec, q_min: int, q_max: int, side: str | None =
     farey_neighbors (or farey_neighbors_sided at a rational slope), r^2 as
     the circumradius of the vertex triple, and R(Q) from a running sum of
     the totients."""
-    phi = totient_sieve(q_max)
+    phi = totient_list_sieve(q_max)
     x = sum(q * phi[q] for q in range(q_min))
     lam_value = float(lam)
     lines = ["Q,q1,q2,r_squared_num,r_squared_den,r_tilde,predicted"]
@@ -359,7 +413,7 @@ def partial_zeta_inverse(order: int) -> Fraction:
     Tends to 6/pi^2 with tail below 1/order.  Computed over the common
     denominator lcm(1..order)^2 so no intermediate reduction is needed.
     """
-    mu = moebius_sieve(order)
+    mu = moebius_linear_sieve(order)
     lcm = 1
     for q in range(2, order + 1):
         lcm = math.lcm(lcm, q)

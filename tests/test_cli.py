@@ -6,7 +6,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from jarnik import analysis, curvature, limit_curves, polygon
+from jarnik import analysis, curvature, limit_curves, number_theory, polygon
 from jarnik.cli import (
     MAX_BALL_NUMERATOR,
     MAX_ORDER,
@@ -404,6 +404,10 @@ def test_curvature_order_above_cap_exit_2(capsys):
     assert MAX_TRACE_ORDER >= 100_000
 
 
+def test_trace_cap_stays_under_the_ladder_int64_bound():
+    assert MAX_TRACE_ORDER <= curvature.MAX_LADDER_ORDER
+
+
 def test_curvature_slope_outside_unit_interval(capsys):
     code, out, err = run_capture(
         capsys, ["curvature", "--lambda", "surd:(1+sqrt(5))/2", "--q-max", "50"]
@@ -445,6 +449,28 @@ def test_curvature_wrong_totient_fails_before_any_output(capsys, monkeypatch, tm
     code, out, err = run_capture(capsys, argv + (["--output", str(tmp_path / "t.csv")] if to_file else []))
     assert code == 1 and out == ""
     assert err.startswith("jarnik: computation failed: scale ladder drift at Q=1000")
+    assert os.listdir(tmp_path) == []
+
+
+def _first_run_one_order_too_long(lam, q_min, q_max, side=None):
+    (lo, hi, *pair), *rest = number_theory.farey_neighbor_runs(lam, q_min, q_max, side)
+    return iter([(lo, hi + 1, *pair), *rest])
+
+
+def _unimodular_but_not_consecutive(lam, q_min, q_max, side=None):
+    # 0/1 < lam < 1/1 for every order, though 1/2 lies between them from order 2
+    return iter([(q_min, q_max, 0, 1, 1, 1)])
+
+
+@pytest.mark.parametrize("walk", [_first_run_one_order_too_long, _unimodular_but_not_consecutive],
+                         ids=["hi-one-too-large", "not-consecutive"])
+@pytest.mark.parametrize("lam, side", [("const:inv-sqrt3", None), ("rat:2/5", "-")])
+def test_curvature_uncertified_neighbor_run_writes_nothing(capsys, monkeypatch, tmp_path, walk, lam, side):
+    monkeypatch.setattr(curvature, "farey_neighbor_runs", walk)
+    argv = ["curvature", "--lambda", lam, "--q-min", "5", "--q-max", "1000", "--output", str(tmp_path / "t.csv")]
+    code, out, err = run_capture(capsys, argv + (["--side", side] if side else []))
+    assert code == 1 and out == ""
+    assert err.startswith("jarnik: computation failed: ") and "are not the Farey neighbors" in err
     assert os.listdir(tmp_path) == []
 
 

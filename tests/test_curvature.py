@@ -1,13 +1,16 @@
 import math
 import random
+import tracemalloc
 import xml.etree.ElementTree as ET
 from fractions import Fraction
+from itertools import pairwise
 
 import pytest
 
 from jarnik.curvature import (
     CurvatureSample,
     circumradius_squared,
+    curvature_runs,
     curvature_trace,
     limit_curve_radius,
     limsup_liminf_estimate,
@@ -23,10 +26,10 @@ from jarnik import curvature
 from jarnik.curvature import _bounds_for, _x_by_moebius
 from jarnik.domains import square
 from jarnik.limit_curves import curve_C
-from jarnik.number_theory import E_MINUS_2, INV_SQRT3, moebius_sieve, parse_real
+from jarnik.number_theory import E_MINUS_2, INV_SQRT3, farey_neighbor_runs, moebius_sieve, parse_real
 from jarnik.polygon import build_polygon, fundamental_vertex, scale_factor, scale_polygon
 
-from oracles import fraction_trace_csv, square_scale_factor
+from oracles import farey_neighbor_scan, fraction_trace_csv, square_scale_factor
 
 
 def float_circumradius(p0, p1, p2):
@@ -132,6 +135,24 @@ def test_scale_ladder_crosscheck_runs():
     for order in range(64, 257, 64):
         assert ladder[order] == Fraction(3 * _x_by_moebius(order, mu), 2)
     assert ladder[256] == square_scale_factor(256)
+
+
+def test_ladder_refuses_a_top_beyond_its_int64_bound(monkeypatch):
+    def no_sieve(limit):
+        raise AssertionError(f"sieved up to {limit}")
+
+    monkeypatch.setattr(curvature, "totient_sieve", no_sieve)
+    monkeypatch.setattr(curvature, "moebius_sieve", no_sieve)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="MAX_LADDER_ORDER"):
+            curvature._x_ladder(2**40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+    # the bound the ladder's comment derives: 6 Q^3 bounds every intermediate
+    assert 6 * curvature.MAX_LADDER_ORDER**3 < 2**63
 
 
 def test_scale_ladder_guard_catches_a_wrong_totient(monkeypatch):
@@ -331,19 +352,19 @@ def test_trace_csv_format():
     assert first[0] == "4" and first[3] == "1105" and first[4] == "2"
 
 
-@pytest.mark.parametrize(
-    "text, side, q_min",
-    [
-        ("surd:(-1+sqrt(5))/2", None, 2),
-        ("const:e-2", None, 2),
-        ("cf:[0;1,(2,3)]", None, 2),
-        ("rat:2/5", "+", 5),
-        ("rat:2/5", "-", 5),
-        ("rat:0/1", "+", 2),
-        ("rat:1/1", "-", 2),
-        ("rat:3/7", "-", 7),
-    ],
-)
+TRACE_SLOPES = [
+    ("surd:(-1+sqrt(5))/2", None, 2),
+    ("const:e-2", None, 2),
+    ("cf:[0;1,(2,3)]", None, 2),
+    ("rat:2/5", "+", 5),
+    ("rat:2/5", "-", 5),
+    ("rat:0/1", "+", 2),
+    ("rat:1/1", "-", 2),
+    ("rat:3/7", "-", 7),
+]
+
+
+@pytest.mark.parametrize("text, side, q_min", TRACE_SLOPES)
 def test_integer_rows_match_fraction_route(text, side, q_min):
     # 2/5 cannot start below order 5; it and 3/7 start where the order
     # first holds the cut point
@@ -351,6 +372,41 @@ def test_integer_rows_match_fraction_route(text, side, q_min):
     want = fraction_trace_csv(lam, q_min, 2000, side)
     assert "".join(trace_lines(lam, q_min, 2000, side)) == want
     assert trace_csv(curvature_trace(lam, q_min, 2000, side)) == want
+
+
+def _walked(lam):
+    return lam.value if lam.is_rational else lam
+
+
+@pytest.mark.parametrize("text, side, q_min", TRACE_SLOPES)
+def test_neighbor_runs_expand_to_the_scanned_neighbors(text, side, q_min):
+    lam = parse_real(text)
+    runs = list(farey_neighbor_runs(_walked(lam), q_min, 2000, side))
+    rows = [(q, *pair) for lo, hi, *pair in runs for q in range(lo, hi + 1)]
+    assert rows == list(farey_neighbor_scan(lam, q_min, 2000, side))
+    # each run is maximal: the next one holds another pair
+    assert all(run[2:] != after[2:] for run, after in pairwise(runs))
+    # and its orders are those where the pair stays consecutive
+    assert all(lo >= max(q1, q2) and hi == min(2000, q1 + q2 - 1) for lo, hi, _, q1, _, q2 in runs)
+
+
+@pytest.mark.parametrize("text, side", [
+    ("const:inv-sqrt3", None), ("const:e-2", None), ("rat:2/5", "-"), ("rat:0/1", "+"),
+])
+def test_neighbor_runs_cut_at_run_ends(text, side):
+    # q_min and q_max on a run end, one before it and one after it
+    lam = _walked(parse_real(text))
+    wide = list(farey_neighbor_runs(lam, 10, 600, side))
+    pairs = {q: pair for lo, hi, *pair in wide for q in range(lo, hi + 1)}
+    for end in [hi for _, hi, *_ in wide[1:-1]][-3:]:
+        for q_min, q_max in ((a, b) for a in (end - 1, end, end + 1) for b in (end - 1, end, end + 1) if a <= b):
+            runs = list(farey_neighbor_runs(lam, q_min, q_max, side))
+            assert runs[0][0] == q_min and runs[-1][1] == q_max
+            assert all(run[1] + 1 == after[0] for run, after in pairwise(runs))
+            assert [(q, *pair) for lo, hi, *pair in runs for q in range(lo, hi + 1)] == [
+                (q, *pairs[q]) for q in range(q_min, q_max + 1)]
+            certified = curvature_runs(parse_real(text), q_min, q_max, side)
+            assert [run[:6] for run in certified] == runs
 
 
 @pytest.mark.parametrize("text, side", [("const:inv-sqrt3", None), ("const:e-2", None), ("rat:2/5", "-")])

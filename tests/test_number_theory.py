@@ -24,7 +24,12 @@ from jarnik.number_theory import (
     totient_sieve,
 )
 
-from oracles import farey_neighbors_stern_brocot, partial_zeta_inverse
+from oracles import (
+    farey_neighbors_stern_brocot,
+    moebius_linear_sieve,
+    partial_zeta_inverse,
+    totient_list_sieve,
+)
 
 # exact irrationals exercised against the brute-force Farey oracle
 CORPUS = [
@@ -106,6 +111,15 @@ def test_partial_zeta_inverse_converges():
 def test_totient_sieve_prefix():
     phi = totient_sieve(12)
     assert phi[1:13] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
+
+
+def test_array_sieves_match_the_list_sieves():
+    for limit in [*range(1, 501), 10**5]:
+        assert totient_sieve(limit) == totient_list_sieve(limit), limit
+        assert moebius_sieve(limit) == moebius_linear_sieve(limit), limit
+    assert {type(v) for v in totient_sieve(30) + moebius_sieve(30)} == {int}
+    with pytest.raises(ValueError):
+        totient_sieve(0)
 
 
 # ---------------------------------------------------------------------------
