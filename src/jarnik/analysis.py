@@ -7,6 +7,18 @@ parabolic family the point-to-curve distance is computed exactly through
 the stationarity cubic; the other families use a dense sample of the
 eight-fold curve with the largest sample gap added as slack, which keeps
 every reported number an upper bound.
+
+A probe point's distance is a minimum over the eight dihedral images of
+the fundamental arc, so it depends only on the point's orbit.  Each point
+is folded by exact sign changes and swaps (into the octant 0 <= x <= -y
+against a tree over the folded arc; for C by quarter turns into
+-y >= |x|, as the cubic's arccos branch is not exact under reflection),
+the symmetric polygon's duplicates are dropped, and the distance to the
+fundamental arc alone, one term of that minimum, bounds each distinct
+point from above.  The largest bounds are confirmed by the full minimum
+until no bound left exceeds the best confirmed value.  The maximum is the
+number a full search over every image gives, bit for bit: a sign change
+or swap of both operands leaves every squared difference unchanged.
 """
 
 from __future__ import annotations
@@ -29,9 +41,61 @@ from .polygon import ScaledPolygon, build_polygon, fundamental_vertices, scale_p
 
 
 def _poly_probe_points(poly: ScaledPolygon) -> np.ndarray:
+    """Vertices, then edge midpoints 0.5 * (v[i] + v[i-1]), in one new array
+    that the folds may overwrite."""
     verts = poly.xy
-    mids = 0.5 * (verts + np.roll(verts, 1, axis=0))
-    return np.concatenate([verts, mids])
+    points = np.concatenate((verts, verts), dtype=float)
+    mids = points[len(verts) :]
+    mids[1:] += verts[:-1]
+    mids[0] += verts[-1]
+    mids *= 0.5
+    return points
+
+
+def _fold_octant(points: np.ndarray) -> np.ndarray:
+    """Each (x, y) in place to (min(|x|, |y|), -max(|x|, |y|)), its image in
+    the octant 0 <= x <= -y."""
+    np.abs(points, out=points)
+    points.sort(axis=1)
+    np.negative(points[:, 1], out=points[:, 1])
+    return points
+
+
+def _fold_quarter(points: np.ndarray) -> np.ndarray:
+    """Each (x, y) in place by a quarter turn into the sector -y >= |x|:
+    a half turn where y > x, then (x, y) -> (y, -x) where x + y > 0 (the
+    sign of a float sum is exact)."""
+    x, y = points[:, 0], points[:, 1]
+    half = y > x
+    np.negative(points, out=points, where=half[:, None])
+    turn = np.flatnonzero(x + y > 0)
+    points[turn] = np.stack((y[turn], -x[turn]), axis=1)
+    return points
+
+
+def _distinct(points: np.ndarray) -> np.ndarray:
+    """The distinct rows of an (n, 2) float array, sorted; the input is
+    sorted in place as complex numbers, so no second copy is made."""
+    z = points.view(np.complex128).ravel()
+    z.sort()
+    keep = np.empty(len(z), dtype=bool)
+    keep[0] = True
+    np.not_equal(z[1:], z[:-1], out=keep[1:])
+    return z[keep].view(np.float64).reshape(-1, 2)
+
+
+def _confirmed_max(bounds: np.ndarray, exact: Callable[[np.ndarray], np.ndarray]) -> float:
+    """max of exact(i) over every index i, given bounds[i] >= exact(i).
+
+    `exact` takes an index array.  Candidates are confirmed in descending
+    order of their bounds, in blocks that double, until the next bound is
+    no larger than the best confirmed value; no later index can beat it."""
+    order = np.argsort(bounds)[::-1]
+    best, start, size = -math.inf, 0, 1
+    while start < len(order) and bounds[order[start]] > best:
+        best = max(best, float(exact(order[start : start + size]).max()))
+        start, size = start + size, 2 * size
+    return best
 
 
 def _parabola_arc_distance(px: np.ndarray, py: np.ndarray) -> np.ndarray:
@@ -84,32 +148,38 @@ def _distance_to_C(points: np.ndarray) -> np.ndarray:
     return best
 
 
-def _curve_sample_cloud(curve: LimitCurve, samples: int) -> tuple[np.ndarray, float]:
-    arc = curve.points(np.linspace(0.0, 1.0, samples))
-    gaps = np.linalg.norm(np.diff(arc, axis=0), axis=1)
-    return dihedral_images(arc).reshape(-1, 2), float(gaps.max())
-
-
 def curve_distance(
     curve: LimitCurve, samples: int = 2**14
 ) -> Callable[[ScaledPolygon], tuple[float, float]]:
     """(measured distance, sampling slack) of a polygon's vertices and edge
     midpoints to the full eight-fold curve; slack is zero for the exact
-    parabolic path.  The sample cloud and its tree are built once, here."""
+    parabolic path.  The folded arc and its tree are built once, here."""
     if samples < 1000:
         raise ValueError("need at least 1000 curve samples")
     if curve.family == "C":
-        return lambda poly: (float(_distance_to_C(_poly_probe_points(poly)).max()), 0.0)
+
+        def parabolic(poly: ScaledPolygon) -> tuple[float, float]:
+            points = _distinct(_fold_quarter(_poly_probe_points(poly)))
+            bounds = _parabola_arc_distance(points[:, 0], points[:, 1])
+            return _confirmed_max(bounds, lambda i: _distance_to_C(points[i])), 0.0
+
+        return parabolic
     from scipy.spatial import cKDTree  # imported here: it is most of `import jarnik`
 
-    cloud, gap = _curve_sample_cloud(curve, samples)
-    tree = cKDTree(cloud)
+    arc = curve.points(np.linspace(0.0, 1.0, samples))
+    gap = float(np.linalg.norm(np.diff(arc, axis=0), axis=1).max())
+    tree = cKDTree(_fold_octant(arc))
 
-    def details(poly: ScaledPolygon) -> tuple[float, float]:
-        dists, _ = tree.query(_poly_probe_points(poly), k=1)
-        return float(dists.max()), gap
+    def images_min(points: np.ndarray) -> np.ndarray:
+        dists, _ = tree.query(dihedral_images(points).reshape(-1, 2))
+        return dists.reshape(8, -1).min(axis=0)
 
-    return details
+    def sampled(poly: ScaledPolygon) -> tuple[float, float]:
+        points = _distinct(_fold_octant(_poly_probe_points(poly)))
+        bounds, _ = tree.query(points)
+        return _confirmed_max(bounds, lambda i: images_min(points[i])), gap
+
+    return sampled
 
 
 def distance_to_curve(
@@ -171,7 +241,7 @@ def convergence_table(
     samples: int = 2**14,
 ) -> list[ConvergenceRecord]:
     """Sup-distance records along a ladder of orders, sorted by order; the
-    curve's sample cloud is built once for all of them."""
+    curve's folded sample tree is built once for all of them."""
     check_pairing(spec, curve)
     details = curve_distance(curve, samples)
 

@@ -26,18 +26,21 @@ from typing import Callable, Iterable, Iterator
 from . import analysis, curvature, domains, limit_curves, number_theory, polygon
 
 # Largest order for `polygon` and `converge`: a polygon of order Q has about
-# 2.4 Q^2 vertices; at the cap `converge` of the square against C peaks at
-# about 900 MB of RSS (1.08 GB at Q = 1000), `polygon --scaled` at 545 MB.
+# 2.4 Q^2 vertices; at the cap `polygon --scaled` peaks at about 545 MB of
+# RSS, `converge` at about 230 MB for the square against C and 120-160 MB
+# for the sampled curves, measuring only the distinct folded probe points.
 MAX_ORDER = 900
 # Largest `curvature --q-max`, at most curvature.MAX_LADDER_ORDER: the CSV is
 # written a run of orders at a time, and what grows with the order is the
-# R(Q) ladder, whose peak is the totient list; a trace at the cap takes about
-# 1 s (1.6 s for rat:2/5, 2.8 s for the cut points 0/1 and 1/1, whose runs
-# are one order long) and peaks at about 48 MB of RSS, 30 MB of it the import.
+# R(Q) ladder, an int64 array handed to the rows as Python ints; a trace at
+# the cap takes about 1 s (1.6 s for rat:2/5, 2.8 s for the cut points 0/1
+# and 1/1, whose runs are one order long) and peaks at about 46.5 MB of RSS,
+# 30 MB of it the import.
 MAX_TRACE_ORDER = 300_000
 # Largest `--samples` of `limit-curve` and `converge`: an arc is sampled as
-# one array; at the cap `converge` peaks at about 540 MB of RSS and
-# `limit-curve --format svg` at about 730 MB.
+# one array; at the cap `converge` peaks at about 140 MB of RSS (ball:3 at
+# Q = 60; 216 MB at Q = MAX_ORDER) and `limit-curve --format svg` at about
+# 730 MB.
 MAX_SAMPLES = 2**20
 # Largest numerator m and denominator n of a ball exponent: membership takes
 # m-th powers and n-th integer roots, and at MAX_ORDER the row caps of 199/10

@@ -32,7 +32,7 @@ from .number_theory import (
     convergent_walk,
     farey_neighbor_runs,
     moebius_sieve,
-    totient_sieve,
+    totient_array as totient_sieve,  # the ladder's sieve: int64 totients, no list
 )
 
 _SQUARE_COEFF = math.pi**2 / 6.0
@@ -100,7 +100,7 @@ def _x_ladder(q_max: int) -> np.ndarray:
     if not 1 <= q_max <= MAX_LADDER_ORDER:
         raise ValueError(f"ladder top {q_max} is outside 1..{MAX_LADDER_ORDER} (MAX_LADDER_ORDER)")
     xs = np.arange(q_max + 1, dtype=np.int64)
-    xs *= np.asarray(totient_sieve(q_max), dtype=np.int64)
+    xs *= totient_sieve(q_max)
     xs.cumsum(out=xs)
     x, check = int(xs[-1]), _x_by_moebius(q_max, moebius_sieve(q_max))
     if check != x:

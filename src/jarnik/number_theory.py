@@ -66,8 +66,8 @@ def moebius_sieve(limit: int) -> list[int]:
     return mu.tolist()
 
 
-def totient_sieve(limit: int) -> list[int]:
-    """phi(0..limit) as a list (phi[0] = 0), sieved on an int64 array.
+def totient_array(limit: int) -> np.ndarray:
+    """phi(0..limit) as an int64 array (phi[0] = 0).
 
     Each prime p <= sqrt(limit) takes phi(n) -= phi(n)/p on its multiples,
     then the one prime cofactor above sqrt(limit) that n may have, which
@@ -79,8 +79,12 @@ def totient_sieve(limit: int) -> list[int]:
         phi[p::p] -= phi[p::p] // p
     big = rest > 1
     phi[big] -= phi[big] // rest[big]
-    del rest, big  # before the list of Python ints is built beside phi
-    return phi.tolist()
+    return phi
+
+
+def totient_sieve(limit: int) -> list[int]:
+    """phi(0..limit) as a list of Python ints; see totient_array."""
+    return totient_array(limit).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,10 @@ ran its tests: the Besicovitch tie test before any bracketing.
 The limit-curve arcs are evaluated one parameter at a time by their
 closed forms, with the regularized incomplete beta of the ball family
 computed by a modified Lentz continued fraction instead of scipy.
+A polygon's distance to its limit curve is measured the way the package
+measured it before folding: every vertex and edge midpoint against all
+eight images of the sampled arc, or, for the parabolic family, against
+all four arcs.
 
 The last section holds second routes to quantities the package computes
 once: exact ball-family arcs for p = 1/m, a second closed form of the
@@ -32,9 +36,13 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
+from jarnik import limit_curves
+from jarnik.analysis import _distance_to_C
 from jarnik.curvature import circumradius_squared, predicted_radius
 from jarnik.domains import DomainSpec, _iroot_floor, lattice_contains, moment_integrals
-from jarnik.limit_curves import Point, beta_complete, log_beta, reg_inc_beta
+from jarnik.limit_curves import LimitCurve, Point, beta_complete, log_beta, reg_inc_beta
 from jarnik.number_theory import (
     FareyNeighbors,
     RationalReal,
@@ -42,7 +50,7 @@ from jarnik.number_theory import (
     farey_neighbors,
     farey_neighbors_sided,
 )
-from jarnik.polygon import LatticePolygon, PrimitiveVector, fundamental_vertex
+from jarnik.polygon import LatticePolygon, PrimitiveVector, ScaledPolygon, fundamental_vertex
 
 
 def primitive_vectors(spec: DomainSpec, order: int) -> list[PrimitiveVector]:
@@ -335,6 +343,32 @@ def dihedral_images(points: Sequence[tuple[float, float]]) -> list[list[tuple[fl
         lambda x, y: (x, -y),
     ]
     return [[m(x, y) for x, y in pts] for m in maps]
+
+
+def curve_distance_oracle(curve: LimitCurve, samples: int = 2**14):
+    """(measured distance, sampling slack) of a polygon against the full
+    curve, as a function of the polygon: the vertices and edge midpoints
+    queried against a tree over all eight dihedral images of the sampled
+    arc, or, for C, the four-rotation exact distance at every point."""
+
+    def probe_points(poly: ScaledPolygon) -> np.ndarray:
+        verts = poly.xy
+        mids = 0.5 * (verts + np.roll(verts, 1, axis=0))
+        return np.concatenate([verts, mids])
+
+    if curve.family == "C":
+        return lambda poly: (float(_distance_to_C(probe_points(poly)).max()), 0.0)
+    from scipy.spatial import cKDTree
+
+    arc = curve.points(np.linspace(0.0, 1.0, samples))
+    gap = float(np.linalg.norm(np.diff(arc, axis=0), axis=1).max())
+    tree = cKDTree(limit_curves.dihedral_images(arc).reshape(-1, 2))
+
+    def details(poly: ScaledPolygon) -> tuple[float, float]:
+        dists, _ = tree.query(probe_points(poly), k=1)
+        return float(dists.max()), gap
+
+    return details
 
 
 # ---------------------------------------------------------------------------

@@ -6,19 +6,21 @@ import pytest
 
 from jarnik.analysis import (
     ConvergenceRecord,
+    _parabola_arc_distance,
     check_pairing,
     convergence_csv,
     convergence_table,
+    curve_distance,
     distance_details,
     distance_to_curve,
     expected_curve,
     lemma_check,
 )
-from jarnik.domains import ball, diamond, octagon, square
-from jarnik.limit_curves import LimitCurve, curve_C1
+from jarnik.domains import ball, diamond, octagon, parse_domain, square
+from jarnik.limit_curves import LimitCurve, curve_C1, dihedral_images, parse_curve
 from jarnik.polygon import ScaledPolygon, build_polygon, scale_polygon
 
-from oracles import moment_route_ratio
+from oracles import curve_distance_oracle, moment_route_ratio
 
 
 def scaled_square(order):
@@ -71,6 +73,97 @@ def test_distance_rate_bounded():
 def test_distance_requires_dense_sampling():
     with pytest.raises(ValueError):
         distance_to_curve(scaled_square(4), LimitCurve("C"), samples=100)
+
+
+# The folded distance must reproduce the full-image oracle bit for bit.
+ORACLE_PAIRS = [
+    ("square", "C"),
+    ("diamond", "C1"),
+    ("octagon:2", "Cdelta:2"),
+    ("octagon:1/3", "Cdelta:1/3"),
+    ("ball:2", "Cp:2"),
+    ("ball:3", "Cp:3"),
+    ("ball:5/3", "Cp:5/3"),
+    ("ball:1/3", "Cp:1/3"),
+    ("ball:1/2", "Cp:1/2"),
+]
+ORACLE_ORDERS = list(range(1, 81)) + [100, 150, 200, 300]
+ORACLE_SAMPLES = (1000, 2048, 4096, 2**14)
+FOLD_CURVES = ("C", "C1", "Cdelta:2", "Cdelta:1/3", "Cp:2", "Cp:3", "Cp:1/2")
+
+
+def fake_polygon(points):
+    return ScaledPolygon(np.asarray(points, dtype=float), Fraction(1), 1, square())
+
+
+def both_distances(curve, samples):
+    """curve_distance and its oracle at each of the sample counts (the
+    parabolic path takes no samples, so one count stands for all)."""
+    counts = samples[:1] if curve.family == "C" else samples
+    return [(curve_distance(curve, s), curve_distance_oracle(curve, s)) for s in counts]
+
+
+@pytest.mark.parametrize("domain,curve", ORACLE_PAIRS, ids=[c for _, c in ORACLE_PAIRS])
+def test_curve_distance_equals_the_full_image_oracle(domain, curve):
+    spec, pairs = parse_domain(domain), both_distances(parse_curve(curve), ORACLE_SAMPLES)
+    for order in ORACLE_ORDERS:
+        poly = scale_polygon(build_polygon(spec, order))
+        for folded, oracle in pairs:
+            assert folded(poly) == oracle(poly), order
+
+
+@pytest.mark.parametrize("curve", FOLD_CURVES)
+def test_curve_distance_confirms_asymmetric_and_mirror_points(curve):
+    rng = np.random.default_rng(2024)
+    scattered = rng.uniform(-1.3, 1.3, size=(400, 2))
+    t = rng.uniform(-1.3, 1.3, size=60)
+    zero = np.zeros_like(t)
+    mirror = np.concatenate(
+        [np.stack(pair, axis=1) for pair in ((zero, t), (t, zero), (t, t), (t, -t), (-zero, t), (t, -zero))]
+    )
+    signed_zeros = [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (-0.0, -1.0), (0.75, -0.0)]
+    cases = [scattered, mirror, signed_zeros, scattered[:1], mirror[::7], rng.uniform(0.9, 1.1, size=(9, 2))]
+    for folded, oracle in both_distances(parse_curve(curve), (1000, 4096)):
+        for points in cases:
+            poly = fake_polygon(points)
+            assert folded(poly) == oracle(poly), points
+
+
+def test_quarter_sector_arc_not_the_nearest_is_confirmed():
+    # On the diagonal x = y < 0 the rotated point (t, -t) can lie an ulp
+    # nearer the curve than (-t, -t) does to the bottom arc, since the
+    # cubic's arccos branch is not exact under the reflection x -> -x.
+    t = np.linspace(0.01, 1.5, 20001)
+    own, rotated = _parabola_arc_distance(-t, -t), _parabola_arc_distance(t, -t)
+    loose = t[rotated < own]
+    assert len(loose) > 0
+    folded, oracle = both_distances(LimitCurve("C"), (1000,))[0]
+    for s in loose[:: max(1, len(loose) // 12)]:
+        poly = fake_polygon([(-s, -s)])
+        assert folded(poly) == oracle(poly)
+        assert oracle(poly)[0] < _parabola_arc_distance(np.array([-s]), np.array([-s]))[0]
+
+
+@pytest.mark.parametrize("curve", ["C1", "Cp:2", "Cp:3"])
+def test_octant_arc_not_the_nearest_is_confirmed(curve):
+    # Next to the diagonal, a mirrored sample can come out an ulp nearer to
+    # a folded point than every sample of its own octant.
+    from scipy.spatial import cKDTree
+
+    arc = parse_curve(curve).points(np.linspace(0.0, 1.0, 1000))
+    octant = np.stack((np.minimum(*np.abs(arc).T), -np.maximum(*np.abs(arc).T)), axis=1)
+    rng = np.random.default_rng(7)
+    t = rng.uniform(0.0, 1.2, 20_000)
+    points = np.stack((t, -t - rng.uniform(0.0, 1e-3, t.size) * rng.choice([1.0, 1e-6, 1e-12], t.size)), axis=1)
+    own, _ = cKDTree(octant).query(points)
+    every, _ = cKDTree(dihedral_images(arc).reshape(-1, 2)).query(points)
+    loose = points[own > every]
+    assert len(loose) > 0
+    folded, oracle = both_distances(parse_curve(curve), (1000,))[0]
+    for point in loose[:12]:
+        poly = fake_polygon([point])
+        assert folded(poly) == oracle(poly)
+        assert oracle(poly)[0] < cKDTree(octant).query(point)[0]
 
 
 # ---------------------------------------------------------------------------
