@@ -9,16 +9,20 @@ eight-fold curve with the largest sample gap added as slack, which keeps
 every reported number an upper bound.
 
 A probe point's distance is a minimum over the eight dihedral images of
-the fundamental arc, so it depends only on the point's orbit.  Each point
-is folded by exact sign changes and swaps (into the octant 0 <= x <= -y
-against a tree over the folded arc; for C by quarter turns into
--y >= |x|, as the cubic's arccos branch is not exact under reflection),
-the symmetric polygon's duplicates are dropped, and the distance to the
-fundamental arc alone, one term of that minimum, bounds each distinct
-point from above.  The largest bounds are confirmed by the full minimum
-until no bound left exceeds the best confirmed value.  The maximum is the
-number a full search over every image gives, bit for bit: a sign change
-or swap of both operands leaves every squared difference unchanged.
+the fundamental arc, so it depends only on the point's orbit.  The probe
+points come from the polygon's certified first octant (`first_octant`):
+its vertices, its edge midpoints and (0, -1), whose orbits hold every
+vertex and midpoint bit for bit; for C, which is invariant under quarter
+turns only (the cubic's arccos branch is not exact under reflection),
+also their mirror images (-x, y).  The distance to the fundamental arc
+alone, against a tree over the arc folded into the octant 0 <= x <= -y,
+or to the bottom parabola for C, is one term of that minimum and bounds
+each point from above.  The largest bounds are confirmed by the full
+minimum until no bound left exceeds the best confirmed value.  The
+maximum is the number a full search over every image gives, bit for bit:
+a sign change or swap of both operands leaves every squared difference
+unchanged.  A cycle without a certified octant is probed at all its
+vertices and midpoints.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import numpy as np
 
 from .domains import DomainSpec
 from .limit_curves import LimitCurve, dihedral_images
-from .polygon import ScaledPolygon, build_polygon, fundamental_vertices, scale_polygon
+from .polygon import ScaledPolygon, build_polygon, first_octant, fundamental_vertices, scale_polygon
 
 
 # ---------------------------------------------------------------------------
@@ -40,16 +44,24 @@ from .polygon import ScaledPolygon, build_polygon, fundamental_vertices, scale_p
 # ---------------------------------------------------------------------------
 
 
-def _poly_probe_points(poly: ScaledPolygon) -> np.ndarray:
-    """Vertices, then edge midpoints 0.5 * (v[i] + v[i-1]), in one new array
-    that the folds may overwrite."""
-    verts = poly.xy
-    points = np.concatenate((verts, verts), dtype=float)
-    mids = points[len(verts) :]
-    mids[1:] += verts[:-1]
-    mids[0] += verts[-1]
-    mids *= 0.5
-    return points
+def _probe_points(poly: ScaledPolygon, mirrored: bool) -> np.ndarray:
+    """Points whose distances to the curve, up to the exact symmetries of
+    the distance, are those of every vertex and edge midpoint.
+
+    For a certified cycle (`first_octant`) every vertex is a signed swap of
+    a first-octant vertex v_0..v_{L-1}, and every midpoint
+    0.5 * (v[i] + v[i-1]) one of the midpoints of the octant's L edges and
+    of the edge into v_0 from (-a_0, -b_0), bit for bit: rounding commutes
+    with sign changes and swaps.  `mirrored` adds the mirror images (-x, y),
+    for a distance invariant under rotations only.  Any other cycle gives
+    all its vertices and midpoints."""
+    octant = first_octant(poly)
+    if octant is None:
+        verts = np.asarray(poly.xy, dtype=float)
+        return np.concatenate((verts, 0.5 * (verts + np.roll(verts, 1, axis=0))))
+    path = np.concatenate((octant[:1] * (-1.0, 1.0), octant))
+    points = np.concatenate((octant[:-1], 0.5 * (path[1:] + path[:-1])))
+    return np.concatenate((points, points * (-1.0, 1.0))) if mirrored else points
 
 
 def _fold_octant(points: np.ndarray) -> np.ndarray:
@@ -59,29 +71,6 @@ def _fold_octant(points: np.ndarray) -> np.ndarray:
     points.sort(axis=1)
     np.negative(points[:, 1], out=points[:, 1])
     return points
-
-
-def _fold_quarter(points: np.ndarray) -> np.ndarray:
-    """Each (x, y) in place by a quarter turn into the sector -y >= |x|:
-    a half turn where y > x, then (x, y) -> (y, -x) where x + y > 0 (the
-    sign of a float sum is exact)."""
-    x, y = points[:, 0], points[:, 1]
-    half = y > x
-    np.negative(points, out=points, where=half[:, None])
-    turn = np.flatnonzero(x + y > 0)
-    points[turn] = np.stack((y[turn], -x[turn]), axis=1)
-    return points
-
-
-def _distinct(points: np.ndarray) -> np.ndarray:
-    """The distinct rows of an (n, 2) float array, sorted; the input is
-    sorted in place as complex numbers, so no second copy is made."""
-    z = points.view(np.complex128).ravel()
-    z.sort()
-    keep = np.empty(len(z), dtype=bool)
-    keep[0] = True
-    np.not_equal(z[1:], z[:-1], out=keep[1:])
-    return z[keep].view(np.float64).reshape(-1, 2)
 
 
 def _confirmed_max(bounds: np.ndarray, exact: Callable[[np.ndarray], np.ndarray]) -> float:
@@ -159,7 +148,7 @@ def curve_distance(
     if curve.family == "C":
 
         def parabolic(poly: ScaledPolygon) -> tuple[float, float]:
-            points = _distinct(_fold_quarter(_poly_probe_points(poly)))
+            points = _probe_points(poly, mirrored=True)
             bounds = _parabola_arc_distance(points[:, 0], points[:, 1])
             return _confirmed_max(bounds, lambda i: _distance_to_C(points[i])), 0.0
 
@@ -175,7 +164,7 @@ def curve_distance(
         return dists.reshape(8, -1).min(axis=0)
 
     def sampled(poly: ScaledPolygon) -> tuple[float, float]:
-        points = _distinct(_fold_octant(_poly_probe_points(poly)))
+        points = _probe_points(poly, mirrored=False)
         bounds, _ = tree.query(points)
         return _confirmed_max(bounds, lambda i: images_min(points[i])), gap
 

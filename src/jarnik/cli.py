@@ -26,9 +26,11 @@ from typing import Callable, Iterable, Iterator
 from . import analysis, curvature, domains, limit_curves, number_theory, polygon
 
 # Largest order for `polygon` and `converge`: a polygon of order Q has about
-# 2.4 Q^2 vertices; at the cap `polygon --scaled` peaks at about 545 MB of
-# RSS, `converge` at about 230 MB for the square against C and 120-160 MB
-# for the sampled curves, measuring only the distinct folded probe points.
+# 2.4 Q^2 vertices, written a block of rows at a time; at the cap
+# `polygon --scaled` takes about 1.1 s and peaks at about 275 MB of RSS
+# (unscaled 0.6 s and 120 MB), `converge` at about 235 MB for the square
+# against C and 115-200 MB for the sampled curves, measuring only the
+# probe points of the polygon's first octant.
 MAX_ORDER = 900
 # Largest `curvature --q-max`, at most curvature.MAX_LADDER_ORDER: the CSV is
 # written a run of orders at a time, and what grows with the order is the
@@ -39,8 +41,9 @@ MAX_ORDER = 900
 MAX_TRACE_ORDER = 300_000
 # Largest `--samples` of `limit-curve` and `converge`: an arc is sampled as
 # one array; at the cap `converge` peaks at about 140 MB of RSS (ball:3 at
-# Q = 60; 216 MB at Q = MAX_ORDER) and `limit-curve --format svg` at about
-# 730 MB.
+# Q = 60; 200 MB at Q = MAX_ORDER), and `limit-curve --format svg`, which
+# formats each arc coordinate once and writes one dihedral image at a
+# time, takes 3-5 s and peaks at about 350 MB.
 MAX_SAMPLES = 2**20
 # Largest numerator m and denominator n of a ball exponent: membership takes
 # m-th powers and n-th integer roots, and at MAX_ORDER the row caps of 199/10
@@ -156,13 +159,15 @@ def _cmd_polygon(args: argparse.Namespace) -> Iterator[str]:
     spec = _parse_domain(args.domain)
     poly = polygon.build_polygon(spec, args.q)
     shape = polygon.scale_polygon(poly) if args.scaled else poly
-    yield polygon.polygon_csv(shape) if args.format == "csv" else polygon.polygon_svg(shape)
+    yield from (polygon.polygon_csv_chunks if args.format == "csv" else polygon.polygon_svg_chunks)(shape)
 
 
 def _cmd_limit_curve(args: argparse.Namespace) -> Iterator[str]:
     curve = limit_curves.parse_curve(args.curve)
-    export = limit_curves.curve_csv if args.format == "csv" else limit_curves.curve_svg
-    yield export(curve, args.samples)
+    if args.format == "csv":
+        yield limit_curves.curve_csv(curve, args.samples)
+    else:
+        yield from limit_curves.curve_svg_chunks(curve, args.samples)
 
 
 def _cmd_converge(args: argparse.Namespace) -> Iterator[str]:

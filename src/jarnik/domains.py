@@ -176,7 +176,10 @@ def lattice_contains(spec: DomainSpec, q: int, a: int, order: int) -> bool:
         dn, dd = spec.slope
         return dn * u + dd * v <= dn * order
     pn, pd = spec.param.numerator, spec.param.denominator
-    return _ball_sum_within(u**pn, v**pn, order**pn, pd)
+    try:
+        return _ball_sum_within(u**pn, v**pn, order**pn, pd)
+    except ArithmeticError as exc:
+        raise ArithmeticError(f"{exc}: point ({q}, {a}) of region {spec} at order {order}") from exc
 
 
 def contains(spec: DomainSpec, x: Rational, y: Rational) -> bool:

@@ -22,7 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from itertools import chain, repeat
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -241,8 +242,9 @@ def sample_arc(curve: LimitCurve, samples: int) -> list[tuple[float, float, floa
     return list(zip(lams.tolist(), xs, ys))
 
 
-# signs of the eight dihedral maps (x, y), (y, x), (-y, x), (-x, y),
-# (-x, -y), (-y, -x), (y, -x), (x, -y), applied to (x, y) or to (y, x)
+# the eight dihedral maps (x, y), (y, x), (-y, x), (-x, y), (-x, -y),
+# (-y, -x), (y, -x), (x, -y): whether each swaps x and y, and its signs
+_DIHEDRAL_SWAPS = (False, True, True, False, False, True, True, False)
 _DIHEDRAL_SIGNS = np.array(
     [(1, 1), (1, 1), (-1, 1), (-1, 1), (-1, -1), (-1, -1), (1, -1), (1, -1)], dtype=float
 )
@@ -251,8 +253,7 @@ _DIHEDRAL_SIGNS = np.array(
 def dihedral_images(points: np.ndarray) -> np.ndarray:
     """The eight dihedral images of an (n, 2) point array, as an (8, n, 2) array."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    swapped = pts[:, ::-1]
-    stacked = np.stack([pts, swapped, swapped, pts, pts, swapped, swapped, pts])
+    stacked = np.stack([pts[:, ::-1] if swap else pts for swap in _DIHEDRAL_SWAPS])
     return stacked * _DIHEDRAL_SIGNS[:, None, :]
 
 
@@ -263,17 +264,31 @@ def curve_csv(curve: LimitCurve, samples: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def curve_svg(curve: LimitCurve, samples: int) -> str:
-    """Fundamental arc plus its eight dihedral images as a single path."""
+def curve_svg_chunks(curve: LimitCurve, samples: int) -> Iterator[str]:
+    """The text of curve_svg, one dihedral image at a time.
+
+    Each arc coordinate's magnitude is formatted once; an image writes the
+    texts of the arc's x and y columns, swapped or not, each after its sign:
+    the coordinate's own sign bit, flipped where the image negates it (and
+    for the y axis, which points down), so -0.0 and values that round to
+    zero keep the sign {:.6f} gives them."""
     arc = curve.points(_uniform_grid(samples))
-    subpaths = []
-    for image in dihedral_images(arc):
-        coords = " L ".join(f"{x:.6f} {-y:.6f}" for x, y in image.tolist())
-        subpaths.append(f"M {coords}")
-    path = " ".join(subpaths)
-    return (
+    texts = [list(map("{:.6f}".format, col)) for col in np.abs(arc).T.tolist()]
+    # signs[c][flip]: the sign texts of column c, negated under flip
+    signs = [[np.where(neg ^ flip, "-", "").tolist() for flip in (False, True)] for neg in np.signbit(arc).T]
+    yield (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         '<svg xmlns="http://www.w3.org/2000/svg" viewBox="-1.2 -1.2 2.4 2.4">\n'
-        f'  <path d="{path}" fill="none" stroke="black" stroke-width="0.006"/>\n'
-        "</svg>\n"
+        '  <path d="'
     )
+    for i, (swapped, (sx, sy)) in enumerate(zip(_DIHEDRAL_SWAPS, _DIHEDRAL_SIGNS.tolist())):
+        cx, cy = (1, 0) if swapped else (0, 1)
+        leads = chain(("M " if i == 0 else " M ",), repeat(" L "))
+        rows = zip(leads, signs[cx][sx < 0], texts[cx], repeat(" "), signs[cy][sy > 0], texts[cy])
+        yield "".join(chain.from_iterable(rows))
+    yield '" fill="none" stroke="black" stroke-width="0.006"/>\n</svg>\n'
+
+
+def curve_svg(curve: LimitCurve, samples: int) -> str:
+    """Fundamental arc plus its eight dihedral images as a single path."""
+    return "".join(curve_svg_chunks(curve, samples))

@@ -17,6 +17,13 @@ The Farey next-term recurrence walks them in order, so the arc needs no
 gcd and no sort, and every decision is an integer comparison.
 The arc, the edges and the vertices, their prefix sums, are int64 arrays
 (vertices grow like 0.3 Q^3); `vertices` is a tuple view built on demand.
+
+The exports are streamed a block of rows at a time.  A scaled polygon is
+written from its first octant, once `first_octant` has certified bitwise
+that the other seven eighths are its signed swaps: each octant magnitude
+is formatted once, and the eight blocks follow a fixed sign-and-swap
+template.  Integer rows are formatted by an int64 digit kernel in numpy.
+Any other cycle is written vertex by vertex.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
 from itertools import chain
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -202,25 +209,133 @@ def scale_polygon(polygon: LatticePolygon) -> ScaledPolygon:
 # Export
 # ---------------------------------------------------------------------------
 
+_SIGN_BIT = np.int64(-(2**63))
+_INF_BITS = np.float64(np.inf).view(np.int64)
 
-def _texts(xy: np.ndarray, fmt: Callable[[float], str]) -> list[list[str]]:
-    """[x texts, y texts]: fmt of every coordinate, called once per distinct
-    magnitude v, as fmt(-v) == "-" + fmt(v) for repr and fixed-point formats;
-    a scaled polygon has about n/4 distinct magnitudes among its 2n
-    coordinates.  The sign bit, unlike v < 0, keeps -0.0 apart from 0.0."""
-    distinct, inverse = np.unique(np.abs(xy), return_inverse=True)
-    texts = np.array(list(map(fmt, distinct.tolist())), dtype=object)
-    texts = np.concatenate((texts, "-" + texts))
-    return texts[inverse.reshape(xy.shape) + len(distinct) * np.signbit(xy)].T.tolist()
+# A scaled polygon of order Q >= 2 is eight blocks of L rows.  Block j holds
+# the first-octant vertices (a_k, -b_k), k < L, with magnitudes a_k, b_k, as
+# (a_k, b_k) or, swapped, (b_k, a_k), in order or reversed, and signed:
+# (swapped, reversed, x sign, y sign) of each block, in cycle order.
+_BLOCKS = (
+    (False, False, "", "-"),
+    (True, True, "", "-"),
+    (True, False, "", ""),
+    (False, True, "", ""),
+    (False, False, "-", ""),
+    (True, True, "-", ""),
+    (True, False, "-", "-"),
+    (False, True, "-", "-"),
+)
+
+# Integer rows are formatted this many at a time, so a chunk's digit grid
+# stays a few MB.
+_CHUNK_ROWS = 1 << 16
+
+
+def first_octant(polygon: LatticePolygon | ScaledPolygon) -> np.ndarray | None:
+    """The first L + 1 vertices of a float64 cycle of 8L vertices, such as a
+    scaled polygon, once the cycle is certified to be the dihedral orbit of
+    the first L.
+
+    The certificate is bitwise, on int64 views with the sign bits: rows
+    k < L are (a_k, -b_k) with a_k and b_k not NaN and of clear sign bit,
+    and every block of L rows is its `_BLOCKS` image of them.  Vertex L,
+    (b_{L-1}, -a_{L-1}), ends the arc's last edge.  None for any other
+    cycle, such as the unit square of order 1 or an integer cycle."""
+    xy = polygon.xy
+    if xy.dtype != np.float64 or len(xy) == 0 or len(xy) % 8:
+        return None
+    size = len(xy) // 8
+    bits = xy.view(np.int64)
+    a, b = bits[:size, 0], bits[:size, 1] ^ _SIGN_BIT
+    if not ((a >= 0) & (a <= _INF_BITS) & (b >= 0) & (b <= _INF_BITS)).all():
+        return None
+    for j, (swapped, reversed_, sx, sy) in enumerate(_BLOCKS):
+        block = bits[j * size : (j + 1) * size]
+        u, w = (b, a) if swapped else (a, b)
+        if reversed_:
+            block = block[::-1]
+        if not (np.array_equal(block[:, 0], u | _SIGN_BIT if sx else u)
+                and np.array_equal(block[:, 1], w | _SIGN_BIT if sy else w)):
+            return None
+    return xy[: size + 1]
+
+
+def _octant_blocks(octant: np.ndarray, fmt: Callable[[float], str], mid: str, end: str,
+                   flip_y: bool = False) -> Iterator[str]:
+    """The eight blocks of a certified cycle, each row x + mid + y and rows
+    joined by end, with y negated under flip_y.  fmt runs once per octant
+    magnitude, as fmt(-v) == "-" + fmt(v) for v of clear sign bit; each
+    block's x sign is folded into its join separator, and its rows come
+    from one of four families (swapped or not, y sign), each shared by two
+    blocks."""
+    size = len(octant) - 1
+    a, b = (list(map(fmt, col.tolist())) for col in (octant[:size, 0], -octant[:size, 1]))
+    families: dict[tuple[bool, str], list[str]] = {}
+    for swapped, reversed_, sx, sy in _BLOCKS:
+        if flip_y:
+            sy = "" if sy else "-"
+        rows = families.get((swapped, sy))
+        if rows is None:
+            u, w = (b, a) if swapped else (a, b)
+            rows = families[swapped, sy] = [f"{x}{mid}{sy}{y}" for x, y in zip(u, w)]
+        yield sx + (end + sx).join(reversed(rows) if reversed_ else rows)
+
+
+def _int_lines(x: np.ndarray, y: np.ndarray, mid: str, end: str) -> str:
+    """"".join(f"{x}{mid}{y}{end}") over int64 columns x and y, exactly.
+
+    Each row is laid out in one uint8 grid: a column's field is a sign
+    byte and as many digit bytes as its largest magnitude has, filled by
+    repeated division by 10; the sign byte of a nonnegative value and the
+    leading zeros are NUL, which one `bytes.translate` deletes before the
+    decode."""
+    mags = [np.abs(col).astype(np.uint64) for col in (x, y)]  # -2^63 wraps to its magnitude
+    widths = [len(str(int(mag.max(initial=0)))) for mag in mags]
+    seps = [np.frombuffer(sep.encode(), dtype=np.uint8) for sep in (mid, end)]
+    grid = np.zeros((len(x), 2 + sum(widths) + len(seps[0]) + len(seps[1])), dtype=np.uint8)
+    start = 0
+    for col, mag, width, sep in zip((x, y), mags, widths, seps):
+        grid[:, start] = (col < 0).view(np.uint8) * ord("-")
+        units = start + width
+        for j in range(units, start, -1):
+            quot = mag // 10
+            digit = mag.astype(np.uint8) - quot.astype(np.uint8) * 10  # mod 256
+            # a leading zero, where nothing is left, stays NUL
+            grid[:, j] = digit + ((mag != 0).view(np.uint8) if j < units else 1) * ord("0")
+            mag = quot
+        grid[:, units + 1 : units + 1 + len(sep)] = sep
+        start = units + 1 + len(sep)
+    return grid.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def polygon_csv_chunks(polygon: LatticePolygon | ScaledPolygon) -> Iterator[str]:
+    """The text of polygon_csv, a header and blocks of rows at a time: int64
+    coordinates by the digit kernel, a certified cycle by its eight octant
+    blocks, any other cycle vertex by vertex."""
+    yield "x,y\n"
+    xy = polygon.xy
+    if xy.dtype == np.int64:
+        for start in range(0, len(xy), _CHUNK_ROWS):
+            yield _int_lines(*xy[start : start + _CHUNK_ROWS].T, ",", "\n")
+        return
+    octant = first_octant(polygon)
+    if octant is None:
+        yield "".join([f"{x!r},{y!r}\n" for x, y in polygon.vertices])
+        return
+    for block in _octant_blocks(octant, repr, ",", "\n"):
+        yield block
+        yield "\n"
 
 
 def polygon_csv(polygon: LatticePolygon | ScaledPolygon) -> str:
-    xs, ys = _texts(polygon.xy, repr) if isinstance(polygon, ScaledPolygon) else polygon.xy.T.tolist()
-    return "x,y\n" + "".join([f"{x},{y}\n" for x, y in zip(xs, ys)])
+    return "".join(polygon_csv_chunks(polygon))
 
 
-def polygon_svg(polygon: LatticePolygon | ScaledPolygon) -> str:
-    """A single closed polyline; scaled polygons use the fixed unit frame."""
+def polygon_svg_chunks(polygon: LatticePolygon | ScaledPolygon) -> Iterator[str]:
+    """The text of polygon_svg, a few blocks of vertices at a time, chosen
+    as in polygon_csv_chunks; the {:.6f} text of an integer is its digits
+    and ".000000" while it is exact as a float."""
     xy = polygon.xy
     if isinstance(polygon, ScaledPolygon):
         viewbox = "-1.2 -1.2 2.4 2.4"
@@ -230,11 +345,25 @@ def polygon_svg(polygon: LatticePolygon | ScaledPolygon) -> str:
         pad = max(2, (x1 - x0) // 20)
         viewbox = f"{x0 - pad} {-y1 - pad} {x1 - x0 + 2 * pad} {y1 - y0 + 2 * pad}"
         width = max((x1 - x0) / 400.0, 0.05)
-    xs, ys = _texts(xy * (1, -1), "{:.6f}".format)  # y points down
-    coords = " L ".join([f"{x} {y}" for x, y in zip(xs, ys)])
-    return (
+    yield (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{viewbox}">\n'
-        f'  <path d="M {coords} Z" fill="none" stroke="black" stroke-width="{width}"/>\n'
-        "</svg>\n"
+        '  <path d="M '
     )
+    octant = first_octant(polygon)
+    if xy.dtype == np.int64 and -(2**53) <= xy.min() and xy.max() <= 2**53:
+        for start in range(0, len(xy), _CHUNK_ROWS):
+            rows = xy[start : start + _CHUNK_ROWS]
+            text = _int_lines(rows[:, 0], -rows[:, 1], ".000000 ", ".000000 L ")  # y points down
+            yield text if start + _CHUNK_ROWS < len(xy) else text[: -len(" L ")]
+    elif octant is not None:
+        for j, block in enumerate(_octant_blocks(octant, "{:.6f}".format, " ", " L ", flip_y=True)):
+            yield " L " + block if j else block
+    else:
+        yield " L ".join([f"{x:.6f} {-y:.6f}" for x, y in polygon.vertices])
+    yield f' Z" fill="none" stroke="black" stroke-width="{width}"/>\n</svg>\n'
+
+
+def polygon_svg(polygon: LatticePolygon | ScaledPolygon) -> str:
+    """A single closed polyline; scaled polygons use the fixed unit frame."""
+    return "".join(polygon_svg_chunks(polygon))

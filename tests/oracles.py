@@ -22,7 +22,9 @@ computed by a modified Lentz continued fraction instead of scipy.
 A polygon's distance to its limit curve is measured the way the package
 measured it before folding: every vertex and edge midpoint against all
 eight images of the sampled arc, or, for the parabolic family, against
-all four arcs.
+all four arcs.  A curve's SVG is written the way the package wrote it
+before its sign-and-swap template: each of the eight images formatted
+coordinate by coordinate.
 
 The last section holds second routes to quantities the package computes
 once: exact ball-family arcs for p = 1/m, a second closed form of the
@@ -343,6 +345,23 @@ def dihedral_images(points: Sequence[tuple[float, float]]) -> list[list[tuple[fl
         lambda x, y: (x, -y),
     ]
     return [[m(x, y) for x, y in pts] for m in maps]
+
+
+def curve_svg(curve: LimitCurve, samples: int) -> str:
+    """Fundamental arc plus its eight dihedral images as a single path, each
+    image's coordinates formatted one at a time."""
+    arc = curve.points(limit_curves._uniform_grid(samples))
+    subpaths = []
+    for image in limit_curves.dihedral_images(arc):
+        coords = " L ".join(f"{x:.6f} {-y:.6f}" for x, y in image.tolist())
+        subpaths.append(f"M {coords}")
+    path = " ".join(subpaths)
+    return (
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        '<svg xmlns="http://www.w3.org/2000/svg" viewBox="-1.2 -1.2 2.4 2.4">\n'
+        f'  <path d="{path}" fill="none" stroke="black" stroke-width="0.006"/>\n'
+        "</svg>\n"
+    )
 
 
 def curve_distance_oracle(curve: LimitCurve, samples: int = 2**14):

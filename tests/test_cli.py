@@ -6,7 +6,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from jarnik import analysis, curvature, limit_curves, number_theory, polygon
+from jarnik import analysis, curvature, domains, limit_curves, number_theory, polygon
 from jarnik.cli import (
     MAX_BALL_NUMERATOR,
     MAX_ORDER,
@@ -180,6 +180,17 @@ def test_scaled_unit_square_when_diagonal_lies_outside(capsys, domain, order):
     )
     assert code == 0
     assert out == "x,y\n1.0,-1.0\n1.0,1.0\n-1.0,1.0\n-1.0,-1.0\n"
+
+
+def test_polygon_membership_failure_exits_1_naming_point_region_and_order(capsys, monkeypatch):
+    def undecided(A, B, C, b):
+        raise ArithmeticError("membership comparison did not separate; boundary case")
+
+    monkeypatch.setattr(domains, "_ball_sum_within", undecided)
+    code, out, err = run_capture(capsys, ["polygon", "--domain", "ball:5/3", "--q", "10"])
+    assert code == 1 and out == ""
+    assert "membership comparison did not separate" in err
+    assert "point (" in err and "region ball:5/3" in err and "order 10" in err
 
 
 @pytest.mark.parametrize("order", [16, 24, 54])

@@ -16,6 +16,7 @@ from jarnik.domains import (
     parse_domain,
     square,
 )
+from jarnik import domains
 from jarnik.domains import _ball_sum_within
 
 from oracles import ball_sum_within_tie_first, scale_factor_asymptote
@@ -100,6 +101,18 @@ def test_ball_third_boundary_points_decided():
     assert not lattice_contains(spec, 2, 3, 16)
     assert lattice_contains(spec, 3, 3, 24)
     assert lattice_contains(spec, 2, 16, 54)
+
+
+def test_membership_failure_names_point_region_and_order(monkeypatch):
+    def undecided(A, B, C, b):
+        raise ArithmeticError("membership comparison did not separate; boundary case")
+
+    monkeypatch.setattr(domains, "_ball_sum_within", undecided)
+    with pytest.raises(ArithmeticError) as info:
+        lattice_contains(ball(Fraction(5, 3)), 7, -3, 12)
+    message = str(info.value)
+    assert "membership comparison did not separate" in message
+    assert "point (7, -3)" in message and "region ball:5/3" in message and "order 12" in message
 
 
 @pytest.mark.parametrize("exponent", ["1/3", "5/3", "7/4", "199/10"])

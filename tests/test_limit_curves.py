@@ -22,6 +22,7 @@ from jarnik.limit_curves import (
     reg_inc_beta,
     sample_arc,
 )
+import oracles
 from oracles import (
     curve_Cp_alternate_y,
     curve_Cp_exact,
@@ -308,6 +309,14 @@ def test_curve_svg_well_formed():
     path = root.find("{http://www.w3.org/2000/svg}path")
     assert path is not None
     assert path.get("d").count("M ") == 8  # one subpath per dihedral image
+
+
+# Cp:200's arc runs below x = 0 near lam = 0, so its images mix signs.
+@pytest.mark.parametrize("curve", ["C", "C1", "Cdelta:2", "Cp:1/2", "Cp:3", "Cp:200"])
+@pytest.mark.parametrize("samples", [2, 3, 1001])
+def test_curve_svg_matches_the_per_image_oracle(curve, samples):
+    c = parse_curve(curve)
+    assert curve_svg(c, samples) == oracles.curve_svg(c, samples)
 
 
 # ---------------------------------------------------------------------------

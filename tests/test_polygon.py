@@ -4,14 +4,17 @@ import xml.etree.ElementTree as ET
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from jarnik.domains import ball, contains, diamond, octagon, parse_domain, square
 from jarnik.number_theory import INV_SQRT3, farey_sequence
 from jarnik.polygon import (
+    LatticePolygon,
     PrimitiveVector,
     ScaledPolygon,
     build_polygon,
+    first_octant,
     fundamental_vertex,
     fundamental_vertices,
     polygon_csv,
@@ -243,6 +246,60 @@ def test_distinct_value_export_keeps_the_sign_of_zero():
     sp = ScaledPolygon(((0.0, -0.0), (-0.0, 0.0), (0.5, -0.0), (-0.5, 0.0)), Fraction(1), 1, square())
     assert polygon_csv(sp) == "x,y\n0.0,-0.0\n-0.0,0.0\n0.5,-0.0\n-0.5,0.0\n"
     assert 'd="M 0.000000 0.000000 L -0.000000 -0.000000 L 0.500000 0.000000 L -0.500000 -0.000000 Z"' in polygon_svg(sp)
+
+
+def per_vertex_exports(shape):
+    """The CSV and the SVG path of a cycle, formatted vertex by vertex."""
+    csv = "x,y\n" + "".join(f"{x!r},{y!r}\n" for x, y in shape.vertices)
+    path = " L ".join(f"{x:.6f} {-y:.6f}" for x, y in shape.vertices)
+    return csv, f'd="M {path} Z"'
+
+
+@pytest.mark.parametrize("domain,order", [("square", 20), ("ball:5/3", 17), ("octagon:1/3", 9)])
+def test_coordinate_moved_by_one_ulp_fails_the_octant_certificate(domain, order):
+    sp = scale_polygon(build_polygon(parse_domain(domain), order))
+    size = len(sp.xy) // 8
+    octant = first_octant(sp)
+    assert octant is not None and np.array_equal(octant, sp.xy[: size + 1])
+    # one row of the octant itself, one in a reversed block, the last row
+    for row, col in ((1, 0), (5 * size + 2, 1), (8 * size - 1, 0)):
+        for toward in (np.inf, -np.inf):
+            xy = sp.xy.copy()
+            xy[row, col] = np.nextafter(xy[row, col], toward)
+            moved = ScaledPolygon(xy, sp.scale, sp.order, sp.domain)
+            assert first_octant(moved) is None
+            csv, path = per_vertex_exports(moved)
+            assert polygon_csv(moved) == csv
+            assert path in polygon_svg(moved)
+
+
+KERNEL_VALUES = [0, 1, -1, 2**63 - 1, -(2**63 - 1)] + [
+    sign * v for k in range(1, 19) for v in (10**k - 1, 10**k) for sign in (1, -1)
+]
+
+
+@pytest.mark.parametrize("chunk_rows", [7, 1 << 16])
+def test_digit_kernel_matches_per_vertex_formatting(monkeypatch, chunk_rows):
+    monkeypatch.setattr(polygon_module, "_CHUNK_ROWS", chunk_rows)
+    rng = random.Random(11)
+    for values in (KERNEL_VALUES, [v for v in KERNEL_VALUES if abs(v) <= 2**53]):
+        ys = values[::-1]
+        rng.shuffle(ys)
+        poly = LatticePolygon(np.array(list(zip(values, ys)), dtype=np.int64), 1, square())
+        assert poly.xy.dtype == np.int64
+        csv, path = per_vertex_exports(poly)
+        assert polygon_csv(poly) == csv
+        assert path in polygon_svg(poly)
+
+
+def test_octant_exports_stream_one_block_per_chunk():
+    sp = scale_polygon(build_polygon(ball(Fraction(5, 3)), 30))
+    size = len(sp.xy) // 8
+    chunks = list(polygon_module.polygon_csv_chunks(sp))
+    assert chunks[0] == "x,y\n" and "".join(chunks) == polygon_csv(sp)
+    assert max(chunk.count("\n") for chunk in chunks[1:]) == size - 1
+    svg = list(polygon_module.polygon_svg_chunks(sp))
+    assert len(svg) == 10 and "".join(svg) == polygon_svg(sp)
 
 
 def test_sort_ccw_matches_fraction_key_oracle():
