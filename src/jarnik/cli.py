@@ -27,8 +27,8 @@ from . import analysis, curvature, domains, limit_curves, number_theory, polygon
 
 # Largest order for `polygon` and `converge`: a polygon of order Q has about
 # 2.4 Q^2 vertices, written a block of rows at a time; at the cap
-# `polygon --scaled` takes about 1.1 s and peaks at about 275 MB of RSS
-# (unscaled 0.6 s and 120 MB), `converge` at about 235 MB for the square
+# `polygon --scaled` takes about 0.8 s and peaks at about 245 MB of RSS
+# (unscaled 0.4 s and 120 MB), `converge` at about 235 MB for the square
 # against C and 115-200 MB for the sampled curves, measuring only the
 # probe points of the polygon's first octant.
 MAX_ORDER = 900
@@ -41,13 +41,16 @@ MAX_ORDER = 900
 MAX_TRACE_ORDER = 300_000
 # Largest `--samples` of `limit-curve` and `converge`: an arc is sampled as
 # one array; at the cap `converge` peaks at about 140 MB of RSS (ball:3 at
-# Q = 60; 200 MB at Q = MAX_ORDER), and `limit-curve --format svg`, which
-# formats each arc coordinate once and writes one dihedral image at a
-# time, takes 3-5 s and peaks at about 350 MB.
+# Q = 60; 200 MB at Q = MAX_ORDER), `limit-curve` writes its CSV 2^16 rows
+# at a time in about 2.5 s and at most 130 MB (Cp:3; 80 MB for the curves
+# that need no scipy), and `limit-curve --format svg`, which formats each
+# arc coordinate once and writes one dihedral image at a time, takes about
+# 3 s and peaks at about 350 MB.
 MAX_SAMPLES = 2**20
 # Largest numerator m and denominator n of a ball exponent: membership takes
-# m-th powers and n-th integer roots, and at MAX_ORDER the row caps of 199/10
-# take about 0.15 s, those of 1000/3 and 999/4 about 1.5 s.
+# m-th powers and, for n >= 4, n-th integer roots (n <= 3 is a polynomial
+# comparison); at MAX_ORDER the row caps of 199/10 take about 0.08 s, those
+# of 999/4 about 1.1 s and those of 1000/3 about 0.25 s.
 MAX_BALL_NUMERATOR = 200
 MAX_BALL_DENOMINATOR = 10
 
@@ -157,17 +160,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_polygon(args: argparse.Namespace) -> Iterator[str]:
     spec = _parse_domain(args.domain)
-    poly = polygon.build_polygon(spec, args.q)
-    shape = polygon.scale_polygon(poly) if args.scaled else poly
+    shape = polygon.build_polygon(spec, args.q)
+    if args.scaled:  # the integer cycle is freed before the export
+        shape = polygon.scale_polygon(shape)
     yield from (polygon.polygon_csv_chunks if args.format == "csv" else polygon.polygon_svg_chunks)(shape)
 
 
 def _cmd_limit_curve(args: argparse.Namespace) -> Iterator[str]:
     curve = limit_curves.parse_curve(args.curve)
-    if args.format == "csv":
-        yield limit_curves.curve_csv(curve, args.samples)
-    else:
-        yield from limit_curves.curve_svg_chunks(curve, args.samples)
+    yield from (limit_curves.curve_csv_chunks if args.format == "csv" else limit_curves.curve_svg_chunks)(
+        curve, args.samples
+    )
 
 
 def _cmd_converge(args: argparse.Namespace) -> Iterator[str]:

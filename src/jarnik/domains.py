@@ -12,9 +12,9 @@ depends on (u, v) = (max(|x|,|y|), min(|x|,|y|)):
 so each polygonal region is dn*u + dd*v <= dn for its integer slope.
 
 Lattice membership of (q/Q, a/Q) is decided in integer arithmetic; for
-ball exponents whose reduced denominator is not 1 or 2 an escalating
-integer-root bracketing is used, so no point is ever classified by
-floating point.
+ball exponents whose reduced denominator is 1, 2 or 3 by a polynomial
+comparison, for larger denominators by an escalating integer-root
+bracketing, so no point is ever classified by floating point.
 
 The wedge S(lam) = {(x,y) in S : x > 0, 0 < y <= lam x} has closed-form
 moment integrals, exact rationals for the polygonal regions and beta
@@ -132,7 +132,13 @@ def _iroot_floor(x: int, k: int) -> int:
 def _ball_sum_within(A: int, B: int, C: int, b: int) -> bool:
     """Decide A^(1/b) + B^(1/b) <= C^(1/b) for nonnegative integers, exactly.
 
-    b = 1 and b = 2 reduce to polynomial comparisons.  Otherwise, with
+    b = 1, 2 and 3 reduce to polynomial comparisons.  For b = 3, put
+    G = C - A - B; the sum holds exactly when G >= 0 and G^3 >= 27ABC:
+      s = A^(1/3) + B^(1/3) has s^3 = A + B + 3 (AB)^(1/3) s, so s^3 is a
+      root at or above A + B of the cubic f(t) = (t - A - B)^3 - 27AB t;
+      f(A + B) <= 0 and f is convex there, so f < 0 from A + B up to s^3,
+      its only root there, and f >= 0 after: s^3 <= C iff G >= 0, f(C) >= 0.
+    For b >= 4 and
     A, B > 0, Besicovitch's theorem (b-th roots of distinct b-th-power-free
     integers are linearly independent over Q) allows a tie only when
     A^(b-1) B = tB^b and A^(b-1) C = tC^b; multiplied by A^((b-1)/b) the
@@ -147,6 +153,9 @@ def _ball_sum_within(A: int, B: int, C: int, b: int) -> bool:
         # sqrt(A) + sqrt(B) <= sqrt(C)  <=>  C - A - B >= 0 and 4AB <= (C-A-B)^2
         gap = C - A - B
         return gap >= 0 and 4 * A * B <= gap * gap
+    if b == 3:
+        gap = C - A - B
+        return gap >= 0 and 27 * A * B * C <= gap**3
     if not (A and B):
         return max(A, B) <= C
     for bits in (32, 64, 128, 256, 512, 1024, 4096):

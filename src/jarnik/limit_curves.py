@@ -257,11 +257,25 @@ def dihedral_images(points: np.ndarray) -> np.ndarray:
     return stacked * _DIHEDRAL_SIGNS[:, None, :]
 
 
+# CSV rows are formatted this many at a time.
+_CSV_BLOCK_ROWS = 1 << 16
+
+
+def curve_csv_chunks(curve: LimitCurve, samples: int) -> Iterator[str]:
+    """The text of curve_csv, the header and then blocks of rows: the arc is
+    sampled as one array before anything is yielded, and its rows are
+    formatted a block at a time."""
+    lams = _uniform_grid(samples)
+    arc = curve.points(lams)
+    yield "lambda,x,y\n"
+    for start in range(0, samples, _CSV_BLOCK_ROWS):
+        block = slice(start, start + _CSV_BLOCK_ROWS)
+        xs, ys = arc[block].T.tolist()
+        yield "".join([f"{lam!r},{x!r},{y!r}\n" for lam, x, y in zip(lams[block].tolist(), xs, ys)])
+
+
 def curve_csv(curve: LimitCurve, samples: int) -> str:
-    lines = ["lambda,x,y"]
-    for lam, x, y in sample_arc(curve, samples):
-        lines.append(f"{lam!r},{x!r},{y!r}")
-    return "\n".join(lines) + "\n"
+    return "".join(curve_csv_chunks(curve, samples))
 
 
 def curve_svg_chunks(curve: LimitCurve, samples: int) -> Iterator[str]:

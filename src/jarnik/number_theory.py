@@ -109,23 +109,46 @@ class FareyNeighbors:
             raise ValueError("neighbor denominator exceeds the Farey order")
 
 
-def farey_walk(order: int) -> Iterator[tuple[int, int]]:
-    """(a, q) for the Farey fractions a/q of the order in (0, 1], increasing,
-    by the next-term recurrence (no gcd, no comparison of fractions)."""
-    a, b, c, d = 0, 1, 1, order  # consecutive fractions a/b < c/d
-    while True:
-        yield c, d
-        if c == d:
-            return
-        k = (order + b) // d
-        a, b, c, d = c, d, k * c - a, k * d - b
+def farey_fractions(
+    order: int, cap: Sequence[int] | np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(a, q) as int64 arrays for the Farey fractions a/q of the order in
+    (0, 1] with a <= cap[q] (cap[q] = q when no cap is given), increasing.
+
+    Row q = 1..order is laid out as the numerators 1..cap[q], the pairs with
+    gcd(a, q) = 1 are kept and ordered by an argsort of a/q, and that order
+    is certified in integers: a[k+1] q[k] - a[k] q[k+1] > 0 for every k.
+    """
+    if order < 1:
+        raise ValueError("Farey order must be a positive integer")
+    rows = np.arange(order + 1, dtype=np.int64)
+    counts = rows
+    if cap is not None:
+        cap = np.asarray(cap, dtype=np.int64)
+        if cap.shape != rows.shape:
+            raise ValueError(f"need one cap per row 0..{order}")
+        counts = np.clip(cap, 0, rows)
+    q = np.repeat(rows, counts)
+    # a runs 1..counts[q] within each row: a global count less the row's start
+    a = np.arange(1, len(q) + 1, dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
+    coprime = np.gcd(a, q) == 1
+    a, q = a[coprime], q[coprime]
+    ranks = np.argsort(a / q)
+    a, q = a[ranks], q[ranks]
+    bad = np.flatnonzero(a[1:] * q[:-1] - a[:-1] * q[1:] <= 0)
+    if len(bad):
+        k = int(bad[0])
+        raise ArithmeticError(
+            f"Farey order certificate failed: {a[k]}/{q[k]} is not below "
+            f"{a[k + 1]}/{q[k + 1]} at order {order}"
+        )
+    return a, q
 
 
 def farey_sequence(order: int) -> list[Fraction]:
     """All reduced fractions in [0,1] with denominator <= order, increasing."""
-    if order < 1:
-        raise ValueError("Farey order must be a positive integer")
-    return [Fraction(0, 1)] + [Fraction(a, q) for a, q in farey_walk(order)]
+    a, q = farey_fractions(order)
+    return [Fraction(0, 1)] + list(map(Fraction, a.tolist(), q.tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,9 @@ Every region is eight-fold symmetric, so the edges are the dihedral
 images of the fundamental arc, the edges (q, a) with 0 < a <= q.  Their
 slopes are the Farey fractions of order Q in (0, 1], of which the arc
 keeps a/q when a <= cap[q], the largest a <= q with (q, a) in the region.
-The Farey next-term recurrence walks them in order, so the arc needs no
-gcd and no sort, and every decision is an integer comparison.
+The array Farey kernel lays out only the numerators up to each row's cap,
+keeps the coprime ones and sorts them by slope; the order is certified by
+integer cross products, so every decision is an integer comparison.
 The arc, the edges and the vertices, their prefix sums, are int64 arrays
 (vertices grow like 0.3 Q^3); `vertices` is a tuple view built on demand.
 
@@ -32,13 +33,12 @@ from bisect import bisect_left
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
-from itertools import chain
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .domains import DomainSpec, lattice_contains
-from .number_theory import RationalReal, RealSpec, farey_walk
+from .number_theory import RationalReal, RealSpec, farey_fractions
 
 
 class PrimitiveVector(NamedTuple):
@@ -71,10 +71,12 @@ def _fundamental_arc(spec: DomainSpec, order: int) -> tuple[np.ndarray, np.ndarr
     as int64 arrays q and a."""
     if order < 1:
         raise ValueError("order must be a positive integer")
-    cap = np.array(_row_caps(spec, order), dtype=np.int64)
-    a, q = np.fromiter(chain.from_iterable(farey_walk(order)), dtype=np.int64).reshape(-1, 2).T
-    keep = a <= cap[q]
-    return q[keep], a[keep]
+    cap = _row_caps(spec, order)
+    try:
+        a, q = farey_fractions(order, cap)
+    except ArithmeticError as exc:
+        raise ArithmeticError(f"{exc}, region {spec}") from exc
+    return q, a
 
 
 def _edges(spec: DomainSpec, order: int) -> tuple[np.ndarray, np.ndarray]:

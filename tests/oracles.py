@@ -3,10 +3,12 @@
 The polygon construction here is the direct definition: test every lattice
 point of the box for primitivity and membership, then sort the survivors
 by exact angle with `Fraction` keys.  It makes O(Q^2) membership calls and
-an O(Q^2 log Q) sort, so the package builds its polygons by the Farey walk
-instead; these stay as the reference that walk must reproduce.  The Farey
-neighbours of an irrational are likewise recomputed by mediant descent, a
-route independent of the package's convergent walk, and R(Q) for the
+an O(Q^2 log Q) sort, so the package builds its polygons from its array
+Farey kernel instead; these stay as the reference that kernel must
+reproduce.  The Farey fractions themselves are walked by the next-term
+recurrence the package used before that kernel.  The Farey neighbours of
+an irrational are likewise recomputed by mediant descent, a route
+independent of the package's convergent walk, and R(Q) for the
 square region is summed directly from the totients, without the ladder,
 and the totients and the Mobius function come from the list sieves the
 package used before its int64 ones.  The neighbours at a run of orders are
@@ -24,7 +26,8 @@ measured it before folding: every vertex and edge midpoint against all
 eight images of the sampled arc, or, for the parabolic family, against
 all four arcs.  A curve's SVG is written the way the package wrote it
 before its sign-and-swap template: each of the eight images formatted
-coordinate by coordinate.
+coordinate by coordinate, and its CSV one row at a time, joined at the
+end.
 
 The last section holds second routes to quantities the package computes
 once: exact ball-family arcs for p = 1/m, a second closed form of the
@@ -123,6 +126,18 @@ def vertex_from_vectors(
     spec = lam if isinstance(lam, RealSpec) else RationalReal(Fraction(lam))
     chosen = [v for v in vectors if v.q > 0 and v.a > 0 and spec.cmp(Fraction(v.a, v.q)) >= 0]
     return (sum(v.q for v in chosen), sum(v.a for v in chosen))
+
+
+def farey_walk(order: int):
+    """(a, q) for the Farey fractions a/q of the order in (0, 1], increasing,
+    by the next-term recurrence (no gcd, no comparison of fractions)."""
+    a, b, c, d = 0, 1, 1, order  # consecutive fractions a/b < c/d
+    while True:
+        yield c, d
+        if c == d:
+            return
+        k = (order + b) // d
+        a, b, c, d = c, d, k * c - a, k * d - b
 
 
 def totient_list_sieve(limit: int) -> list[int]:
@@ -345,6 +360,15 @@ def dihedral_images(points: Sequence[tuple[float, float]]) -> list[list[tuple[fl
         lambda x, y: (x, -y),
     ]
     return [[m(x, y) for x, y in pts] for m in maps]
+
+
+def curve_csv(curve: LimitCurve, samples: int) -> str:
+    """The arc's (lambda, x, y) rows, each formatted by its own f-string and
+    joined at the end."""
+    lines = ["lambda,x,y"]
+    for lam, x, y in limit_curves.sample_arc(curve, samples):
+        lines.append(f"{lam!r},{x!r},{y!r}")
+    return "\n".join(lines) + "\n"
 
 
 def curve_svg(curve: LimitCurve, samples: int) -> str:

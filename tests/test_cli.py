@@ -4,6 +4,7 @@ import subprocess
 import sys
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 from jarnik import analysis, curvature, domains, limit_curves, number_theory, polygon
@@ -191,6 +192,21 @@ def test_polygon_membership_failure_exits_1_naming_point_region_and_order(capsys
     assert code == 1 and out == ""
     assert "membership comparison did not separate" in err
     assert "point (" in err and "region ball:5/3" in err and "order 10" in err
+
+
+def test_polygon_order_certificate_failure_exits_1_naming_region_and_order(capsys, monkeypatch):
+    sort = np.argsort
+
+    def misordered(keys, *args, **kwargs):
+        ranks = sort(keys, *args, **kwargs)
+        ranks[[0, 1]] = ranks[[1, 0]]
+        return ranks
+
+    monkeypatch.setattr(np, "argsort", misordered)
+    code, out, err = run_capture(capsys, ["polygon", "--domain", "diamond", "--q", "9"])
+    assert code == 1 and out == ""
+    assert "Farey order certificate failed" in err
+    assert "region diamond" in err and "order 9" in err
 
 
 @pytest.mark.parametrize("order", [16, 24, 54])
@@ -512,7 +528,7 @@ def test_curvature_bad_range(capsys):
 
 @pytest.mark.parametrize("argv, module, work", [
     (["polygon", "--domain", "square", "--q", "8"], polygon, "build_polygon"),
-    (["limit-curve", "--curve", "C"], limit_curves, "curve_csv"),
+    (["limit-curve", "--curve", "C"], limit_curves, "curve_csv_chunks"),
     (["converge", "--domain", "square", "--curve", "C", "--q-list", "8"], analysis, "convergence_table"),
     (["curvature", "--lambda", "const:e-2", "--q-max", "50"], curvature, "trace_lines"),
 ], ids=["polygon", "limit-curve", "converge", "curvature"])

@@ -115,7 +115,7 @@ def test_membership_failure_names_point_region_and_order(monkeypatch):
     assert "point (7, -3)" in message and "region ball:5/3" in message and "order 12" in message
 
 
-@pytest.mark.parametrize("exponent", ["1/3", "5/3", "7/4", "199/10"])
+@pytest.mark.parametrize("exponent", ["1/3", "2/3", "5/3", "7/3", "7/4", "199/10"])
 def test_bracket_first_membership_matches_tie_first_oracle(exponent):
     # every lattice point 0 <= v <= u <= Q, for every order up to 40 and the
     # ball:1/3 tie orders 16, 24 and 54

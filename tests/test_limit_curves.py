@@ -16,6 +16,7 @@ from jarnik.limit_curves import (
     curve_Cdelta,
     curve_Cp,
     curve_csv,
+    curve_csv_chunks,
     curve_svg,
     inc_beta,
     parse_curve,
@@ -317,6 +318,22 @@ def test_curve_svg_well_formed():
 def test_curve_svg_matches_the_per_image_oracle(curve, samples):
     c = parse_curve(curve)
     assert curve_svg(c, samples) == oracles.curve_svg(c, samples)
+
+
+@pytest.mark.parametrize("curve", ["C", "C1", "Cdelta:2", "Cp:3"])
+@pytest.mark.parametrize("samples", [2, 3, 1001, 65537])
+def test_curve_csv_matches_the_per_row_oracle(curve, samples):
+    c = parse_curve(curve)
+    assert curve_csv(c, samples) == oracles.curve_csv(c, samples)
+
+
+def test_curve_csv_streams_blocks_of_rows(monkeypatch):
+    c = parse_curve("Cp:3")
+    monkeypatch.setattr(limit_curves, "_CSV_BLOCK_ROWS", 7)
+    chunks = list(curve_csv_chunks(c, 30))
+    assert chunks[0] == "lambda,x,y\n"
+    assert [chunk.count("\n") for chunk in chunks[1:]] == [7, 7, 7, 7, 2]
+    assert "".join(chunks) == oracles.curve_csv(c, 30)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from jarnik.number_theory import (
     convergents,
     farey_neighbor_walk,
     farey_neighbors,
+    farey_fractions,
     farey_neighbors_sided,
     farey_sequence,
     moebius_sieve,
@@ -26,6 +28,7 @@ from jarnik.number_theory import (
 
 from oracles import (
     farey_neighbors_stern_brocot,
+    farey_walk,
     moebius_linear_sieve,
     partial_zeta_inverse,
     totient_list_sieve,
@@ -145,6 +148,30 @@ def test_farey_sequence_order_5_vs_brute_force():
 @pytest.mark.parametrize("order", [2, 3, 7, 12, 30, 61])
 def test_farey_sequence_matches_brute_force(order):
     assert farey_sequence(order) == brute_force_farey(order)
+
+
+def test_farey_kernel_matches_next_term_oracle_orders_to_300():
+    for order in range(1, 301):
+        a, q = farey_fractions(order)
+        assert a.dtype == q.dtype == np.int64
+        assert list(zip(a.tolist(), q.tolist())) == list(farey_walk(order)), order
+
+
+def test_capped_farey_kernel_matches_filtered_oracle():
+    rng = np.random.default_rng(12)
+    for order in (1, 2, 7, 40, 97, 300):
+        rows = np.arange(order + 1)
+        for cap in (rows, np.zeros_like(rows), rng.integers(-2, order + 3, order + 1), rows // 3):
+            a, q = farey_fractions(order, cap)
+            want = [(n, d) for n, d in farey_walk(order) if n <= cap[d]]
+            assert list(zip(a.tolist(), q.tolist())) == want, (order, cap)
+
+
+def test_farey_kernel_rejects_bad_arguments():
+    with pytest.raises(ValueError):
+        farey_fractions(0)
+    with pytest.raises(ValueError):
+        farey_fractions(5, [0, 1, 2])
 
 
 def test_farey_adjacent_unimodular_all_orders_to_200():

@@ -210,6 +210,28 @@ def test_farey_walk_matches_enumeration_oracle(domain):
             assert fundamental_vertex(spec, order, lam) == oracles.vertex_from_vectors(vectors, lam)
 
 
+def _swap_two_ranks(monkeypatch):
+    # argsort that puts the fourth and fifth fractions the wrong way round
+    sort = np.argsort
+
+    def misordered(keys, *args, **kwargs):
+        ranks = sort(keys, *args, **kwargs)
+        ranks[[3, 4]] = ranks[[4, 3]]
+        return ranks
+
+    monkeypatch.setattr(np, "argsort", misordered)
+
+
+@pytest.mark.parametrize("domain", ["square", "octagon:2", "ball:5/3"])
+def test_misordered_arc_trips_the_order_certificate(monkeypatch, domain):
+    _swap_two_ranks(monkeypatch)
+    with pytest.raises(ArithmeticError) as info:
+        build_polygon(parse_domain(domain), 12)
+    message = str(info.value)
+    assert "Farey order certificate failed" in message
+    assert f"region {domain}" in message and "order 12" in message
+
+
 @pytest.mark.parametrize("domain", ["square", "octagon:1/3", "ball:5/3"])
 def test_fundamental_vertices_from_one_arc_match_oracle(domain):
     spec = parse_domain(domain)
