@@ -15,14 +15,20 @@ its vertices, its edge midpoints and (0, -1), whose orbits hold every
 vertex and midpoint bit for bit; for C, which is invariant under quarter
 turns only (the cubic's arccos branch is not exact under reflection),
 also their mirror images (-x, y).  The distance to the fundamental arc
-alone, against a tree over the arc folded into the octant 0 <= x <= -y,
-or to the bottom parabola for C, is one term of that minimum and bounds
-each point from above.  The largest bounds are confirmed by the full
-minimum until no bound left exceeds the best confirmed value.  The
+alone, or to the bottom parabola for C, is one term of that minimum and
+bounds each point from above.  The largest bounds are confirmed by the
+full minimum until no bound left exceeds the best confirmed value.  The
 maximum is the number a full search over every image gives, bit for bit:
 a sign change or swap of both operands leaves every squared difference
 unchanged.  A cycle without a certified octant is probed at all its
 vertices and midpoints.
+
+The sampled arc is folded into the octant 0 <= x <= -y and sorted by x
+once per table.  A point's nearest sample is found in a window of the
+sorted samples around its x, widened until the squared x difference just
+outside it is no smaller than the least squared distance inside
+(`_nearest_d2`): the same float as an exhaustive search, with no
+spatial index.
 """
 
 from __future__ import annotations
@@ -137,12 +143,70 @@ def _distance_to_C(points: np.ndarray) -> np.ndarray:
     return best
 
 
+# Most elements in one temporary of the nearest-sample search: the queries
+# are taken in slices so that no window array grows past this, whatever the
+# number of samples or of points.
+_WINDOW_ELEMENTS = 1 << 18
+_FIRST_WIDTH = 8  # samples on each side of a query's first window
+
+
+def _sorted_arc(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (x, y) columns of an (n, 2) sample array, ordered by x (stable)."""
+    order = np.argsort(points[:, 0], kind="stable")
+    return points[order, 0], points[order, 1]
+
+
+def _nearest_d2(arc: tuple[np.ndarray, np.ndarray], points: np.ndarray, best: np.ndarray) -> np.ndarray:
+    """best, lowered in place to the least (x - px)**2 + (y - py)**2 over the
+    samples (x, y) of a `_sorted_arc`, for each point (px, py).
+
+    A point's window starts where px falls among the sample xs and grows on
+    both sides, by rings that double in width (up to _WINDOW_ELEMENTS / 2
+    samples a side), until on each side the first sample outside has
+    (x - px)**2 >= best or the arc has ended.  Rounding is monotone, so
+    every sample farther out has as large a squared x difference and no
+    smaller a squared distance: the result is the minimum over all samples,
+    the same float as an exhaustive search or a KD-tree that evaluates the
+    same expression.  A small `best` on entry (a running minimum) closes a
+    far point's window after the first ring."""
+    xs, ys = arc
+    n = len(xs)
+    # the open points: each has searched the samples pos-r..pos+r-1 (clipped)
+    active = np.arange(len(points))
+    pos = np.searchsorted(xs, points[:, 0])
+    r, width = 0, _FIRST_WIDTH
+    while active.size:
+        px, py, least = points[active, 0], points[active, 1], best[active]
+        ring = np.concatenate((np.arange(-r - width, -r), np.arange(r, r + width)))
+        step = max(1, _WINDOW_ELEMENTS // ring.size)
+        for start in range(0, active.size, step):
+            part = slice(start, start + step)
+            idx = pos[part, None] + ring
+            dx = xs.take(idx, mode="clip")
+            dx -= px[part, None]
+            dx *= dx
+            dy = ys.take(idx, mode="clip")
+            del idx
+            dy -= py[part, None]
+            dy *= dy
+            dx += dy
+            np.minimum(least[part], dx.min(axis=1), out=least[part])
+        best[active] = least
+        r += width
+        width = min(2 * width, _WINDOW_ELEMENTS // 2)
+        left = xs.take(pos - r - 1, mode="clip") - px
+        right = xs.take(pos + r, mode="clip") - px
+        keep = ((pos > r) & (left * left < least)) | ((pos + r < n) & (right * right < least))
+        active, pos = active[keep], pos[keep]
+    return best
+
+
 def curve_distance(
     curve: LimitCurve, samples: int = 2**14
 ) -> Callable[[ScaledPolygon], tuple[float, float]]:
     """(measured distance, sampling slack) of a polygon's vertices and edge
     midpoints to the full eight-fold curve; slack is zero for the exact
-    parabolic path.  The folded arc and its tree are built once, here."""
+    parabolic path.  The folded arc is sampled and sorted once, here."""
     if samples < 1000:
         raise ValueError("need at least 1000 curve samples")
     if curve.family == "C":
@@ -153,20 +217,21 @@ def curve_distance(
             return _confirmed_max(bounds, lambda i: _distance_to_C(points[i])), 0.0
 
         return parabolic
-    from scipy.spatial import cKDTree  # imported here: it is most of `import jarnik`
-
     arc = curve.points(np.linspace(0.0, 1.0, samples))
     gap = float(np.linalg.norm(np.diff(arc, axis=0), axis=1).max())
-    tree = cKDTree(_fold_octant(arc))
-
-    def images_min(points: np.ndarray) -> np.ndarray:
-        dists, _ = tree.query(dihedral_images(points).reshape(-1, 2))
-        return dists.reshape(8, -1).min(axis=0)
+    folded = _sorted_arc(_fold_octant(arc))
 
     def sampled(poly: ScaledPolygon) -> tuple[float, float]:
         points = _probe_points(poly, mirrored=False)
-        bounds, _ = tree.query(points)
-        return _confirmed_max(bounds, lambda i: images_min(points[i])), gap
+        d2 = _nearest_d2(folded, points, np.full(len(points), np.inf))
+
+        def images_min(i: np.ndarray) -> np.ndarray:
+            # every image starts from the bound, the identity image's minimum
+            images = dihedral_images(points[i]).reshape(-1, 2)
+            best = _nearest_d2(folded, images, np.tile(d2[i], 8))
+            return np.sqrt(best.reshape(8, -1).min(axis=0))
+
+        return _confirmed_max(np.sqrt(d2), images_min), gap
 
     return sampled
 
@@ -230,7 +295,7 @@ def convergence_table(
     samples: int = 2**14,
 ) -> list[ConvergenceRecord]:
     """Sup-distance records along a ladder of orders, sorted by order; the
-    curve's folded sample tree is built once for all of them."""
+    curve's folded, sorted samples are built once for all of them."""
     check_pairing(spec, curve)
     details = curve_distance(curve, samples)
 

@@ -27,25 +27,26 @@ from . import analysis, curvature, domains, limit_curves, number_theory, polygon
 
 # Largest order for `polygon` and `converge`: a polygon of order Q has about
 # 2.4 Q^2 vertices, written a block of rows at a time; at the cap
-# `polygon --scaled` takes about 0.8 s and peaks at about 245 MB of RSS
-# (unscaled 0.4 s and 120 MB), `converge` at about 235 MB for the square
-# against C and 115-200 MB for the sampled curves, measuring only the
-# probe points of the polygon's first octant.
+# `polygon --scaled` takes about 1.2 s and peaks at about 245 MB of RSS
+# (unscaled 0.6 s and 121 MB), `converge` at about 234 MB (0.8-1 s) for the
+# square against C and 77-136 MB (0.5-1.1 s) for the sampled curves,
+# measuring only the probe points of the polygon's first octant.
 MAX_ORDER = 900
 # Largest `curvature --q-max`, at most curvature.MAX_LADDER_ORDER: the CSV is
 # written a run of orders at a time, and what grows with the order is the
 # R(Q) ladder, an int64 array handed to the rows as Python ints; a trace at
 # the cap takes about 1 s (1.6 s for rat:2/5, 2.8 s for the cut points 0/1
-# and 1/1, whose runs are one order long) and peaks at about 46.5 MB of RSS,
+# and 1/1, whose runs are one order long) and peaks at about 44 MB of RSS,
 # 30 MB of it the import.
 MAX_TRACE_ORDER = 300_000
 # Largest `--samples` of `limit-curve` and `converge`: an arc is sampled as
-# one array; at the cap `converge` peaks at about 140 MB of RSS (ball:3 at
-# Q = 60; 200 MB at Q = MAX_ORDER), `limit-curve` writes its CSV 2^16 rows
-# at a time in about 2.5 s and at most 130 MB (Cp:3; 80 MB for the curves
-# that need no scipy), and `limit-curve --format svg`, which formats each
-# arc coordinate once and writes one dihedral image at a time, takes about
-# 3 s and peaks at about 350 MB.
+# one array; at the cap `converge` takes about 1.5-1.8 s, most of it
+# sampling the arc, and peaks at about 127 MB of RSS (ball:3 at Q = 60; 2 s
+# and 160 MB at Q = MAX_ORDER), `limit-curve` writes its CSV 2^16 rows at a
+# time in about 4.5 s and at most 127 MB (Cp:3; 3.2 s and 79 MB for the
+# curves that need no scipy), and `limit-curve --format svg`, which formats
+# each arc coordinate once and writes one dihedral image at a time, takes
+# about 5 s and peaks at about 350 MB.
 MAX_SAMPLES = 2**20
 # Largest numerator m and denominator n of a ball exponent: membership takes
 # m-th powers and, for n >= 4, n-th integer roots (n <= 3 is a polynomial

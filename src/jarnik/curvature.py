@@ -31,7 +31,7 @@ from .number_theory import (
     RealSpec,
     convergent_walk,
     farey_neighbor_runs,
-    moebius_sieve,
+    moebius_array as moebius_sieve,  # the ladder's check: int8 mu, no list
     totient_array as totient_sieve,  # the ladder's sieve: int64 totients, no list
 )
 
@@ -87,7 +87,7 @@ def _x_by_moebius(order: int, mu) -> int:
     terms *= 2 * m + 1
     terms //= 6
     terms *= d
-    terms *= np.asarray(mu[1 : order + 1], dtype=np.int64)
+    terms *= mu[1 : order + 1]  # an int8 array or a list
     return int(terms.sum())
 
 

@@ -50,20 +50,25 @@ def _small_primes_and_cofactors(limit: int) -> tuple[list[int], np.ndarray]:
     return primes, rest
 
 
-def moebius_sieve(limit: int) -> list[int]:
-    """mu(0..limit) as a list (mu[0] = 0), sieved on an int64 array.
+def moebius_array(limit: int) -> np.ndarray:
+    """mu(0..limit) as an int8 array (mu[0] = 0).
 
     mu(1) = 1; mu(n) = 0 when a prime square divides n; otherwise
     (-1)^(number of prime factors).
     """
     primes, rest = _small_primes_and_cofactors(limit)
-    mu = np.ones(limit + 1, dtype=np.int64)
+    mu = np.ones(limit + 1, dtype=np.int8)
     mu[0] = 0
     for p in primes:
         mu[p::p] *= -1
         mu[p * p :: p * p] = 0
     mu[rest > 1] *= -1
-    return mu.tolist()
+    return mu
+
+
+def moebius_sieve(limit: int) -> list[int]:
+    """mu(0..limit) as a list of Python ints; see moebius_array."""
+    return moebius_array(limit).tolist()
 
 
 def totient_array(limit: int) -> np.ndarray:

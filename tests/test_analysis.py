@@ -4,9 +4,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from jarnik import analysis
 from jarnik.analysis import (
     ConvergenceRecord,
+    _fold_octant,
+    _nearest_d2,
     _parabola_arc_distance,
+    _sorted_arc,
     check_pairing,
     convergence_csv,
     convergence_table,
@@ -164,6 +168,97 @@ def test_octant_arc_not_the_nearest_is_confirmed(curve):
         poly = fake_polygon([point])
         assert folded(poly) == oracle(poly)
         assert oracle(poly)[0] < cKDTree(octant).query(point)[0]
+
+
+def brute_nearest_d2(arc, points, best):
+    """min(best, (x - px)**2 + (y - py)**2 over every sample), a block of
+    points at a time."""
+    xs, ys = arc
+    out = best.copy()
+    step = max(1, 2**21 // len(xs))
+    for start in range(0, len(points), step):
+        px, py = points[start : start + step, :1], points[start : start + step, 1:]
+        dx, dy = xs - px, ys - py
+        out[start : start + step] = np.minimum(out[start : start + step], (dx * dx + dy * dy).min(axis=1))
+    return out
+
+
+def search_cases(arc, rng, count):
+    """Query points for an arc: near it, far from it, beyond either end of
+    its xs, at a sample's x exactly, and at signed zeros."""
+    xs, ys = arc
+    k = rng.integers(0, len(xs), count)
+    near = np.stack((xs[k], ys[k]), axis=1) + rng.normal(0.0, 1e-4, (count, 2)) * rng.choice([1.0, 1e-3, 0.0], (count, 1))
+    far = rng.uniform(-2.0, 2.0, (count, 2))
+    left = np.stack((xs[0] - rng.uniform(0.0, 0.5, count), rng.uniform(-1.5, 0.5, count)), axis=1)
+    right = np.stack((xs[-1] + rng.uniform(0.0, 0.5, count), rng.uniform(-1.5, 0.5, count)), axis=1)
+    on_x = np.stack((xs[k], ys[k] + rng.uniform(-0.1, 0.1, count)), axis=1)
+    zeros = np.array([(0.0, -1.0), (-0.0, -1.0), (0.0, 0.0), (-0.0, -0.0), (xs[0], ys[0]), (xs[-1], ys[-1])])
+    return [near, far, left, right, on_x, zeros]
+
+
+def test_nearest_search_equals_brute_force_on_a_1000_sample_arc():
+    rng = np.random.default_rng(11)
+    arc = _sorted_arc(_fold_octant(parse_curve("Cp:3").points(np.linspace(0.0, 1.0, 1000))))
+    for points in search_cases(arc, rng, 300):
+        unseeded = np.full(len(points), np.inf)
+        assert np.array_equal(_nearest_d2(arc, points, unseeded.copy()), brute_nearest_d2(arc, points, unseeded))
+        # a running minimum: some seeds below the true minimum, some above
+        seed = brute_nearest_d2(arc, points, unseeded) * rng.choice([0.5, 1.0, 2.0], len(points))
+        found = _nearest_d2(arc, points, seed.copy())
+        assert np.array_equal(found, brute_nearest_d2(arc, points, seed))
+
+
+def test_nearest_search_with_duplicate_sample_xs():
+    rng = np.random.default_rng(12)
+    xs = np.repeat(np.round(rng.uniform(0.0, 0.7, 400), 2), 3)
+    ys = rng.uniform(-1.2, -0.5, xs.size)
+    arc = _sorted_arc(np.stack((xs, ys), axis=1))
+    assert len(np.unique(arc[0])) < len(arc[0]) // 3
+    for points in search_cases(arc, rng, 300):
+        best = np.full(len(points), np.inf)
+        assert np.array_equal(_nearest_d2(arc, points, best.copy()), brute_nearest_d2(arc, points, best))
+
+
+def test_nearest_search_finds_a_lone_sample_just_past_a_window():
+    # Every sample is a wall at height D but one, the hole, level with the
+    # queries: with D just above the hole's x distance, the hole is the
+    # nearest sample, and it sits right at the edge of some window.
+    n, h = 160, 2.0**-10
+    xs = np.arange(n) * h
+    px = np.concatenate((xs - h / 4, xs + h / 4, [xs[-1] + h, xs[0] - h]))
+    points = np.stack((px, np.zeros_like(px)), axis=1)
+    best = np.full(len(points), np.inf)
+    for hole in (0, 1, n // 2, n - 2, n - 1):
+        for k in range(66):
+            for f in (0.2, 0.5, 0.8):
+                ys = np.full(n, (k + f) * h)
+                ys[hole] = 0.0
+                arc = (xs, ys)
+                expected = brute_nearest_d2(arc, points, best)
+                assert np.array_equal(_nearest_d2(arc, points, best.copy()), expected), (hole, k, f)
+
+
+def test_nearest_search_takes_more_points_than_one_slice():
+    rng = np.random.default_rng(13)
+    arc = _sorted_arc(_fold_octant(parse_curve("C1").points(np.linspace(0.0, 1.0, 1000))))
+    count = 2 * analysis._WINDOW_ELEMENTS // (2 * analysis._FIRST_WIDTH) + 17
+    points = np.concatenate(search_cases(arc, rng, count // 4))[:count]
+    assert len(points) == count
+    best = np.full(count, np.inf)
+    assert np.array_equal(_nearest_d2(arc, points, best.copy()), brute_nearest_d2(arc, points, best))
+
+
+def test_nearest_search_equals_brute_force_on_a_2_20_sample_arc(monkeypatch):
+    rng = np.random.default_rng(14)
+    arc = _sorted_arc(_fold_octant(parse_curve("C1").points(np.linspace(0.0, 1.0, 2**20))))
+    points = np.concatenate(search_cases(arc, rng, 6))
+    best = np.full(len(points), np.inf)
+    expected = brute_nearest_d2(arc, points, best)
+    assert np.array_equal(_nearest_d2(arc, points, best.copy()), expected)
+    # rings capped far below the arc's length
+    monkeypatch.setattr(analysis, "_WINDOW_ELEMENTS", 2**12)
+    assert np.array_equal(_nearest_d2(arc, points, best.copy()), expected)
 
 
 # ---------------------------------------------------------------------------

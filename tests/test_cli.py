@@ -589,6 +589,23 @@ def test_import_leaves_scipy_spatial_unloaded():
     assert result.stdout.strip() == "False"
 
 
+def test_sampled_converge_leaves_scipy_spatial_unloaded():
+    import jarnik
+
+    src = os.path.dirname(os.path.dirname(jarnik.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import contextlib, io, sys; from jarnik.cli import run\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "    code = run(['converge', '--domain', 'diamond', '--curve', 'C1', '--q-list', '30'])\n"
+        "print(code, out.getvalue().count('diamond,30,C1,'), 'scipy.spatial' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60, env=env
+    )
+    assert result.stdout.split() == ["0", "1", "False"]
+
+
 def test_import_leaves_scipy_special_unloaded():
     import jarnik
 

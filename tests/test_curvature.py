@@ -26,7 +26,7 @@ from jarnik import curvature
 from jarnik.curvature import _bounds_for, _x_by_moebius
 from jarnik.domains import square
 from jarnik.limit_curves import curve_C
-from jarnik.number_theory import E_MINUS_2, INV_SQRT3, farey_neighbor_runs, moebius_sieve, parse_real
+from jarnik.number_theory import E_MINUS_2, INV_SQRT3, farey_neighbor_runs, moebius_array, moebius_sieve, parse_real
 from jarnik.polygon import build_polygon, fundamental_vertex, scale_factor, scale_polygon
 
 from oracles import farey_neighbor_scan, fraction_trace_csv, square_scale_factor
@@ -135,6 +135,14 @@ def test_scale_ladder_crosscheck_runs():
     for order in range(64, 257, 64):
         assert ladder[order] == Fraction(3 * _x_by_moebius(order, mu), 2)
     assert ladder[256] == square_scale_factor(256)
+
+
+def test_moebius_check_takes_the_int8_array_or_the_list():
+    assert curvature.moebius_sieve is moebius_array
+    mu = moebius_array(10**5)
+    for order in (1, 2, 64, 1000, 10**5):
+        assert _x_by_moebius(order, mu) == _x_by_moebius(order, mu.tolist()), order
+    assert 3 * _x_by_moebius(10**5, mu) == 2 * scale_ladder(10**5)[10**5]
 
 
 def test_ladder_refuses_a_top_beyond_its_int64_bound(monkeypatch):

@@ -21,6 +21,7 @@ from jarnik.number_theory import (
     farey_fractions,
     farey_neighbors_sided,
     farey_sequence,
+    moebius_array,
     moebius_sieve,
     parse_real,
     totient_sieve,
@@ -109,6 +110,15 @@ def test_partial_zeta_inverse_converges():
     # tail is bounded by sum_{q>Q} 1/q^2 < 1/Q
     value = partial_zeta_inverse(10_000)
     assert abs(float(value) - 6 / math.pi**2) < 2e-4
+
+
+def test_moebius_array_is_the_int8_sieve():
+    for limit in (1, 2, 30, 997, 10**5):
+        mu = moebius_array(limit)
+        assert mu.dtype == np.int8 and mu.shape == (limit + 1,)
+        assert mu.tolist() == moebius_linear_sieve(limit), limit
+    with pytest.raises(ValueError):
+        moebius_array(0)
 
 
 def test_totient_sieve_prefix():
