@@ -32,13 +32,13 @@ from . import analysis, curvature, domains, limit_curves, number_theory, polygon
 # square against C and 77-136 MB (0.5-1.1 s) for the sampled curves,
 # measuring only the probe points of the polygon's first octant.
 MAX_ORDER = 900
-# Largest `curvature --q-max`, at most curvature.MAX_LADDER_ORDER: the CSV is
-# written a run of orders at a time, and what grows with the order is the
-# R(Q) ladder, an int64 array handed to the rows as Python ints; a trace at
-# the cap takes about 1 s (1.6 s for rat:2/5, 2.8 s for the cut points 0/1
-# and 1/1, whose runs are one order long) and peaks at about 44 MB of RSS,
-# 30 MB of it the import.
-MAX_TRACE_ORDER = 300_000
+# Largest `curvature --q-max`: the ladder's own bound.  The CSV is written a
+# block of 4096 orders at a time, and what grows with the order is the
+# R(Q) ladder, an int64 array read a block at a time; a trace at the cap
+# takes about 3-3.5 s for an irrational slope, 4-5 s for rat:2/5 and 6-6.5 s
+# for the cut points 0/1 and 1/1, whose runs are one order long, and peaks
+# at about 62 MB of RSS, 30 MB of it the import (39 MB at Q = 300000).
+MAX_TRACE_ORDER = curvature.MAX_LADDER_ORDER
 # Largest `--samples` of `limit-curve` and `converge`: an arc is sampled as
 # one array; at the cap `converge` takes about 1.5-1.8 s, most of it
 # sampling the arc, and peaks at about 127 MB of RSS (ball:3 at Q = 60; 2 s

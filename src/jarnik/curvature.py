@@ -9,8 +9,14 @@ radius
     r^2 = (a1^2 + q1^2)(a2^2 + q2^2)((a1+a2)^2 + (q1+q2)^2) / 4
 
 by unimodularity, and the scaled radius is r / R(Q).  Everything here is
-driven by the Farey/continued-fraction machinery, so a full trace over a
-range of Q costs almost nothing beyond the integer arithmetic.
+driven by the Farey/continued-fraction machinery: the neighbors stay the
+same over runs of orders, and a trace over a range of Q is evaluated a
+block of orders at a time.  The runs that fill a block are certified
+together in int64 arrays, r^2 is taken once per run (in int64 where a
+bound shows that it fits, in Python ints otherwise), and the two float
+columns r_tilde and predicted are numpy expressions over the block, with
+the same IEEE operations in the same order as one order at a time, so
+each order costs only the text of its two floats.
 """
 
 from __future__ import annotations
@@ -18,8 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
-from typing import Iterator, Sequence
+from itertools import chain, islice
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -71,23 +77,29 @@ def predicted_radius(order: int, lam: float, q1: int, q2: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-# Largest ladder top: below it every intermediate of _x_ladder fits int64.
-# X(Q,1) <= S2(Q) <= Q^3, m(m+1)(2m+1) <= 6 Q^3 for m <= Q, and the terms
-# d S2(Q//d) <= 8 Q^3/(3 d^2) of the Mobius sum add up to at most
-# (4/9) pi^2 Q^3 < 5 Q^3; 6 * (10**6)**3 < 2**63.
+# Largest ladder top: below it every intermediate of _x_ladder, and 3 X(Q,1)
+# in the traces, fit int64.  X(Q,1) <= S2(Q) <= Q^3, m(m+1)(2m+1) <= 6 Q^3
+# for m <= Q, and the terms d S2(Q//d) <= 8 Q^3/(3 d^2) of the Mobius sum
+# add up to at most (4/9) pi^2 Q^3 < 5 Q^3, which bounds each group of them
+# with one Q//d too; 6 * (10**6)**3 < 2**63.
 MAX_LADDER_ORDER = 10**6
-_BLOCK = 4096  # most orders in one item of curvature_runs, so a trace streams
 
 
 def _x_by_moebius(order: int, mu) -> int:
-    # X(Q,1) = sum_{d<=Q} mu(d) d S2(Q//d), an exact divisor-sum identity
-    d = np.arange(1, order + 1, dtype=np.int64)
-    m = order // d
+    # X(Q,1) = sum_{d<=Q} mu(d) d S2(Q//d), an exact divisor-sum identity,
+    # summed over the about 2 sqrt(Q) distinct m = Q//d: with M(n) the sum of
+    # mu(d) d over d <= n, the d with Q//d = m bring M(Q//m) - M(Q//(m+1)).
+    # With s = isqrt(Q), those m are Q//d for d <= s, all distinct, and
+    # below them the m <= Q//(s+1), where an m that no d reaches adds 0.
+    mdsum = np.arange(order + 1, dtype=np.int64)
+    mdsum *= mu[: order + 1]  # an int8 array or a list
+    mdsum.cumsum(out=mdsum)
+    root = math.isqrt(order)
+    m = np.concatenate((np.arange(1, order // (root + 1) + 1), order // np.arange(root, 0, -1)))
     terms = m * (m + 1)
     terms *= 2 * m + 1
     terms //= 6
-    terms *= d
-    terms *= mu[1 : order + 1]  # an int8 array or a list
+    terms *= mdsum[order // m] - mdsum[order // (m + 1)]
     return int(terms.sum())
 
 
@@ -99,8 +111,8 @@ def _x_ladder(q_max: int) -> np.ndarray:
     there."""
     if not 1 <= q_max <= MAX_LADDER_ORDER:
         raise ValueError(f"ladder top {q_max} is outside 1..{MAX_LADDER_ORDER} (MAX_LADDER_ORDER)")
-    xs = np.arange(q_max + 1, dtype=np.int64)
-    xs *= totient_sieve(q_max)
+    xs = totient_sieve(q_max)  # a fresh int64 array, so that its sieve's temporaries are gone
+    xs *= np.arange(q_max + 1, dtype=np.int64)
     xs.cumsum(out=xs)
     x, check = int(xs[-1]), _x_by_moebius(q_max, moebius_sieve(q_max))
     if check != x:
@@ -188,48 +200,173 @@ def _cut_point(lam: RealSpec | Fraction, side: str | None) -> tuple[Fraction | N
     return None, str(lam), float(lam)
 
 
+# Most orders in one block of a trace: the runs that fill a block are
+# certified together, and its r_tilde and predicted columns computed, as
+# numpy arrays of at most this length, so a trace streams in bounded memory.
+_BLOCK = 4096
+_INT64_MAX = 2**63 - 1
+_FLOAT_EXACT = 2**53  # every integer below it, and every even one below 2^54, is a float64
+
+
+class _Block(NamedTuple):
+    """Orders lo..hi of a trace.  The runs that cover them, cut to the
+    block, come as columns: counts[i] orders each, the neighbors
+    a1/q1 < a2/q2 and r^2 = num/den of their vertex in lowest terms (int64,
+    or Python ints where int64 could not hold num).  Per order: xs the
+    X(Q,1) of the ladder, r_tilde and predicted as float64."""
+
+    lo: int
+    hi: int
+    counts: np.ndarray
+    a1: np.ndarray
+    q1: np.ndarray
+    a2: np.ndarray
+    q2: np.ndarray
+    num: np.ndarray
+    den: np.ndarray
+    xs: np.ndarray
+    r_tilde: np.ndarray
+    predicted: np.ndarray
+
+    def runs(self) -> Iterator[tuple[int, ...]]:
+        """(lo, hi, a1, q1, a2, q2, num, den) of each run in the block."""
+        his = (self.lo - 1 + np.cumsum(self.counts)).tolist()
+        cols = (self.a1, self.q1, self.a2, self.q2, self.num, self.den)
+        return zip([self.lo] + [hi + 1 for hi in his[:-1]], his, *(c.tolist() for c in cols))
+
+
+def _refuse(run: tuple) -> None:
+    lo, hi, a1, q1, a2, q2 = run
+    raise ArithmeticError(
+        f"{a1}/{q1}, {a2}/{q2} are not the Farey neighbors of the slope for orders {lo}..{hi}")
+
+
+def _certified_columns(rows: list[tuple], lo_next: int, q_max: int, lam, side, cut) -> tuple[np.ndarray, ...]:
+    """The runs (lo, hi, a1, q1, a2, q2) of `rows` as int64 columns hi, a1,
+    q1, a2, q2, certified together; the first run that fails raises.
+
+    A unimodular pair with max(q1, q2) <= lo and q1 + q2 > hi is
+    consecutive in F_Q for every Q in lo..hi; it must bracket an irrational
+    slope (by lam.cmp) or hold a cut point on its side, and the runs must
+    tile the orders from lo_next on, up to q_max.  0 <= a1, a2 <= lo is
+    tested too, so that int64 decides the rest exactly: with
+    q1 + q2 > hi >= max(q1, q2) every value of a passing pair is in 0..lo
+    and no product wraps, unless q1 + q2 itself wraps, which takes two
+    negative denominators; then a2/q2 <= 0 is below an irrational slope in
+    (0, 1), and a cut point fixes one denominator as positive.
+    """
+    try:
+        lo, hi, a1, q1, a2, q2 = np.fromiter(chain.from_iterable(rows), np.int64, 6 * len(rows)).reshape(-1, 6).T
+    except OverflowError:  # a value beyond int64 fails: find its run, after the runs before it
+        k = next(i for i, run in enumerate(rows) if max(map(abs, run)) > _INT64_MAX)
+        if k:
+            _certified_columns(rows[:k], lo_next, q_max, lam, side, cut)
+        _refuse(rows[k])
+    ok = ((lo == np.concatenate(([lo_next], hi[:-1] + 1))) & (lo <= hi) & (hi <= q_max)
+          & (np.minimum(a1, a2) >= 0) & (np.maximum(a1, a2) <= lo) & (np.maximum(q1, q2) <= lo)
+          & (a2 * q1 - a1 * q2 == 1) & (q1 + q2 > hi))
+    if cut is not None:
+        ok &= (a1 == cut[0]) & (q1 == cut[1]) if side == "+" else (a2 == cut[0]) & (q2 == cut[1])
+    first = int(np.argmin(ok)) if not ok.all() else len(rows)
+    if cut is None:  # the bracket, for the runs before the first failure
+        first = next((i for i, (_, _, n1, d1, n2, d2) in enumerate(rows[:first])
+                      if not lam.cmp(Fraction(n1, d1)) > 0 > lam.cmp(Fraction(n2, d2))), first)
+    if first < len(rows):
+        _refuse(rows[first])
+    return hi, a1, q1, a2, q2
+
+
+def _squared_radii(a1, q1, a2, q2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """r^2 = num/den of the vertex of each certified pair, in lowest terms
+    (unimodular pairs make it a quarter of an integer), and sqrt(num/den)
+    as math.sqrt(num / den) gives it.
+
+    num is the product of three factors below 8 lo^2, so int64 holds them
+    and, with 2^v the power of 2 in a factor, gcd(num, 4) =
+    min(4, gcd(f1, 4) gcd(f2, 4) gcd(f3, 4)).  The product is an int64
+    array where the largest factors show that it fits, and Python ints
+    otherwise.  As den is 1, 2 or 4, num / den rounds once either way.
+    """
+    f1, f2, f3 = a1 * a1 + q1 * q1, a2 * a2 + q2 * q2, (a1 + a2) ** 2 + (q1 + q2) ** 2
+    g = np.minimum(np.gcd(f1, 4) * np.gcd(f2, 4) * np.gcd(f3, 4), 4)
+    den = 4 // g
+    if int(f1.max()) * int(f2.max()) * int(f3.max()) <= _INT64_MAX:
+        num = f1 * f2 * f3 // g
+        return num, den, np.sqrt(num / den)
+    nums = [x * y * z // k for x, y, z, k in zip(f1.tolist(), f2.tolist(), f3.tolist(), g.tolist())]
+    roots = [math.sqrt(n / d) for n, d in zip(nums, den.tolist())]
+    return np.array(nums, dtype=object), den, np.array(roots)
+
+
+def _blocks(lam: RealSpec | Fraction, q_min: int, q_max: int, side: str | None) -> Iterator[_Block]:
+    """The trace over [q_min, q_max] as _Blocks of at most _BLOCK orders.
+
+    The slope, then the ladder, are checked before this returns: a refused
+    slope builds no ladder, and a failed check yields no block.  The runs
+    of farey_neighbor_runs are certified (_certified_columns) before any block
+    that holds them is yielded.
+    """
+    if not 2 <= q_min <= q_max:
+        raise ValueError("need 2 <= q_min <= q_max")
+    frac, _, lam_value = _cut_point(lam, side)
+    runs = farey_neighbor_runs(lam if frac is None else frac, q_min, q_max, side)
+    cut = None if frac is None else frac.as_integer_ratio()
+    shape = (1.0 + lam_value * lam_value) ** 1.5  # the factor of predicted_radius
+    return _evaluated(runs, lam, side, cut, _x_ladder(q_max), q_min, q_max, shape)
+
+
+def _evaluated(runs, lam, side, cut, xs: np.ndarray, q_min: int, q_max: int, shape: float) -> Iterator[_Block]:
+    held = ()  # the columns of a certified run that goes on past the last block
+    lo_next = q_min  # the first order that no certified run covers yet
+    for lo in range(q_min, q_max + 1, _BLOCK):
+        hi = min(lo + _BLOCK - 1, q_max)
+        rows, start = [], lo_next
+        if lo_next <= hi:
+            for run in islice(runs, _BLOCK):  # a run covers one order or more
+                rows.append(run)
+                if run[1] >= hi:
+                    break
+        cols = held
+        if rows:
+            lo_next = rows[-1][1] + 1
+            his, a1, q1, a2, q2 = _certified_columns(rows, start, q_max, lam, side, cut)
+            new = (his, a1, q1, a2, q2, q1 * q2 * (q1 + q2), *_squared_radii(a1, q1, a2, q2))
+            cols = tuple(map(np.concatenate, zip(held, new))) if held else new
+        if lo_next <= hi:
+            raise ArithmeticError(f"the neighbor runs stop at order {lo_next - 1}, before {q_max}")
+        his, a1, q1, a2, q2, p, num, den, root = cols
+        counts = np.diff(np.minimum(his, hi), prepend=lo - 1)
+        x = xs[lo : hi + 1]
+        p = np.repeat(p, counts)
+        # p / Q^3 as Python's int division rounds it: the quotient of two
+        # float64 values is correctly rounded, and both are exact while
+        # Q^3 < 2^53, as p = q1 q2 (q1 + q2) is even and at most 2 Q^3
+        if hi**3 < _FLOAT_EXACT:
+            ratio = p / np.arange(lo, hi + 1, dtype=np.int64) ** 3
+        else:
+            ratio = np.array([n / q**3 for n, q in zip(p.tolist(), range(lo, hi + 1))])
+        # 3 X(Q,1) < 2^63, and int64 -> float64 rounds once as int / int does
+        yield _Block(lo, hi, counts, a1, q1, a2, q2, num, den, x,
+                     np.repeat(root, counts) / (3 * x / 2), ratio * _SQUARE_COEFF * shape)
+        held = tuple(c[-1:] for c in cols) if his[-1] > hi else ()
+    extra = next(runs, None)
+    if extra is not None:  # no run may start past q_max
+        _certified_columns([extra], q_max + 1, q_max, lam, side, cut)
+
+
 def curvature_runs(
     lam: RealSpec | Fraction, q_min: int, q_max: int, side: str | None = None
 ) -> Iterator[tuple]:
     """(lo, hi, a1, q1, a2, q2, num, den, xs) for the runs of
-    farey_neighbor_runs over [q_min, q_max], a long run in blocks of at
-    most _BLOCK orders: the neighbors a1/q1 < a2/q2 of the slope at every
-    order in lo..hi, r^2 = num/den of their vertex in lowest terms
-    (unimodular neighbors make it a quarter of an integer), and xs the
-    X(Q,1) of those orders as ints, R(Q) = 3 X(Q,1)/2.
-
-    The slope, then the ladder, are checked before this returns: a refused
-    slope builds no ladder, and a failed check yields no run.  Each run is
-    certified in integers before it is yielded: a unimodular pair with
-    max(q1, q2) <= lo and q1 + q2 > hi is consecutive in F_Q for every Q in
-    the run; it must bracket an irrational slope (by lam.cmp) or hold a cut
-    point on its side, and the runs must tile [q_min, q_max].
+    farey_neighbor_runs over [q_min, q_max], cut at the edges of blocks of
+    _BLOCK orders: the neighbors a1/q1 < a2/q2 of the slope at every order
+    in lo..hi, r^2 = num/den of their vertex in lowest terms, and xs the
+    X(Q,1) of those orders as ints, R(Q) = 3 X(Q,1)/2.  The checks of
+    _blocks are done before this returns.
     """
-    if not 2 <= q_min <= q_max:
-        raise ValueError("need 2 <= q_min <= q_max")
-    frac, _, _ = _cut_point(lam, side)
-    runs = farey_neighbor_runs(lam if frac is None else frac, q_min, q_max, side)
-    cut = None if frac is None else frac.as_integer_ratio()
-    return _certified(runs, lam, side, cut, _x_ladder(q_max).tolist(), q_min, q_max)
-
-
-def _certified(runs, lam, side, cut, xs: list[int], lo_next: int, q_max: int) -> Iterator[tuple]:
-    for lo, hi, a1, q1, a2, q2 in runs:
-        if not (lo == lo_next <= hi <= q_max and a2 * q1 - a1 * q2 == 1
-                and q1 <= lo >= q2 and q1 + q2 > hi
-                and (lam.cmp(Fraction(a1, q1)) > 0 > lam.cmp(Fraction(a2, q2)) if cut is None
-                     else ((a1, q1) if side == "+" else (a2, q2)) == cut)):
-            raise ArithmeticError(
-                f"{a1}/{q1}, {a2}/{q2} are not the Farey neighbors of the slope for orders {lo}..{hi}")
-        num = (a1 * a1 + q1 * q1) * (a2 * a2 + q2 * q2) * ((a1 + a2) ** 2 + (q1 + q2) ** 2)
-        g = math.gcd(num, 4)
-        while lo <= hi:
-            end = hi if hi - lo < _BLOCK else lo + _BLOCK - 1
-            yield lo, end, a1, q1, a2, q2, num // g, 4 // g, xs[lo : end + 1]
-            lo = end + 1
-        lo_next = lo
-    if lo_next != q_max + 1:
-        raise ArithmeticError(f"the neighbor runs stop at order {lo_next - 1}, before {q_max}")
+    blocks = _blocks(lam, q_min, q_max, side)
+    return ((*run, block.xs[run[0] - block.lo : run[1] + 1 - block.lo].tolist())
+            for block in blocks for run in block.runs())
 
 
 def local_radius(order: int, lam: RealSpec | Fraction, side: str | None = None) -> CurvatureSample:
@@ -240,25 +377,25 @@ def local_radius(order: int, lam: RealSpec | Fraction, side: str | None = None) 
 def curvature_trace(
     lam: RealSpec | Fraction, q_min: int, q_max: int, side: str | None = None
 ) -> list[CurvatureSample]:
-    """One sample per integer order in [q_min, q_max], from curvature_runs:
-    the samples of one run (or block) share its FareyNeighbors, of its
-    first order, and its r^2.
+    """One sample per integer order in [q_min, q_max], from the certified
+    runs and float columns of _blocks: the samples of one run within a
+    block share its FareyNeighbors, of its first order there, and its r^2.
 
     Rational lam needs a side ('+' or '-'); irrational lam must come as an
     exact RealSpec.
     """
-    runs = curvature_runs(lam, q_min, q_max, side)
-    _, lambda_spec, lam_value = _cut_point(lam, side)
-    shape = (1.0 + lam_value * lam_value) ** 1.5
+    blocks = _blocks(lam, q_min, q_max, side)
+    lambda_spec = _cut_point(lam, side)[1]
     samples = []
-    for lo, hi, a1, q1, a2, q2, num, den, xs in runs:
-        neighbors = FareyNeighbors(Fraction(a1, q1), Fraction(a2, q2), lo)
-        r_squared, root, p = Fraction(num, den), math.sqrt(num / den), q1 * q2 * (q1 + q2)
-        samples += [
-            CurvatureSample(order, lambda_spec, neighbors, r_squared, root / (3 * x / 2),
-                            p / order**3 * _SQUARE_COEFF * shape)
-            for order, x in zip(range(lo, hi + 1), xs)
-        ]
+    for block in blocks:
+        r_tilde, predicted = block.r_tilde.tolist(), block.predicted.tolist()
+        for lo, hi, a1, q1, a2, q2, num, den in block.runs():
+            neighbors = FareyNeighbors(Fraction(a1, q1), Fraction(a2, q2), lo)
+            r_squared, at = Fraction(num, den), lo - block.lo
+            samples += [
+                CurvatureSample(order, lambda_spec, neighbors, r_squared, rt, pr)
+                for order, rt, pr in zip(range(lo, hi + 1), r_tilde[at:], predicted[at:])
+            ]
     return samples
 
 
@@ -296,19 +433,21 @@ def trace_csv(samples: Sequence[CurvatureSample]) -> str:
 def trace_lines(
     lam: RealSpec | Fraction, q_min: int, q_max: int, side: str | None = None
 ) -> Iterator[str]:
-    """The text of trace_csv(curvature_trace(...)), a run at a time from
-    curvature_runs, with its checks done before this returns."""
-    runs = curvature_runs(lam, q_min, q_max, side)
-    lam_value = _cut_point(lam, side)[2]
-    shape = (1.0 + lam_value * lam_value) ** 1.5  # the factor of predicted_radius
+    """The text of trace_csv(curvature_trace(...)), a block at a time from
+    _blocks, with its checks done before this returns: ",q1,q2,num,den,"
+    is formatted once per run in the block, and each order adds its Q and
+    the repr of its two floats."""
+    blocks = _blocks(lam, q_min, q_max, side)
 
     def lines():
         yield _CSV_HEADER
-        for lo, hi, _, q1, _, q2, num, den, xs in runs:
-            mid, root, p = f",{q1},{q2},{num},{den},", math.sqrt(num / den), q1 * q2 * (q1 + q2)
+        for block in blocks:
+            mids = [f",{q1},{q2},{num},{den}," for q1, q2, num, den in zip(
+                block.q1.tolist(), block.q2.tolist(), block.num.tolist(), block.den.tolist())]
             yield "".join([
-                f"{order}{mid}{root / (3 * x / 2)!r},{p / order**3 * _SQUARE_COEFF * shape!r}\n"
-                for order, x in zip(range(lo, hi + 1), xs)
+                f"{order}{mid}{rt!r},{pr!r}\n" for order, mid, rt, pr in zip(
+                    range(block.lo, block.hi + 1), np.repeat(np.array(mids, dtype=object), block.counts).tolist(),
+                    block.r_tilde.tolist(), block.predicted.tolist())
             ])
 
     return lines()
@@ -317,15 +456,10 @@ def trace_lines(
 def trace_points(
     lam: RealSpec | Fraction, q_min: int, q_max: int, side: str | None = None
 ) -> Iterator[tuple[int, float]]:
-    """(Q, r_tilde) of curvature_trace(...), from curvature_runs with no
-    Fraction built, with its checks done before this returns."""
-    runs = curvature_runs(lam, q_min, q_max, side)
-    return (
-        (order, root / (3 * x / 2))
-        for lo, hi, *_, num, den, xs in runs
-        for root in [math.sqrt(num / den)]
-        for order, x in zip(range(lo, hi + 1), xs)
-    )
+    """(Q, r_tilde) of curvature_trace(...), the r_tilde column of _blocks,
+    with its checks done before this returns."""
+    blocks = _blocks(lam, q_min, q_max, side)
+    return (point for block in blocks for point in zip(range(block.lo, block.hi + 1), block.r_tilde.tolist()))
 
 
 def trace_svg(samples: Sequence[CurvatureSample], bounds: CurvatureBounds | None = None) -> str:

@@ -496,12 +496,12 @@ def _convergent_runs(pairs: Iterator[tuple[int, int]], window: tuple, lo: int, q
 
 
 def _rational_runs(a: int, b: int, c: int, d: int, side: str, lo: int, q_max: int) -> Iterator[tuple]:
-    while lo <= q_max:
-        step = (lo - d) // b
-        c1, d1 = c + step * a, d + step * b
-        hi = min(q_max, d1 + b - 1)
-        yield (lo, hi, a, b, c1, d1) if side == "+" else (lo, hi, c1, d1, a, b)
-        lo = hi + 1
+    step = (lo - d) // b
+    c, d = c + step * a, d + step * b
+    while lo <= q_max:  # c/d is the free neighbor from order d until d + b enters
+        hi = q_max if d + b > q_max else d + b - 1
+        yield (lo, hi, a, b, c, d) if side == "+" else (lo, hi, c, d, a, b)
+        lo, c, d = hi + 1, c + a, d + b
 
 
 def farey_neighbor_walk(lam: RealSpec, q_min: int, q_max: int) -> Iterator[FareyNeighbors]:

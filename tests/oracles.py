@@ -16,7 +16,11 @@ checked against a plain scan: the best fraction on each side of the slope
 over every denominator up to the order.
 The curvature trace is rebuilt the way the package built it before its
 integer rows: one neighbour query and one exact `Fraction` circumradius
-per order.  Ball membership keeps the order in which the package first
+per order, and the way it wrote them a run of orders at a time before
+its float columns became arrays: the run's integers and r^2 once, in
+Python ints, and the two floats of each order one at a time.  The ladder's
+Mobius check is summed one term per divisor d, as it was before its terms
+were grouped by the value of Q//d.  Ball membership keeps the order in which the package first
 ran its tests: the Besicovitch tie test before any bracketing.
 The limit-curve arcs are evaluated one parameter at a time by their
 closed forms, with the regularized incomplete beta of the ball family
@@ -39,6 +43,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -52,6 +57,7 @@ from jarnik.number_theory import (
     FareyNeighbors,
     RationalReal,
     RealSpec,
+    farey_neighbor_runs,
     farey_neighbors,
     farey_neighbors_sided,
 )
@@ -238,6 +244,37 @@ def fraction_trace_csv(lam: RealSpec, q_min: int, q_max: int, side: str | None =
         predicted = predicted_radius(order, lam_value, q1, q2)
         lines.append(f"{order},{q1},{q2},{r_sq.numerator},{r_sq.denominator},{r_tilde!r},{predicted!r}")
     return "\n".join(lines) + "\n"
+
+
+def run_trace_lines(lam: RealSpec, q_min: int, q_max: int, side: str | None = None) -> str:
+    """The `curvature` CSV a run at a time, in Python ints and floats: per
+    run of farey_neighbor_runs, ",q1,q2,num,den," and sqrt(num / den) once,
+    then per order root / (3 X / 2) and p / Q^3 * pi^2/6 * (1 + lam^2)^1.5,
+    with X(Q,1) a running sum over the list sieve of the totients."""
+    xs = list(accumulate(q * f for q, f in enumerate(totient_list_sieve(q_max))))
+    lam_value = float(lam)
+    shape = (1.0 + lam_value * lam_value) ** 1.5
+    coeff = math.pi**2 / 6.0
+    lines = ["Q,q1,q2,r_squared_num,r_squared_den,r_tilde,predicted\n"]
+    for lo, hi, a1, q1, a2, q2 in farey_neighbor_runs(lam.value if side else lam, q_min, q_max, side):
+        num = (a1 * a1 + q1 * q1) * (a2 * a2 + q2 * q2) * ((a1 + a2) ** 2 + (q1 + q2) ** 2)
+        num, den = num // math.gcd(num, 4), 4 // math.gcd(num, 4)
+        mid, root, p = f",{q1},{q2},{num},{den},", math.sqrt(num / den), q1 * q2 * (q1 + q2)
+        lines += [f"{order}{mid}{root / (3 * xs[order] / 2)!r},{p / order**3 * coeff * shape!r}\n"
+                  for order in range(lo, hi + 1)]
+    return "".join(lines)
+
+
+def x_by_moebius_terms(order: int, mu) -> int:
+    """X(Q,1) = sum_{d<=Q} mu(d) d S2(Q//d), one int64 term per d."""
+    d = np.arange(1, order + 1, dtype=np.int64)
+    m = order // d
+    terms = m * (m + 1)
+    terms *= 2 * m + 1
+    terms //= 6
+    terms *= d
+    terms *= mu[1 : order + 1]
+    return int(terms.sum())
 
 
 def ball_sum_within_tie_first(A: int, B: int, C: int, b: int) -> bool:

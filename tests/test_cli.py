@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -499,6 +500,85 @@ def test_curvature_uncertified_neighbor_run_writes_nothing(capsys, monkeypatch, 
     assert code == 1 and out == ""
     assert err.startswith("jarnik: computation failed: ") and "are not the Farey neighbors" in err
     assert os.listdir(tmp_path) == []
+
+
+def _replaced(runs, i, *new):
+    return iter(runs[:i] + list(new) + runs[i + 1 :])
+
+
+# Each edit breaks one condition of the run certificate at run i, away from
+# the first run of its block, and keeps every other condition.
+_RUN_EDITS = {
+    "hi-one-too-large": lambda runs, i: _replaced(runs, i, (runs[i][0], runs[i][1] + 1, *runs[i][2:])),
+    # the pair of the run before: unimodular and bracketing, but its
+    # mediant enters at an order of the run
+    "not-consecutive": lambda runs, i: _replaced(runs, i, (*runs[i][:2], *runs[i - 1][2:])),
+    "hi-one-too-small": lambda runs, i: _replaced(runs, i, (runs[i][0], runs[i][1] - 1, *runs[i][2:])),
+    "empty-run-inserted": lambda runs, i: _replaced(runs, i, (runs[i][0], runs[i][0] - 1, *runs[i][2:]), runs[i]),
+    # the pair of the run after: a denominator above the run's first order
+    "next-pair-early": lambda runs, i: _replaced(runs, i, (*runs[i][:2], *runs[i + 1][2:])),
+    "not-unimodular": lambda runs, i: _replaced(runs, i, (*runs[i][:2], runs[i][2] - 1, *runs[i][3:])),
+    "last-run-past-q-max": lambda runs, i: _replaced(
+        runs, len(runs) - 1, (runs[-1][0], runs[-1][1] + 1, *runs[-1][2:])),
+    "run-past-q-max-appended": lambda runs, i: iter(runs + [(runs[-1][1] + 1, runs[-1][1] + 1, *runs[-1][2:])]),
+    "beyond-int64": lambda runs, i: _replaced(runs, i, (*runs[i][:2], runs[i][2] + 2**64, *runs[i][3:])),
+}
+
+
+def _edited_walk(at, edit):
+    def walk(lam, q_min, q_max, side=None):
+        runs = list(number_theory.farey_neighbor_runs(lam, q_min, q_max, side))
+        return edit(runs, len(runs) // 2 if at is None else at)
+
+    return walk
+
+
+def _refused_run_writes_nothing(capsys, monkeypatch, tmp_path, walk, lam, side, why="are not the Farey neighbors"):
+    monkeypatch.setattr(curvature, "farey_neighbor_runs", walk)
+    argv = ["curvature", "--lambda", lam, "--q-min", "5", "--q-max", "10000", "--output", str(tmp_path / "t.csv")]
+    code, out, err = run_capture(capsys, argv + (["--side", side] if side else []))
+    assert code == 1 and out == ""
+    assert err.startswith("jarnik: computation failed: ") and why in err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("edit", list(_RUN_EDITS))
+@pytest.mark.parametrize("lam, side, at", [("const:inv-sqrt3", None, None), ("rat:2/5", "-", 99)],
+                         ids=["inv-sqrt3-middle-run", "2/5-100th-run"])
+def test_curvature_run_failing_mid_block_writes_nothing(capsys, monkeypatch, tmp_path, edit, lam, side, at):
+    walk = _edited_walk(at, _RUN_EDITS[edit])
+    _refused_run_writes_nothing(capsys, monkeypatch, tmp_path, walk, lam, side)
+
+
+@pytest.mark.parametrize("lam, side, at, other, other_side", [
+    ("const:inv-sqrt3", None, None, number_theory.E_MINUS_2, None),
+    ("rat:2/5", "-", 99, Fraction(2, 5), "+"),
+], ids=["inv-sqrt3-then-e-2", "2/5-then-2/5+"])
+def test_curvature_neighbors_of_another_slope_mid_block_write_nothing(
+        capsys, monkeypatch, tmp_path, lam, side, at, other, other_side):
+    # consecutive pairs that tile the orders, from run `at` on those of
+    # another slope or side: only the bracket (or the cut point) refuses them
+    def switch(runs, i):
+        return iter(runs[:i] + list(number_theory.farey_neighbor_runs(other, runs[i][0], 10000, other_side)))
+
+    _refused_run_writes_nothing(capsys, monkeypatch, tmp_path, _edited_walk(at, switch), lam, side)
+
+
+@pytest.mark.parametrize("lam, side, edit", [
+    ("rat:1/2", "+", lambda a1, q1, a2, q2: (a1, q1, a2 - 2**63, q2)),
+    ("rat:1/4", "-", lambda a1, q1, a2, q2: (a1 + 2**62, q1, a2, q2)),
+], ids=["1/2+-numerator-below-0", "1/4--numerator-above-lo"])
+def test_curvature_run_whose_int64_test_wraps_writes_nothing(capsys, monkeypatch, tmp_path, lam, side, edit):
+    # a numerator off by 2^64 / q in the column next to an even denominator
+    # q: a2 q1 - a1 q2 wraps to 1 in int64, and only 0 <= a1, a2 <= lo stops it
+    walk = _edited_walk(99, lambda runs, i: _replaced(runs, i, (*runs[i][:2], *edit(*runs[i][2:]))))
+    _refused_run_writes_nothing(capsys, monkeypatch, tmp_path, walk, lam, side)
+
+
+@pytest.mark.parametrize("lam, side", [("const:inv-sqrt3", None), ("rat:2/5", "-")])
+def test_curvature_walk_that_stops_short_writes_nothing(capsys, monkeypatch, tmp_path, lam, side):
+    walk = _edited_walk(None, lambda runs, i: iter(runs[:-1]))
+    _refused_run_writes_nothing(capsys, monkeypatch, tmp_path, walk, lam, side, "the neighbor runs stop at order")
 
 
 def test_curvature_rational_needs_side(capsys):

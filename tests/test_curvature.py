@@ -29,7 +29,7 @@ from jarnik.limit_curves import curve_C
 from jarnik.number_theory import E_MINUS_2, INV_SQRT3, farey_neighbor_runs, moebius_array, moebius_sieve, parse_real
 from jarnik.polygon import build_polygon, fundamental_vertex, scale_factor, scale_polygon
 
-from oracles import farey_neighbor_scan, fraction_trace_csv, square_scale_factor
+from oracles import farey_neighbor_scan, fraction_trace_csv, run_trace_lines, square_scale_factor, x_by_moebius_terms
 
 
 def float_circumradius(p0, p1, p2):
@@ -143,6 +143,12 @@ def test_moebius_check_takes_the_int8_array_or_the_list():
     for order in (1, 2, 64, 1000, 10**5):
         assert _x_by_moebius(order, mu) == _x_by_moebius(order, mu.tolist()), order
     assert 3 * _x_by_moebius(10**5, mu) == 2 * scale_ladder(10**5)[10**5]
+
+
+def test_moebius_check_grouped_by_quotient_is_the_sum_over_every_divisor():
+    mu = moebius_array(10**6)
+    for order in [*range(1, 3001), 12000, 300000, 10**6]:
+        assert _x_by_moebius(order, mu) == x_by_moebius_terms(order, mu), order
 
 
 def test_ladder_refuses_a_top_beyond_its_int64_bound(monkeypatch):
@@ -380,6 +386,28 @@ def test_integer_rows_match_fraction_route(text, side, q_min):
     want = fraction_trace_csv(lam, q_min, 2000, side)
     assert "".join(trace_lines(lam, q_min, 2000, side)) == want
     assert trace_csv(curvature_trace(lam, q_min, 2000, side)) == want
+
+
+ORACLE_SLOPES = TRACE_SLOPES + [("rat:1/2", "+", 2), ("rat:1/2", "-", 2)]
+# (q_min, q_max) pairs; (None, n) is n orders from the slope's own first order
+ORACLE_RANGES = {
+    # the first block ends at order q_min + _BLOCK - 1
+    "block-edges": [(None, n) for n in (4095, 4096, 4097, 8192)],
+    # the last orders whose r^2 numerator fits int64: 2/5- 22047, 1/1- 32767, 0/1+ 55108
+    "int64-numerators": [(edge - 60, edge + d) for edge in (22048, 32768, 55109) for d in (-1, 0, 1)],
+    # Q^3 < 2^53 up to Q = 208063
+    "float-exact-cubes": [(208000, 208063), (208000, 208064), (208000, 208200)],
+}
+
+
+@pytest.mark.parametrize("ranges", list(ORACLE_RANGES))
+@pytest.mark.parametrize("text, side, q_min", ORACLE_SLOPES)
+def test_block_columns_match_the_run_at_a_time_trace(text, side, q_min, ranges):
+    assert curvature._BLOCK == 4096
+    lam = parse_real(text)
+    for lo, n in ORACLE_RANGES[ranges]:
+        lo, hi = (q_min, q_min + n - 1) if lo is None else (lo, n)
+        assert "".join(trace_lines(lam, lo, hi, side)) == run_trace_lines(lam, lo, hi, side), (lo, hi)
 
 
 def _walked(lam):
