@@ -10,7 +10,7 @@ every reported number an upper bound.
 
 A probe point's distance is a minimum over the eight dihedral images of
 the fundamental arc, so it depends only on the point's orbit.  The probe
-points come from the polygon's certified first octant (`first_octant`):
+points come from the polygon's first octant (`ScaledPolygon.octant`):
 its vertices, its edge midpoints and (0, -1), whose orbits hold every
 vertex and midpoint bit for bit; for C, which is invariant under quarter
 turns only (the cubic's arccos branch is not exact under reflection),
@@ -20,8 +20,7 @@ bounds each point from above.  The largest bounds are confirmed by the
 full minimum until no bound left exceeds the best confirmed value.  The
 maximum is the number a full search over every image gives, bit for bit:
 a sign change or swap of both operands leaves every squared difference
-unchanged.  A cycle without a certified octant is probed at all its
-vertices and midpoints.
+unchanged.  The distance itself (`curve_distance`) takes any point array.
 
 The sampled arc is folded into the octant 0 <= x <= -y and sorted by x
 once per table.  A point's nearest sample is found in a window of the
@@ -42,7 +41,7 @@ import numpy as np
 
 from .domains import DomainSpec
 from .limit_curves import LimitCurve, dihedral_images
-from .polygon import ScaledPolygon, build_polygon, first_octant, fundamental_vertices, scale_polygon
+from .polygon import ScaledPolygon, build_polygon, fundamental_vertices, scale_polygon
 
 
 # ---------------------------------------------------------------------------
@@ -50,24 +49,21 @@ from .polygon import ScaledPolygon, build_polygon, first_octant, fundamental_ver
 # ---------------------------------------------------------------------------
 
 
-def _probe_points(poly: ScaledPolygon, mirrored: bool) -> np.ndarray:
+def _probe_points(poly: ScaledPolygon, curve: LimitCurve) -> np.ndarray:
     """Points whose distances to the curve, up to the exact symmetries of
     the distance, are those of every vertex and edge midpoint.
 
-    For a certified cycle (`first_octant`) every vertex is a signed swap of
-    a first-octant vertex v_0..v_{L-1}, and every midpoint
-    0.5 * (v[i] + v[i-1]) one of the midpoints of the octant's L edges and
-    of the edge into v_0 from (-a_0, -b_0), bit for bit: rounding commutes
-    with sign changes and swaps.  `mirrored` adds the mirror images (-x, y),
-    for a distance invariant under rotations only.  Any other cycle gives
-    all its vertices and midpoints."""
-    octant = first_octant(poly)
-    if octant is None:
-        verts = np.asarray(poly.xy, dtype=float)
-        return np.concatenate((verts, 0.5 * (verts + np.roll(verts, 1, axis=0))))
+    Every vertex is a signed swap of a first-octant vertex v_0..v_L, and
+    every midpoint 0.5 * (v[i] + v[i-1]) one of the midpoints of the
+    octant's L edges and of the edge into v_0 from (-a_0, -b_0), bit for
+    bit: rounding commutes with sign changes and swaps.  (v_L, a swap of
+    v_{L-1}, is needed only for the unit square, whose octant is v_0.)
+    For C, whose distance is invariant under rotations only, the mirror
+    images (-x, y) are added."""
+    octant = poly.octant
     path = np.concatenate((octant[:1] * (-1.0, 1.0), octant))
-    points = np.concatenate((octant[:-1], 0.5 * (path[1:] + path[:-1])))
-    return np.concatenate((points, points * (-1.0, 1.0))) if mirrored else points
+    points = np.concatenate((octant, 0.5 * (path[1:] + path[:-1])))
+    return np.concatenate((points, points * (-1.0, 1.0))) if curve.family == "C" else points
 
 
 def _fold_octant(points: np.ndarray) -> np.ndarray:
@@ -203,16 +199,16 @@ def _nearest_d2(arc: tuple[np.ndarray, np.ndarray], points: np.ndarray, best: np
 
 def curve_distance(
     curve: LimitCurve, samples: int = 2**14
-) -> Callable[[ScaledPolygon], tuple[float, float]]:
-    """(measured distance, sampling slack) of a polygon's vertices and edge
-    midpoints to the full eight-fold curve; slack is zero for the exact
-    parabolic path.  The folded arc is sampled and sorted once, here."""
+) -> Callable[[np.ndarray], tuple[float, float]]:
+    """(measured distance, sampling slack) of an (n, 2) point array to the
+    full eight-fold curve: the largest distance of a point; slack is zero
+    for the exact parabolic path.  The folded arc is sampled and sorted
+    once, here."""
     if samples < 1000:
         raise ValueError("need at least 1000 curve samples")
     if curve.family == "C":
 
-        def parabolic(poly: ScaledPolygon) -> tuple[float, float]:
-            points = _probe_points(poly, mirrored=True)
+        def parabolic(points: np.ndarray) -> tuple[float, float]:
             bounds = _parabola_arc_distance(points[:, 0], points[:, 1])
             return _confirmed_max(bounds, lambda i: _distance_to_C(points[i])), 0.0
 
@@ -221,8 +217,7 @@ def curve_distance(
     gap = float(np.linalg.norm(np.diff(arc, axis=0), axis=1).max())
     folded = _sorted_arc(_fold_octant(arc))
 
-    def sampled(poly: ScaledPolygon) -> tuple[float, float]:
-        points = _probe_points(poly, mirrored=False)
+    def sampled(points: np.ndarray) -> tuple[float, float]:
         d2 = _nearest_d2(folded, points, np.full(len(points), np.inf))
 
         def images_min(i: np.ndarray) -> np.ndarray:
@@ -248,8 +243,9 @@ def distance_to_curve(
 def distance_details(
     poly: ScaledPolygon, curve: LimitCurve, samples: int = 2**14
 ) -> tuple[float, float]:
-    """(measured distance, sampling slack) of one polygon; see curve_distance."""
-    return curve_distance(curve, samples)(poly)
+    """(measured distance, sampling slack) of one polygon's vertices and edge
+    midpoints; see curve_distance."""
+    return curve_distance(curve, samples)(_probe_points(poly, curve))
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +296,8 @@ def convergence_table(
     details = curve_distance(curve, samples)
 
     def row(order: int) -> ConvergenceRecord:
-        measured, slack = details(scale_polygon(build_polygon(spec, order)))
+        poly = scale_polygon(build_polygon(spec, order))
+        measured, slack = details(_probe_points(poly, curve))
         return ConvergenceRecord(str(spec), order, str(curve), measured, measured + slack)
 
     return [row(q) for q in sorted(set(q_list))]
@@ -352,6 +349,8 @@ def lemma_check(q_list: Sequence[int], lam_grid: Sequence[Fraction]) -> LemmaRep
     desk-scale signature of the O(Q^2 log Q) remainder."""
     if not q_list:
         raise ValueError("need at least one order")
+    if min(q_list) < 2:  # Q / log Q is undefined at Q = 1
+        raise ValueError("lemma orders must be at least 2")
     from .domains import square
 
     lams = [Fraction(lam) for lam in lam_grid]

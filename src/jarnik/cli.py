@@ -26,18 +26,19 @@ from typing import Callable, Iterable, Iterator
 from . import analysis, curvature, domains, limit_curves, number_theory, polygon
 
 # Largest order for `polygon` and `converge`: a polygon of order Q has about
-# 2.4 Q^2 vertices, written a block of rows at a time; at the cap
-# `polygon --scaled` takes about 1.2 s and peaks at about 245 MB of RSS
-# (unscaled 0.6 s and 121 MB), `converge` at about 234 MB (0.8-1 s) for the
-# square against C and 77-136 MB (0.5-1.1 s) for the sampled curves,
-# measuring only the probe points of the polygon's first octant.
+# 2.4 Q^2 vertices, held as its fundamental arc of about 0.3 Q^2 edges and
+# written one eighth of its cycle at a time; at the cap `polygon --scaled`
+# takes about 1.4 s and peaks at about 233 MB of RSS (unscaled 0.7 s and
+# 82 MB), `converge` at about 204 MB (0.7 s) for the square against C and
+# 59-100 MB (0.5-0.9 s) for the sampled curves, measuring only the probe
+# points of the polygon's first octant.
 MAX_ORDER = 900
 # Largest `curvature --q-max`: the ladder's own bound.  The CSV is written a
 # block of 4096 orders at a time, and what grows with the order is the
 # R(Q) ladder, an int64 array read a block at a time; a trace at the cap
 # takes about 3-3.5 s for an irrational slope, 4-5 s for rat:2/5 and 6-6.5 s
 # for the cut points 0/1 and 1/1, whose runs are one order long, and peaks
-# at about 62 MB of RSS, 30 MB of it the import (39 MB at Q = 300000).
+# at about 50 MB of RSS, 30 MB of it the import (37 MB at Q = 300000).
 MAX_TRACE_ORDER = curvature.MAX_LADDER_ORDER
 # Largest `--samples` of `limit-curve` and `converge`: an arc is sampled as
 # one array; at the cap `converge` takes about 1.5-1.8 s, most of it
@@ -162,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_polygon(args: argparse.Namespace) -> Iterator[str]:
     spec = _parse_domain(args.domain)
     shape = polygon.build_polygon(spec, args.q)
-    if args.scaled:  # the integer cycle is freed before the export
+    if args.scaled:
         shape = polygon.scale_polygon(shape)
     yield from (polygon.polygon_csv_chunks if args.format == "csv" else polygon.polygon_svg_chunks)(shape)
 

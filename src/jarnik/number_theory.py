@@ -71,19 +71,27 @@ def moebius_sieve(limit: int) -> list[int]:
     return moebius_array(limit).tolist()
 
 
+# Orders per slice of the totient sieve's cofactor pass, which bounds its
+# fancy-indexed temporaries.
+_COFACTOR_SLICE = 1 << 16
+
+
 def totient_array(limit: int) -> np.ndarray:
     """phi(0..limit) as an int64 array (phi[0] = 0).
 
     Each prime p <= sqrt(limit) takes phi(n) -= phi(n)/p on its multiples,
     then the one prime cofactor above sqrt(limit) that n may have, which
-    still divides phi(n) at that point, is taken out the same way.
+    still divides phi(n) at that point, is taken out the same way, a slice
+    of orders at a time.
     """
     primes, rest = _small_primes_and_cofactors(limit)
     phi = np.arange(limit + 1, dtype=np.int64)
     for p in primes:
         phi[p::p] -= phi[p::p] // p
-    big = rest > 1
-    phi[big] -= phi[big] // rest[big]
+    for start in range(0, limit + 1, _COFACTOR_SLICE):
+        part, cofactor = phi[start : start + _COFACTOR_SLICE], rest[start : start + _COFACTOR_SLICE]
+        big = cofactor > 1
+        part[big] -= part[big] // cofactor[big]
     return phi
 
 

@@ -5,11 +5,13 @@ point of the box for primitivity and membership, then sort the survivors
 by exact angle with `Fraction` keys.  It makes O(Q^2) membership calls and
 an O(Q^2 log Q) sort, so the package builds its polygons from its array
 Farey kernel instead; these stay as the reference that kernel must
-reproduce.  The Farey fractions themselves are walked by the next-term
-recurrence the package used before that kernel.  The Farey neighbours of
-an irrational are likewise recomputed by mediant descent, a route
-independent of the package's convergent walk, and R(Q) for the
-square region is summed directly from the totients, without the ladder,
+reproduce.  The vertex cycle is also rebuilt as the package built it
+before it held each polygon as its fundamental arc: every edge of the
+eight images, summed from (-1, 0).  The Farey fractions themselves are
+walked by the next-term recurrence the package used before that kernel.
+The Farey neighbours of an irrational are likewise recomputed by mediant
+descent, a route independent of the package's convergent walk, and R(Q)
+for the square region is summed directly from the totients, without the ladder,
 and the totients and the Mobius function come from the list sieves the
 package used before its int64 ones.  The neighbours at a run of orders are
 checked against a plain scan: the best fraction on each side of the slope
@@ -61,7 +63,7 @@ from jarnik.number_theory import (
     farey_neighbors,
     farey_neighbors_sided,
 )
-from jarnik.polygon import LatticePolygon, PrimitiveVector, ScaledPolygon, fundamental_vertex
+from jarnik.polygon import LatticePolygon, PrimitiveVector, _fundamental_arc, build_polygon, fundamental_vertex
 
 
 def primitive_vectors(spec: DomainSpec, order: int) -> list[PrimitiveVector]:
@@ -110,7 +112,8 @@ def polygon_from_vectors(
     spec: DomainSpec, order: int, vectors: Sequence[PrimitiveVector]
 ) -> LatticePolygon:
     """The polygon whose edges are `vectors` in counterclockwise order, with
-    the (1, 0) edge ending at the origin."""
+    the (1, 0) edge ending at the origin: the fundamental arc of the
+    vectors, once its cycle is checked against the one they walk."""
     ordered = sort_ccw(vectors)
     start = ordered.index(PrimitiveVector(1, 0))
     ordered = ordered[start:] + ordered[:start]
@@ -122,7 +125,29 @@ def polygon_from_vectors(
         verts.append((x, y))
     if verts[-1] != (-1, 0):
         raise ValueError("edge vectors do not close up; region not symmetric")
-    return LatticePolygon(tuple(verts), order, spec)
+    arc = np.array([v for v in ordered if 0 < v.a <= v.q], dtype=np.int64).reshape(-1, 2)
+    poly = LatticePolygon(arc[:, 0], arc[:, 1], order, spec)
+    if poly.vertices != tuple(verts):
+        raise ValueError("the walked cycle is not the cycle of its fundamental arc")
+    return poly
+
+
+def reference_cycle(spec: DomainSpec, order: int) -> np.ndarray:
+    """The int64 vertex cycle built the way the package built it before it
+    held each polygon as its fundamental arc: every edge, the arc and its
+    mirror image in the diagonal after (1, 0) and that quarter's three
+    rotations, summed from (-1, 0)."""
+    q, a = _fundamental_arc(spec, order)
+    # (1, 1) is its own mirror image, and it ends every nonempty arc
+    dx = np.concatenate(([1], q, a[:-1][::-1]))
+    dy = np.concatenate(([0], a, q[:-1][::-1]))
+    dx, dy = np.concatenate((dx, -dy, -dx, dy)), np.concatenate((dy, dx, -dy, -dx))
+    return np.stack((np.cumsum(dx) - 1, np.cumsum(dy)), axis=1)
+
+
+def scale_factor(spec: DomainSpec, order: int) -> Fraction:
+    """R(Q) of the region, exact."""
+    return build_polygon(spec, order).scale
 
 
 def vertex_from_vectors(
@@ -425,27 +450,26 @@ def curve_svg(curve: LimitCurve, samples: int) -> str:
     )
 
 
+def vertices_and_midpoints(xy: np.ndarray) -> np.ndarray:
+    """Every vertex of an (n, 2) float cycle and every edge midpoint."""
+    return np.concatenate([xy, 0.5 * (xy + np.roll(xy, 1, axis=0))])
+
+
 def curve_distance_oracle(curve: LimitCurve, samples: int = 2**14):
-    """(measured distance, sampling slack) of a polygon against the full
-    curve, as a function of the polygon: the vertices and edge midpoints
-    queried against a tree over all eight dihedral images of the sampled
-    arc, or, for C, the four-rotation exact distance at every point."""
-
-    def probe_points(poly: ScaledPolygon) -> np.ndarray:
-        verts = poly.xy
-        mids = 0.5 * (verts + np.roll(verts, 1, axis=0))
-        return np.concatenate([verts, mids])
-
+    """(measured distance, sampling slack) of an (n, 2) point array against
+    the full curve: the points queried against a tree over all eight
+    dihedral images of the sampled arc, or, for C, the four-rotation exact
+    distance at every point."""
     if curve.family == "C":
-        return lambda poly: (float(_distance_to_C(probe_points(poly)).max()), 0.0)
+        return lambda points: (float(_distance_to_C(points).max()), 0.0)
     from scipy.spatial import cKDTree
 
     arc = curve.points(np.linspace(0.0, 1.0, samples))
     gap = float(np.linalg.norm(np.diff(arc, axis=0), axis=1).max())
     tree = cKDTree(limit_curves.dihedral_images(arc).reshape(-1, 2))
 
-    def details(poly: ScaledPolygon) -> tuple[float, float]:
-        dists, _ = tree.query(probe_points(poly), k=1)
+    def details(points: np.ndarray) -> tuple[float, float]:
+        dists, _ = tree.query(points, k=1)
         return float(dists.max()), gap
 
     return details

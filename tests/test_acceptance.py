@@ -36,12 +36,11 @@ from jarnik.polygon import (
     build_polygon,
     fundamental_vertex,
     primitive_vectors,
-    scale_factor,
     scale_polygon,
 )
 from jarnik.analysis import distance_to_curve
 
-from oracles import curve_Cp_alternate_y
+from oracles import curve_Cp_alternate_y, scale_factor
 from test_number_theory import CORPUS, brute_force_farey
 
 P4_RUN = [

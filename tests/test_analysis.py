@@ -10,21 +10,21 @@ from jarnik.analysis import (
     _fold_octant,
     _nearest_d2,
     _parabola_arc_distance,
+    _probe_points,
     _sorted_arc,
     check_pairing,
     convergence_csv,
     convergence_table,
     curve_distance,
-    distance_details,
     distance_to_curve,
     expected_curve,
     lemma_check,
 )
 from jarnik.domains import ball, diamond, octagon, parse_domain, square
 from jarnik.limit_curves import LimitCurve, curve_C1, dihedral_images, parse_curve
-from jarnik.polygon import ScaledPolygon, build_polygon, scale_polygon
+from jarnik.polygon import build_polygon, scale_polygon
 
-from oracles import curve_distance_oracle, moment_route_ratio
+from oracles import curve_distance_oracle, moment_route_ratio, vertices_and_midpoints
 
 
 def scaled_square(order):
@@ -42,15 +42,14 @@ def test_distance_zero_for_points_on_curve():
         (math.cos(2 * math.pi * k / 400), math.sin(2 * math.pi * k / 400))
         for k in range(400)
     )
-    fake = ScaledPolygon(pts, Fraction(1), 1, ball(2))
-    assert distance_to_curve(fake, LimitCurve("Cp", Fraction(2))) < 1e-3
+    measured, slack = curve_distance(LimitCurve("Cp", Fraction(2)))(cycle_points(pts))
+    assert measured + slack < 1e-3
 
 
 def test_distance_exact_for_parabola_family():
     # points at known offsets from the four-arc parabolic curve
     pts = ((0.0, -1.25), (0.0, -0.75), (1.25, 0.0))
-    fake = ScaledPolygon(pts, Fraction(1), 1, square())
-    measured, slack = distance_details(fake, LimitCurve("C"))
+    measured, slack = curve_distance(LimitCurve("C"))(cycle_points(pts))
     assert slack == 0.0
     assert measured == pytest.approx(0.25, abs=1e-12)
 
@@ -96,24 +95,29 @@ ORACLE_SAMPLES = (1000, 2048, 4096, 2**14)
 FOLD_CURVES = ("C", "C1", "Cdelta:2", "Cdelta:1/3", "Cp:2", "Cp:3", "Cp:1/2")
 
 
-def fake_polygon(points):
-    return ScaledPolygon(np.asarray(points, dtype=float), Fraction(1), 1, square())
+def cycle_points(points):
+    """The vertices and edge midpoints of the cycle through the points."""
+    return vertices_and_midpoints(np.asarray(points, dtype=float))
 
 
 def both_distances(curve, samples):
-    """curve_distance and its oracle at each of the sample counts (the
-    parabolic path takes no samples, so one count stands for all)."""
+    """curve_distance and its oracle, functions of a point array, at each of
+    the sample counts (the parabolic path takes no samples, so one count
+    stands for all)."""
     counts = samples[:1] if curve.family == "C" else samples
     return [(curve_distance(curve, s), curve_distance_oracle(curve, s)) for s in counts]
 
 
 @pytest.mark.parametrize("domain,curve", ORACLE_PAIRS, ids=[c for _, c in ORACLE_PAIRS])
 def test_curve_distance_equals_the_full_image_oracle(domain, curve):
-    spec, pairs = parse_domain(domain), both_distances(parse_curve(curve), ORACLE_SAMPLES)
+    # the polygon's probe set against every vertex and midpoint of its cycle
+    spec, curve = parse_domain(domain), parse_curve(curve)
+    pairs = both_distances(curve, ORACLE_SAMPLES)
     for order in ORACLE_ORDERS:
         poly = scale_polygon(build_polygon(spec, order))
+        probe, cycle = _probe_points(poly, curve), vertices_and_midpoints(poly.xy)
         for folded, oracle in pairs:
-            assert folded(poly) == oracle(poly), order
+            assert folded(probe) == oracle(cycle), order
 
 
 @pytest.mark.parametrize("curve", FOLD_CURVES)
@@ -129,8 +133,8 @@ def test_curve_distance_confirms_asymmetric_and_mirror_points(curve):
     cases = [scattered, mirror, signed_zeros, scattered[:1], mirror[::7], rng.uniform(0.9, 1.1, size=(9, 2))]
     for folded, oracle in both_distances(parse_curve(curve), (1000, 4096)):
         for points in cases:
-            poly = fake_polygon(points)
-            assert folded(poly) == oracle(poly), points
+            probe = cycle_points(points)
+            assert folded(probe) == oracle(probe), points
 
 
 def test_quarter_sector_arc_not_the_nearest_is_confirmed():
@@ -143,9 +147,9 @@ def test_quarter_sector_arc_not_the_nearest_is_confirmed():
     assert len(loose) > 0
     folded, oracle = both_distances(LimitCurve("C"), (1000,))[0]
     for s in loose[:: max(1, len(loose) // 12)]:
-        poly = fake_polygon([(-s, -s)])
-        assert folded(poly) == oracle(poly)
-        assert oracle(poly)[0] < _parabola_arc_distance(np.array([-s]), np.array([-s]))[0]
+        probe = cycle_points([(-s, -s)])
+        assert folded(probe) == oracle(probe)
+        assert oracle(probe)[0] < _parabola_arc_distance(np.array([-s]), np.array([-s]))[0]
 
 
 @pytest.mark.parametrize("curve", ["C1", "Cp:2", "Cp:3"])
@@ -165,9 +169,9 @@ def test_octant_arc_not_the_nearest_is_confirmed(curve):
     assert len(loose) > 0
     folded, oracle = both_distances(parse_curve(curve), (1000,))[0]
     for point in loose[:12]:
-        poly = fake_polygon([point])
-        assert folded(poly) == oracle(poly)
-        assert oracle(poly)[0] < cKDTree(octant).query(point)[0]
+        probe = cycle_points([point])
+        assert folded(probe) == oracle(probe)
+        assert oracle(probe)[0] < cKDTree(octant).query(point)[0]
 
 
 def brute_nearest_d2(arc, points, best):
@@ -338,6 +342,8 @@ def test_lemma_check_validation():
         lemma_check([], [Fraction(1, 2)])
     with pytest.raises(ValueError):
         lemma_check([100], [Fraction(0)])
+    with pytest.raises(ValueError):
+        lemma_check([1, 100], [Fraction(1, 2)])
 
 
 def test_lemma_report_renders():

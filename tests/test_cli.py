@@ -146,6 +146,11 @@ GOLDEN_POLYGON_SHA256 = {
     # larger scaled polygons, whose coordinates are formatted once per distinct value
     ("square", 200, True): "8b3a4dc442e096f2fb499df0616b3698d092bf8923b1a110a4d4f6ba7e901ec3",
     ("ball:5/3", 150, True): "02548a63496e51c42686addfc9ec3f998b5f8aa098cc78756d3d8a3226e7dcaf",
+    # empty fundamental arcs: (1, 1) lies outside and the polygon is the unit square
+    ("diamond", 1, False): "0b9ba44a45b7c7d85950457615de880221e7507f3997adb23b611ed877f36ab0",
+    ("diamond", 1, True): "52e2174af0bbf974ae25bd5d1adada721e4aced224256e7ab384d1fd123fa7f0",
+    ("ball:1/3", 5, False): "0b9ba44a45b7c7d85950457615de880221e7507f3997adb23b611ed877f36ab0",
+    ("ball:1/3", 5, True): "52e2174af0bbf974ae25bd5d1adada721e4aced224256e7ab384d1fd123fa7f0",
 }
 
 
@@ -163,6 +168,10 @@ GOLDEN_POLYGON_SVG_SHA256 = {
     ("square", 37, True): "96e5599b1cf195c2c88a8c5b891410a9833de2cbb8d87f6bda3a6237233bf400",
     ("octagon:5/2", 41, False): "495478710b02c78152c098ba75cafcd79c0ad35cba444f8cf6cabd7823f3636d",
     ("octagon:5/2", 41, True): "698f4833a63fad53b0640156711bf6ed6679dccb2091a87346bba7c02e0bb312",
+    ("diamond", 1, False): "449ec18481d157f16975d198e77d27b37267d02059d35018b12c57440959117e",
+    ("diamond", 1, True): "e7e067480abf3d366a63337f90bacce43724115cbd62f76f21bfd37031509f41",
+    ("ball:1/3", 5, False): "449ec18481d157f16975d198e77d27b37267d02059d35018b12c57440959117e",
+    ("ball:1/3", 5, True): "e7e067480abf3d366a63337f90bacce43724115cbd62f76f21bfd37031509f41",
 }
 
 

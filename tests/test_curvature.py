@@ -27,9 +27,16 @@ from jarnik.curvature import _bounds_for, _x_by_moebius
 from jarnik.domains import square
 from jarnik.limit_curves import curve_C
 from jarnik.number_theory import E_MINUS_2, INV_SQRT3, farey_neighbor_runs, moebius_array, moebius_sieve, parse_real
-from jarnik.polygon import build_polygon, fundamental_vertex, scale_factor, scale_polygon
+from jarnik.polygon import build_polygon, fundamental_vertex, scale_polygon
 
-from oracles import farey_neighbor_scan, fraction_trace_csv, run_trace_lines, square_scale_factor, x_by_moebius_terms
+from oracles import (
+    farey_neighbor_scan,
+    fraction_trace_csv,
+    run_trace_lines,
+    scale_factor,
+    square_scale_factor,
+    x_by_moebius_terms,
+)
 
 
 def float_circumradius(p0, p1, p2):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import xml.etree.ElementTree as ET
@@ -10,23 +11,19 @@ import pytest
 from jarnik.domains import ball, contains, diamond, octagon, parse_domain, square
 from jarnik.number_theory import INV_SQRT3, farey_sequence
 from jarnik.polygon import (
-    LatticePolygon,
     PrimitiveVector,
-    ScaledPolygon,
     build_polygon,
-    first_octant,
     fundamental_vertex,
     fundamental_vertices,
     polygon_csv,
     polygon_svg,
     primitive_vectors,
-    scale_factor,
     scale_polygon,
 )
 
 import jarnik.polygon as polygon_module
 import oracles
-from oracles import sort_ccw
+from oracles import scale_factor, sort_ccw
 
 V4_FUNDAMENTAL = [
     PrimitiveVector(1, 0),
@@ -263,36 +260,84 @@ def test_array_scaling_and_export_match_per_vertex_formatting(domain):
             assert f'd="M {want_path} Z"' in polygon_svg(shape)
 
 
+def digest(chunks):
+    h = hashlib.sha256()
+    for chunk in chunks:
+        h.update(chunk.encode())
+    return h.hexdigest()
+
+
+def per_vertex(xy, row, rows=1 << 16):
+    """[row(x, y) for each vertex (x, y)] of an (n, 2) array, in slices of
+    so many vertices."""
+    for start in range(0, len(xy), rows):
+        yield list(map(row, *xy[start : start + rows].T.tolist()))
+
+
+def per_vertex_text(xy, row):
+    return ("".join(part) for part in per_vertex(xy, row))
+
+
+def check_against_reference_cycle(spec, order):
+    """The polygon's cycle, its scaled octant's cycle and both exports of
+    each against the reference cycle, formatted vertex by vertex."""
+    ref = oracles.reference_cycle(spec, order)
+    poly = build_polygon(spec, order)
+    assert poly.xy.dtype == np.int64 and np.array_equal(poly.xy, ref)
+    sp = scale_polygon(poly)
+    rf = float(sp.scale)
+    scaled = np.concatenate(
+        [np.array(part).reshape(-1, 2) for part in per_vertex(ref, lambda x, y: ((x + 0.5) / rf, (y - rf) / rf))]
+    )
+    assert np.array_equal(sp.xy.view(np.int64), scaled.view(np.int64))
+    for shape, cycle in ((poly, ref), (sp, scaled)):
+        csv = per_vertex_text(cycle, lambda x, y: f"{x!r},{y!r}\n")
+        assert digest(polygon_module.polygon_csv_chunks(shape)) == digest(["x,y\n", *csv])
+        head, *blocks, foot = polygon_module.polygon_svg_chunks(shape)
+        path = per_vertex_text(cycle, lambda x, y: f"{x:.6f} {-y:.6f} L ")
+        assert head.endswith('<path d="M ') and foot.startswith(' Z"')
+        assert digest(blocks + [" L "]) == digest(path)
+    (x0, y0), (x1, y1) = ref.min(axis=0).tolist(), ref.max(axis=0).tolist()
+    pad = max(2, (x1 - x0) // 20)
+    svg = polygon_svg(poly)
+    assert f'viewBox="{x0 - pad} {-y1 - pad} {x1 - x0 + 2 * pad} {y1 - y0 + 2 * pad}"' in svg
+    assert f'stroke-width="{max((x1 - x0) / 400.0, 0.05)}"' in svg
+
+
+@pytest.mark.parametrize(
+    "domain",
+    ["square", "diamond", "octagon:2", "octagon:1/3", "ball:2", "ball:5/3", "ball:3",
+     "ball:1/2", "ball:1/3"],
+)
+def test_arc_cycle_and_exports_match_the_reference_cycle(domain):
+    spec = parse_domain(domain)
+    for order in ORACLE_ORDERS:
+        check_against_reference_cycle(spec, order)
+
+
+@pytest.mark.parametrize("domain", ["square", "ball:5/3"])
+def test_arc_cycle_and_exports_match_the_reference_cycle_at_the_order_cap(domain):
+    check_against_reference_cycle(parse_domain(domain), 900)
+
+
 def test_distinct_value_export_keeps_the_sign_of_zero():
-    # 0.0 and -0.0 compare equal but print differently
-    sp = ScaledPolygon(((0.0, -0.0), (-0.0, 0.0), (0.5, -0.0), (-0.5, 0.0)), Fraction(1), 1, square())
-    assert polygon_csv(sp) == "x,y\n0.0,-0.0\n-0.0,0.0\n0.5,-0.0\n-0.5,0.0\n"
-    assert 'd="M 0.000000 0.000000 L -0.000000 -0.000000 L 0.500000 0.000000 L -0.500000 -0.000000 Z"' in polygon_svg(sp)
-
-
-def per_vertex_exports(shape):
-    """The CSV and the SVG path of a cycle, formatted vertex by vertex."""
-    csv = "x,y\n" + "".join(f"{x!r},{y!r}\n" for x, y in shape.vertices)
-    path = " L ".join(f"{x:.6f} {-y:.6f}" for x, y in shape.vertices)
-    return csv, f'd="M {path} Z"'
-
-
-@pytest.mark.parametrize("domain,order", [("square", 20), ("ball:5/3", 17), ("octagon:1/3", 9)])
-def test_coordinate_moved_by_one_ulp_fails_the_octant_certificate(domain, order):
-    sp = scale_polygon(build_polygon(parse_domain(domain), order))
-    size = len(sp.xy) // 8
-    octant = first_octant(sp)
-    assert octant is not None and np.array_equal(octant, sp.xy[: size + 1])
-    # one row of the octant itself, one in a reversed block, the last row
-    for row, col in ((1, 0), (5 * size + 2, 1), (8 * size - 1, 0)):
-        for toward in (np.inf, -np.inf):
-            xy = sp.xy.copy()
-            xy[row, col] = np.nextafter(xy[row, col], toward)
-            moved = ScaledPolygon(xy, sp.scale, sp.order, sp.domain)
-            assert first_octant(moved) is None
-            csv, path = per_vertex_exports(moved)
-            assert polygon_csv(moved) == csv
-            assert path in polygon_svg(moved)
+    # 0.0 and -0.0 compare equal but print differently: an octant whose
+    # magnitudes hold 0.0 gets -0.0 wherever its block is signed
+    octant = np.array([(0.0, -0.5), (0.5, -0.0), (0.0, -0.5)])
+    csv = "\n".join(polygon_module._octant_blocks(octant, repr, ",", "\n"))
+    assert csv == "\n".join([
+        "0.0,-0.5", "0.5,-0.0",     # (a, -b)
+        "0.0,-0.5", "0.5,-0.0",     # (b, -a), reversed
+        "0.5,0.0", "0.0,0.5",       # (b, a)
+        "0.5,0.0", "0.0,0.5",       # (a, b), reversed
+        "-0.0,0.5", "-0.5,0.0",     # (-a, b)
+        "-0.0,0.5", "-0.5,0.0",     # (-b, a), reversed
+        "-0.5,-0.0", "-0.0,-0.5",   # (-b, -a)
+        "-0.5,-0.0", "-0.0,-0.5",   # (-a, -b), reversed
+    ])
+    path = " L ".join(polygon_module._octant_blocks(octant, "{:.6f}".format, " ", " L ", flip_y=True))
+    assert path.startswith("0.000000 0.500000 L 0.500000 0.000000 L ")
+    assert path.endswith(" L -0.500000 0.000000 L -0.000000 0.500000")
 
 
 KERNEL_VALUES = [0, 1, -1, 2**63 - 1, -(2**63 - 1)] + [
@@ -301,17 +346,23 @@ KERNEL_VALUES = [0, 1, -1, 2**63 - 1, -(2**63 - 1)] + [
 
 
 @pytest.mark.parametrize("chunk_rows", [7, 1 << 16])
-def test_digit_kernel_matches_per_vertex_formatting(monkeypatch, chunk_rows):
-    monkeypatch.setattr(polygon_module, "_CHUNK_ROWS", chunk_rows)
+def test_digit_kernel_matches_per_vertex_formatting(chunk_rows):
+    # the kernel on slices of the value columns, as the exports call it
+    # once per block of a cycle
     rng = random.Random(11)
+
+    def kernel(x, y, mid, end):
+        return "".join(polygon_module._int_lines(x[i : i + chunk_rows], y[i : i + chunk_rows], mid, end)
+                       for i in range(0, len(x), chunk_rows))
+
     for values in (KERNEL_VALUES, [v for v in KERNEL_VALUES if abs(v) <= 2**53]):
         ys = values[::-1]
         rng.shuffle(ys)
-        poly = LatticePolygon(np.array(list(zip(values, ys)), dtype=np.int64), 1, square())
-        assert poly.xy.dtype == np.int64
-        csv, path = per_vertex_exports(poly)
-        assert polygon_csv(poly) == csv
-        assert path in polygon_svg(poly)
+        x, y = np.array(values, dtype=np.int64), np.array(ys, dtype=np.int64)
+        assert kernel(x, y, ",", "\n") == "".join(f"{u!r},{w!r}\n" for u, w in zip(values, ys))
+        if values is not KERNEL_VALUES:  # {:.6f} of an integer is exact up to 2^53
+            want = "".join(f"{u:.6f} {-w:.6f} L " for u, w in zip(values, ys))
+            assert kernel(x, -y, ".000000 ", ".000000 L ") == want
 
 
 def test_octant_exports_stream_one_block_per_chunk():
