@@ -23,6 +23,8 @@ import tempfile
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
+import numpy as np
+
 from . import analysis, curvature, domains, limit_curves, number_theory, polygon
 
 # Largest order for `polygon` and `converge`: a polygon of order Q has about
@@ -34,20 +36,17 @@ from . import analysis, curvature, domains, limit_curves, number_theory, polygon
 # points of the polygon's first octant.
 MAX_ORDER = 900
 # Largest `curvature --q-max`: the ladder's own bound.  The CSV is written a
-# block of 4096 orders at a time, and what grows with the order is the
-# R(Q) ladder, an int64 array read a block at a time; a trace at the cap
-# takes about 3-3.5 s for an irrational slope, 4-5 s for rat:2/5 and 6-6.5 s
-# for the cut points 0/1 and 1/1, whose runs are one order long, and peaks
-# at about 50 MB of RSS, 30 MB of it the import (37 MB at Q = 300000).
+# block of 4096 orders at a time, so what grows with the order is the R(Q)
+# ladder, an int64 array; at the cap a trace takes about 1.3 s for an
+# irrational slope, 2.5 s for rat:2/5 and 4 s for the cut points 0/1 and
+# 1/1 and peaks at about 50 MB of RSS, 30 MB of it the import.  The SVG,
+# which holds every point, is the largest command: about 4.5 s and 414 MB.
 MAX_TRACE_ORDER = curvature.MAX_LADDER_ORDER
 # Largest `--samples` of `limit-curve` and `converge`: an arc is sampled as
-# one array; at the cap `converge` takes about 1.5-1.8 s, most of it
-# sampling the arc, and peaks at about 127 MB of RSS (ball:3 at Q = 60; 2 s
-# and 160 MB at Q = MAX_ORDER), `limit-curve` writes its CSV 2^16 rows at a
-# time in about 4.5 s and at most 127 MB (Cp:3; 3.2 s and 79 MB for the
-# curves that need no scipy), and `limit-curve --format svg`, which formats
-# each arc coordinate once and writes one dihedral image at a time, takes
-# about 5 s and peaks at about 350 MB.
+# one array; at the cap `converge` takes about 1.5-1.8 s and 127 MB (ball:3
+# at Q = 60; 2 s and 160 MB at Q = MAX_ORDER), the `limit-curve` CSV, written
+# 4096 rows at a time, about 1.9 s and 127 MB (Cp:3; 1.2 s and 79 MB for C1)
+# and its SVG, one dihedral image at a time, about 5 s and 350 MB.
 MAX_SAMPLES = 2**20
 # Largest numerator m and denominator n of a ball exponent: membership takes
 # m-th powers and, for n >= 4, n-th integer roots (n <= 3 is a polynomial
@@ -105,6 +104,22 @@ def _parse_domain(raw: str) -> domains.DomainSpec:
             f"and a denominator at most {MAX_BALL_DENOMINATOR} (MAX_BALL_DENOMINATOR)"
         )
     return spec
+
+
+def _parse_curve(raw: str) -> limit_curves.LimitCurve:
+    """A curve whose arc is finite in float64 at lambda = 0 and 1, and so on
+    all of [0, 1]: its denominators and beta factors are monotone or
+    constant in lambda.  Cp:1/390 (whose B(1/p, 2/p) underflows to 0),
+    Cdelta:1e-162 and Cdelta:1e103 fail."""
+    curve = limit_curves.parse_curve(raw)
+    try:
+        with np.errstate(all="ignore"):
+            finite = np.isfinite(curve.points([0.0, 1.0])).all()
+    except ArithmeticError:
+        finite = False
+    if not finite:
+        raise ValueError(f"curve {curve} is not finite in float64 at lambda = 0 or 1")
+    return curve
 
 
 def _parse_q_list(raw: str) -> list[int]:
@@ -169,7 +184,7 @@ def _cmd_polygon(args: argparse.Namespace) -> Iterator[str]:
 
 
 def _cmd_limit_curve(args: argparse.Namespace) -> Iterator[str]:
-    curve = limit_curves.parse_curve(args.curve)
+    curve = _parse_curve(args.curve)
     yield from (limit_curves.curve_csv_chunks if args.format == "csv" else limit_curves.curve_svg_chunks)(
         curve, args.samples
     )
@@ -177,7 +192,7 @@ def _cmd_limit_curve(args: argparse.Namespace) -> Iterator[str]:
 
 def _cmd_converge(args: argparse.Namespace) -> Iterator[str]:
     spec = _parse_domain(args.domain)
-    curve = limit_curves.parse_curve(args.curve)
+    curve = _parse_curve(args.curve)
     records = analysis.convergence_table(spec, args.q_list, curve, samples=args.samples)
     yield analysis.convergence_csv(records)
 
@@ -308,7 +323,16 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader of stdout has gone: exit 1 quietly, stdout pointed at
+        # /dev/null so that the flush at exit fails no more (the recipe of
+        # the Python docs' note on SIGPIPE)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

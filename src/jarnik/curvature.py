@@ -15,8 +15,10 @@ block of orders at a time.  The runs that fill a block are certified
 together in int64 arrays, r^2 is taken once per run (in int64 where a
 bound shows that it fits, in Python ints otherwise), and the two float
 columns r_tilde and predicted are numpy expressions over the block, with
-the same IEEE operations in the same order as one order at a time, so
-each order costs only the text of its two floats.
+the same IEEE operations in the same order as one order at a time.  The
+CSV text of a block is one byte grid (textgrid): the orders and the two
+float columns are written by numpy digit kernels, repr's exact text for
+the floats, and each run's integers are formatted once.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
+from . import textgrid
 from .number_theory import (
     FareyNeighbors,
     GeneratedCF,
@@ -434,21 +437,25 @@ def trace_lines(
     lam: RealSpec | Fraction, q_min: int, q_max: int, side: str | None = None
 ) -> Iterator[str]:
     """The text of trace_csv(curvature_trace(...)), a block at a time from
-    _blocks, with its checks done before this returns: ",q1,q2,num,den,"
-    is formatted once per run in the block, and each order adds its Q and
-    the repr of its two floats."""
+    _blocks, with its checks done before this returns.  Each block is one
+    byte grid (textgrid): the Q column, the text "q1,q2,num,den," of each
+    run in the block repeated over its orders, and r_tilde and predicted
+    as repr writes them."""
     blocks = _blocks(lam, q_min, q_max, side)
 
     def lines():
         yield _CSV_HEADER
         for block in blocks:
-            mids = [f",{q1},{q2},{num},{den}," for q1, q2, num, den in zip(
-                block.q1.tolist(), block.q2.tolist(), block.num.tolist(), block.den.tolist())]
-            yield "".join([
-                f"{order}{mid}{rt!r},{pr!r}\n" for order, mid, rt, pr in zip(
-                    range(block.lo, block.hi + 1), np.repeat(np.array(mids, dtype=object), block.counts).tolist(),
-                    block.r_tilde.tolist(), block.predicted.tolist())
-            ])
+            ints = np.stack((block.q1, block.q2, block.num, block.den), axis=1)
+            if ints.dtype == object:  # numerators beyond int64, each run formatted once
+                runs = textgrid.str_grid([f"{q1},{q2},{num},{den}," for q1, q2, num, den in ints.tolist()])
+            else:
+                runs = textgrid.int_grid(ints, 1)
+                runs[:, :, -1] = ord(",")
+                runs = runs.reshape(len(ints), -1)
+            floats = textgrid.float_grid(np.stack((block.r_tilde, block.predicted), axis=1))
+            yield textgrid.lines([textgrid.int_grid(np.arange(block.lo, block.hi + 1)), ",",
+                                  np.repeat(runs, block.counts, axis=0), floats[:, 0], ",", floats[:, 1], "\n"])
 
     return lines()
 

@@ -14,7 +14,9 @@ curve exposes an implicit residual for verification.
 
 `LimitCurve.points` evaluates an arc at a whole array of parameters with
 numpy; every other sampler reads it.  The incomplete beta functions come
-from `scipy.special.betainc`, imported on first use.
+from `scipy.special.betainc`, imported on first use.  The CSV is written
+4096 rows at a time by the float digit kernel of `textgrid`, which gives
+repr's text; the SVG formats each arc coordinate once with {:.6f}.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ from itertools import chain, repeat
 from typing import Iterator, Sequence
 
 import numpy as np
+
+from . import textgrid
 
 Point = tuple[float, float]
 
@@ -257,21 +261,22 @@ def dihedral_images(points: np.ndarray) -> np.ndarray:
     return stacked * _DIHEDRAL_SIGNS[:, None, :]
 
 
-# CSV rows are formatted this many at a time.
-_CSV_BLOCK_ROWS = 1 << 16
+# CSV rows are written this many at a time, as curvature._BLOCK orders are.
+_CSV_BLOCK_ROWS = 4096
 
 
 def curve_csv_chunks(curve: LimitCurve, samples: int) -> Iterator[str]:
     """The text of curve_csv, the header and then blocks of rows: the arc is
     sampled as one array before anything is yielded, and its rows are
-    formatted a block at a time."""
+    written a block at a time as one byte grid (textgrid) of lambda, x and
+    y as repr writes them."""
     lams = _uniform_grid(samples)
     arc = curve.points(lams)
     yield "lambda,x,y\n"
     for start in range(0, samples, _CSV_BLOCK_ROWS):
         block = slice(start, start + _CSV_BLOCK_ROWS)
-        xs, ys = arc[block].T.tolist()
-        yield "".join([f"{lam!r},{x!r},{y!r}\n" for lam, x, y in zip(lams[block].tolist(), xs, ys)])
+        cols = textgrid.float_grid(np.column_stack((lams[block], arc[block])))
+        yield textgrid.lines([cols[:, 0], ",", cols[:, 1], ",", cols[:, 2], "\n"])
 
 
 def curve_csv(curve: LimitCurve, samples: int) -> str:

@@ -30,8 +30,9 @@ like 0.3 Q^3).  An empty arc, when (1, 1) lies outside the region, is the
 one special case: its polygon is the unit square.
 
 The exports are streamed a block of the cycle at a time: integer rows by
-an int64 digit kernel in numpy, scaled rows by formatting each octant
-magnitude once and following the blocks' sign-and-swap template.
+the int64 digit kernel of `textgrid`, scaled rows by formatting each
+octant magnitude once with repr or {:.6f} and following the blocks'
+sign-and-swap template.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
+from . import textgrid
 from .domains import DomainSpec, lattice_contains
 from .number_theory import RationalReal, RealSpec, farey_fractions
 
@@ -286,26 +288,15 @@ def _octant_blocks(octant: np.ndarray, fmt: Callable[[float], str], mid: str, en
 def _int_lines(x: np.ndarray, y: np.ndarray, mid: str, end: str) -> str:
     """"".join(f"{x}{mid}{y}{end}") over int64 columns x and y, exactly.
 
-    Each row is laid out in one uint8 grid of two fields, one per column:
-    a sign byte, as many digit bytes as the largest magnitude has, filled
-    for both columns at once by repeated division by 10, and the column's
-    separator.  The sign byte of a nonnegative value, the leading zeros
-    and the padding of the shorter separator are NUL, which one
-    `bytes.translate` deletes before the decode."""
-    cols = np.stack((x, y), axis=1)
-    mag = np.abs(cols).astype(np.uint64)  # -2^63 wraps to its magnitude
-    width = len(str(int(mag.max(initial=0))))
-    grid = np.zeros((len(cols), 2, 1 + width + max(len(mid), len(end))), dtype=np.uint8)
-    grid[:, :, 0] = (cols < 0).view(np.uint8) * ord("-")
-    for j in range(width, 0, -1):
-        quot = mag // 10
-        digit = mag.astype(np.uint8) - quot.astype(np.uint8) * 10  # mod 256
-        # a leading zero, where nothing is left, stays NUL
-        grid[:, :, j] = digit + ((mag != 0).view(np.uint8) if j < width else 1) * ord("0")
-        mag = quot
+    Each row is laid out in one uint8 grid of two fields, one per column,
+    by the digit kernel of `textgrid`: a sign byte, the digits of both
+    columns, filled in one loop, and the column's separator in the room
+    left after them."""
+    grid = textgrid.int_grid(np.stack((x, y), axis=1), max(len(mid), len(end)))
+    at = grid.shape[2] - max(len(mid), len(end))
     for k, sep in enumerate((mid, end)):
-        grid[:, k, width + 1 : width + 1 + len(sep)] = np.frombuffer(sep.encode(), dtype=np.uint8)
-    return grid.tobytes().translate(None, b"\0").decode("ascii")
+        grid[:, k, at : at + len(sep)] = np.frombuffer(sep.encode(), dtype=np.uint8)
+    return textgrid.text(grid)
 
 
 def polygon_csv_chunks(polygon: LatticePolygon | ScaledPolygon) -> Iterator[str]:

@@ -266,6 +266,56 @@ def test_limit_curve_bad_spec(capsys):
     assert code == 2
 
 
+# the last parameters whose arc is finite in float64 at lambda = 0 and 1,
+# and the first past them: B(1/p, 2/p) underflows to 0 below p = 1/389,
+# d^2 (3d + 1) below d = 1e-161, and (d + 1)^2 overflows above d = 1e102
+FINITE_CURVE_EDGES = ["Cp:1/389", "Cdelta:1e-161", "Cdelta:1e102", "Cp:1e300"]
+NONFINITE_CURVES = ["Cp:1/390", "Cp:1/400", "Cdelta:1e-162", "Cdelta:1e-300", "Cdelta:1e103", "Cdelta:1e400",
+                    "Cdelta:1e300", "Cp:1e309"]
+
+
+def matching_domain(curve: str) -> str:
+    family, _, param = curve.partition(":")
+    return f"{'octagon' if family == 'Cdelta' else 'ball'}:{param}"
+
+
+@pytest.mark.parametrize("curve", FINITE_CURVE_EDGES)
+def test_curve_parameters_at_the_edge_give_finite_rows(capsys, curve):
+    code, out, _ = run_capture(capsys, ["limit-curve", "--curve", curve, "--samples", "4097"])
+    assert code == 0
+    rows = np.array([line.split(",") for line in out.splitlines()[1:]], dtype=float)
+    assert rows.shape == (4097, 3) and np.isfinite(rows).all()
+    if curve.startswith("Cdelta"):  # the ball exponents are capped far inside the edge
+        code, out, _ = run_capture(capsys, ["converge", "--domain", matching_domain(curve), "--curve", curve,
+                                            "--q-list", "5"])
+        assert code == 0 and np.isfinite([float(v) for v in out.splitlines()[1].split(",")[-2:]]).all()
+
+
+@pytest.mark.parametrize("curve", NONFINITE_CURVES)
+def test_curve_parameters_past_the_edge_exit_2(capsys, curve):
+    code, out, err = run_capture(capsys, ["limit-curve", "--curve", curve])
+    assert code == 2 and out == "" and "is not finite" in err
+    code, out, err = run_capture(capsys, ["converge", "--domain", matching_domain(curve), "--curve", curve,
+                                          "--q-list", "5"])
+    assert code == 2 and out == ""
+    assert "is not finite" in err or "MAX_BALL" in err
+
+
+def test_closed_stdout_exits_1_quietly():
+    # the reader takes one line and closes the pipe while the trace is written
+    import jarnik
+
+    src = os.path.dirname(os.path.dirname(jarnik.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = [sys.executable, "-m", "jarnik.cli", "curvature", "--lambda", "const:e-2", "--q-max", "100000"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"Q,q1,q2,r_squared_num,r_squared_den,r_tilde,predicted\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1 and err == b""
+
+
 # sha256 of the `limit-curve` CSV bytes at 1001 samples; C, C1 and Cdelta:2
 # were recorded from the scalar arcs, Cp:2 and Cp:3 once scipy's betainc
 # evaluated the ball family

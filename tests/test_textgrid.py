@@ -1,0 +1,78 @@
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from jarnik import textgrid
+
+
+def rows_text(values: np.ndarray) -> str:
+    return textgrid.lines([textgrid.float_grid(values), "\n"])
+
+
+def reprs(values: np.ndarray) -> str:
+    return "".join(f"{x!r}\n" for x in values.tolist())
+
+
+def test_random_bit_patterns_match_repr():
+    # every class of float64: normals in both notations, subnormals, zeros, inf and nan
+    bits = np.random.default_rng(20).integers(0, 2**64, size=10**6, dtype=np.uint64, endpoint=False)
+    values = bits.view(np.float64)
+    for start in range(0, len(values), 1 << 16):
+        block = values[start : start + (1 << 16)]
+        assert rows_text(block) == reprs(block), start
+
+
+@pytest.mark.parametrize("draw", ["uniform", "lognormal"])
+def test_samples_match_repr(draw):
+    rng = np.random.default_rng(21)
+    values = rng.random(1 << 16) if draw == "uniform" else rng.lognormal(0.0, 8.0, 1 << 16)
+    values[::2] *= -1
+    assert rows_text(values) == reprs(values)
+
+
+def test_powers_of_two_and_their_neighbours_match_repr():
+    powers = np.ldexp(1.0, np.arange(-1074, 1024))
+    values = np.concatenate((powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)))
+    assert rows_text(values) == reprs(values)
+
+
+def test_powers_of_ten_match_repr():
+    values = np.array([10.0**k for k in range(-307, 308)])
+    assert rows_text(values) == reprs(values)
+
+
+def test_layout_edges_match_repr():
+    edges = [1e-4, 1e-5, 9999999999999998.0, 1e16, 2.0**53 - 1, 2.0**53, 2.0**53 + 2, 0.0, -0.0,
+             np.nextafter(1e-4, 0.0), np.nextafter(1e16, 0.0), 0.5, 1.0, 123.0, 0.001, 1234.5]
+    values = np.array(edges + [-x for x in edges])
+    assert rows_text(values) == reprs(values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=40))
+def test_any_floats_match_repr(xs):
+    values = np.array(xs, dtype=np.float64)
+    assert rows_text(values) == reprs(values)
+
+
+def test_grid_shape_follows_the_values():
+    values = np.array([[0.5, -2.0, 1e-7], [3.25, 0.0, 1e20]])
+    grid = textgrid.float_grid(values)
+    assert grid.shape[:2] == (2, 3)
+    assert textgrid.lines([grid[:, 0], ",", grid[:, 1], ",", grid[:, 2], "\n"]) == "0.5,-2.0,1e-07\n3.25,0.0,1e+20\n"
+
+
+def test_int_and_str_grids_join_with_separators():
+    ints = textgrid.int_grid(np.array([0, -7, 2**63 - 1, -(2**63)], dtype=np.int64))
+    texts = textgrid.str_grid(["a", "", "bcd", "ef"])
+    want = "".join(f"{n};{t}|\n" for n, t in zip([0, -7, 2**63 - 1, -(2**63)], ["a", "", "bcd", "ef"]))
+    assert textgrid.lines([ints, ";", texts, "|\n"]) == want
+
+
+def test_g_table_entries_meet_the_kernel_bounds():
+    # the shifts of _shortest stay in 2..6 and its scaled significands in 64 bits
+    for key in range(2, 4094):
+        k, h, g1, g0 = textgrid._g_row(key)
+        assert 2 <= h <= 5
+        assert 2**125 < g1 * 2**63 + g0 <= 2**126 and g0 < 2**63
