@@ -236,16 +236,8 @@ def distance_to_curve(
 ) -> float:
     """Upper bound on the largest distance from the polygon's vertices and
     edge midpoints to the full eight-fold curve."""
-    measured, slack = distance_details(poly, curve, samples)
+    measured, slack = curve_distance(curve, samples)(_probe_points(poly, curve))
     return measured + slack
-
-
-def distance_details(
-    poly: ScaledPolygon, curve: LimitCurve, samples: int = 2**14
-) -> tuple[float, float]:
-    """(measured distance, sampling slack) of one polygon's vertices and edge
-    midpoints; see curve_distance."""
-    return curve_distance(curve, samples)(_probe_points(poly, curve))
 
 
 # ---------------------------------------------------------------------------

@@ -27,31 +27,21 @@ import numpy as np
 
 from . import analysis, curvature, domains, limit_curves, number_theory, polygon
 
+# Caps on what one command may cost; the README gives each one's time and RSS.
 # Largest order for `polygon` and `converge`: a polygon of order Q has about
 # 2.4 Q^2 vertices, held as its fundamental arc of about 0.3 Q^2 edges and
-# written one eighth of its cycle at a time; at the cap `polygon --scaled`
-# takes about 1.4 s and peaks at about 233 MB of RSS (unscaled 0.7 s and
-# 82 MB), `converge` at about 204 MB (0.7 s) for the square against C and
-# 59-100 MB (0.5-0.9 s) for the sampled curves, measuring only the probe
-# points of the polygon's first octant.
+# written one eighth of its cycle at a time.
 MAX_ORDER = 900
 # Largest `curvature --q-max`: the ladder's own bound.  The CSV is written a
 # block of 4096 orders at a time, so what grows with the order is the R(Q)
-# ladder, an int64 array; at the cap a trace takes about 1.3 s for an
-# irrational slope, 2.5 s for rat:2/5 and 4 s for the cut points 0/1 and
-# 1/1 and peaks at about 50 MB of RSS, 30 MB of it the import.  The SVG,
-# which holds every point, is the largest command: about 4.5 s and 414 MB.
+# ladder, an int64 array; the SVG holds every point.
 MAX_TRACE_ORDER = curvature.MAX_LADDER_ORDER
 # Largest `--samples` of `limit-curve` and `converge`: an arc is sampled as
-# one array; at the cap `converge` takes about 1.5-1.8 s and 127 MB (ball:3
-# at Q = 60; 2 s and 160 MB at Q = MAX_ORDER), the `limit-curve` CSV, written
-# 4096 rows at a time, about 1.9 s and 127 MB (Cp:3; 1.2 s and 79 MB for C1)
-# and its SVG, one dihedral image at a time, about 5 s and 350 MB.
+# one array.
 MAX_SAMPLES = 2**20
 # Largest numerator m and denominator n of a ball exponent: membership takes
 # m-th powers and, for n >= 4, n-th integer roots (n <= 3 is a polynomial
-# comparison); at MAX_ORDER the row caps of 199/10 take about 0.08 s, those
-# of 999/4 about 1.1 s and those of 1000/3 about 0.25 s.
+# comparison).
 MAX_BALL_NUMERATOR = 200
 MAX_BALL_DENOMINATOR = 10
 

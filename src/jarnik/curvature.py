@@ -40,8 +40,8 @@ from .number_theory import (
     RealSpec,
     convergent_walk,
     farey_neighbor_runs,
-    moebius_array as moebius_sieve,  # the ladder's check: int8 mu, no list
-    totient_array as totient_sieve,  # the ladder's sieve: int64 totients, no list
+    moebius_array,
+    totient_array,
 )
 
 _SQUARE_COEFF = math.pi**2 / 6.0
@@ -114,18 +114,13 @@ def _x_ladder(q_max: int) -> np.ndarray:
     there."""
     if not 1 <= q_max <= MAX_LADDER_ORDER:
         raise ValueError(f"ladder top {q_max} is outside 1..{MAX_LADDER_ORDER} (MAX_LADDER_ORDER)")
-    xs = totient_sieve(q_max)  # a fresh int64 array, so that its sieve's temporaries are gone
+    xs = totient_array(q_max)  # a fresh int64 array, so that its sieve's temporaries are gone
     xs *= np.arange(q_max + 1, dtype=np.int64)
     xs.cumsum(out=xs)
-    x, check = int(xs[-1]), _x_by_moebius(q_max, moebius_sieve(q_max))
+    x, check = int(xs[-1]), _x_by_moebius(q_max, moebius_array(q_max))
     if check != x:
         raise ArithmeticError(f"scale ladder drift at Q={q_max}: {x} != {check}")
     return xs
-
-
-def scale_ladder(q_max: int) -> list[Fraction]:
-    """R(Q) = 3 X(Q,1)/2 for Q = 0..q_max."""
-    return [Fraction(3 * x, 2) for x in _x_ladder(q_max).tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -427,16 +422,11 @@ def limsup_liminf_estimate(
 _CSV_HEADER = "Q,q1,q2,r_squared_num,r_squared_den,r_tilde,predicted\n"
 
 
-def trace_csv(samples: Sequence[CurvatureSample]) -> str:
-    return _CSV_HEADER + "".join(
-        f"{s.order},{s.q1},{s.q2},{s.r_squared.numerator},{s.r_squared.denominator},"
-        f"{s.r_tilde!r},{s.predicted!r}\n" for s in samples)
-
-
 def trace_lines(
     lam: RealSpec | Fraction, q_min: int, q_max: int, side: str | None = None
 ) -> Iterator[str]:
-    """The text of trace_csv(curvature_trace(...)), a block at a time from
+    """The trace's CSV, a row "Q,q1,q2,num,den,r_tilde,predicted" per
+    sample of curvature_trace(...) after a header, a block at a time from
     _blocks, with its checks done before this returns.  Each block is one
     byte grid (textgrid): the Q column, the text "q1,q2,num,den," of each
     run in the block repeated over its orders, and r_tilde and predicted
@@ -467,11 +457,6 @@ def trace_points(
     with its checks done before this returns."""
     blocks = _blocks(lam, q_min, q_max, side)
     return (point for block in blocks for point in zip(range(block.lo, block.hi + 1), block.r_tilde.tolist()))
-
-
-def trace_svg(samples: Sequence[CurvatureSample], bounds: CurvatureBounds | None = None) -> str:
-    """points_svg of the samples' (Q, r_tilde)."""
-    return points_svg([(s.order, s.r_tilde) for s in samples], bounds)
 
 
 def points_svg(points: Sequence[tuple[int, float]], bounds: CurvatureBounds | None = None) -> str:

@@ -98,7 +98,10 @@ def parse_domain(text: str) -> DomainSpec:
         return DomainSpec(text)
     name, sep, raw = text.partition(":")
     if sep and name in ("octagon", "ball"):
-        value = math.inf if raw == "inf" else Fraction(raw)
+        try:
+            value = math.inf if raw == "inf" else Fraction(raw)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {text!r}") from None
         return octagon(value) if name == "octagon" else ball(value)
     raise ValueError(f"unsupported domain specification: {text!r}")
 

@@ -14,9 +14,10 @@ curve exposes an implicit residual for verification.
 
 `LimitCurve.points` evaluates an arc at a whole array of parameters with
 numpy; every other sampler reads it.  The incomplete beta functions come
-from `scipy.special.betainc`, imported on first use.  The CSV is written
-4096 rows at a time by the float digit kernel of `textgrid`, which gives
-repr's text; the SVG formats each arc coordinate once with {:.6f}.
+from `scipy.special.betainc`, imported on first use.  `curve_csv_chunks`
+writes the CSV 4096 rows at a time by the float digit kernel of
+`textgrid`, which gives repr's text; `curve_svg_chunks` formats each arc
+coordinate once with {:.6f}.
 """
 
 from __future__ import annotations
@@ -180,9 +181,6 @@ class LimitCurve:
         x, y = self.points([lam])[0].tolist()
         return (x, y)
 
-    def arc_end(self) -> Point:
-        return self.point(1.0)
-
     def implicit_residual(self, x: float, y: float) -> float | None:
         """Residual of the known algebraic form, None where none is known.
 
@@ -221,7 +219,10 @@ def parse_curve(text: str) -> LimitCurve:
 
 
 def _parse_positive(raw: str) -> Fraction:
-    value = Fraction(raw)  # handles both decimals and a/b
+    try:
+        value = Fraction(raw)  # handles both decimals and a/b
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in curve parameter {raw!r}") from None
     if value <= 0:
         raise ValueError("curve parameter must be positive")
     return value
@@ -237,13 +238,6 @@ def _uniform_grid(samples: int) -> np.ndarray:
     if samples < 2:
         raise ValueError("need at least two samples")
     return np.arange(samples) / (samples - 1)
-
-
-def sample_arc(curve: LimitCurve, samples: int) -> list[tuple[float, float, float]]:
-    """(lam, x, y) rows on a uniform parameter grid with both endpoints."""
-    lams = _uniform_grid(samples)
-    xs, ys = curve.points(lams).T.tolist()
-    return list(zip(lams.tolist(), xs, ys))
 
 
 # the eight dihedral maps (x, y), (y, x), (-y, x), (-x, y), (-x, -y),
@@ -266,10 +260,11 @@ _CSV_BLOCK_ROWS = 4096
 
 
 def curve_csv_chunks(curve: LimitCurve, samples: int) -> Iterator[str]:
-    """The text of curve_csv, the header and then blocks of rows: the arc is
-    sampled as one array before anything is yielded, and its rows are
-    written a block at a time as one byte grid (textgrid) of lambda, x and
-    y as repr writes them."""
+    """The arc's CSV on a uniform parameter grid with both endpoints, the
+    header and then blocks of (lambda, x, y) rows: the arc is sampled as
+    one array before anything is yielded, and its rows are written a block
+    at a time as one byte grid (textgrid) of lambda, x and y as repr
+    writes them."""
     lams = _uniform_grid(samples)
     arc = curve.points(lams)
     yield "lambda,x,y\n"
@@ -279,12 +274,9 @@ def curve_csv_chunks(curve: LimitCurve, samples: int) -> Iterator[str]:
         yield textgrid.lines([cols[:, 0], ",", cols[:, 1], ",", cols[:, 2], "\n"])
 
 
-def curve_csv(curve: LimitCurve, samples: int) -> str:
-    return "".join(curve_csv_chunks(curve, samples))
-
-
 def curve_svg_chunks(curve: LimitCurve, samples: int) -> Iterator[str]:
-    """The text of curve_svg, one dihedral image at a time.
+    """The curve's SVG, the fundamental arc and its eight dihedral images
+    as a single path, written one image at a time.
 
     Each arc coordinate's magnitude is formatted once; an image writes the
     texts of the arc's x and y columns, swapped or not, each after its sign:
@@ -306,8 +298,3 @@ def curve_svg_chunks(curve: LimitCurve, samples: int) -> Iterator[str]:
         rows = zip(leads, signs[cx][sx < 0], texts[cx], repeat(" "), signs[cy][sy > 0], texts[cy])
         yield "".join(chain.from_iterable(rows))
     yield '" fill="none" stroke="black" stroke-width="0.006"/>\n</svg>\n'
-
-
-def curve_svg(curve: LimitCurve, samples: int) -> str:
-    """Fundamental arc plus its eight dihedral images as a single path."""
-    return "".join(curve_svg_chunks(curve, samples))

@@ -95,11 +95,6 @@ def totient_array(limit: int) -> np.ndarray:
     return phi
 
 
-def totient_sieve(limit: int) -> list[int]:
-    """phi(0..limit) as a list of Python ints; see totient_array."""
-    return totient_array(limit).tolist()
-
-
 # ---------------------------------------------------------------------------
 # Farey sequences
 # ---------------------------------------------------------------------------
@@ -360,7 +355,10 @@ def parse_real(text: str) -> RealSpec:
     if text.startswith("rat:"):
         body = text[4:]
         num, _, den = body.partition("/")
-        value = Fraction(int(num), int(den)) if den else Fraction(int(num))
+        try:
+            value = Fraction(int(num), int(den)) if den else Fraction(int(num))
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {text!r}") from None
         return RationalReal(value)
     if text == "const:e-2":
         return E_MINUS_2

@@ -40,8 +40,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import cached_property, cmp_to_key
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from functools import cached_property
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -92,16 +92,6 @@ def primitive_vectors(spec: DomainSpec, order: int) -> list[PrimitiveVector]:
     """All primitive vectors (q, a) with (q/Q, a/Q) in the region, in
     counterclockwise order from (1, 0)."""
     return build_polygon(spec, order).edges()
-
-
-def sort_ccw(vectors: Sequence[PrimitiveVector]) -> list[PrimitiveVector]:
-    """Counterclockwise order of arbitrary vectors from the direction (1, 0):
-    by half plane, then by the sign of the integer cross product."""
-
-    def cmp(v: PrimitiveVector, w: PrimitiveVector) -> int:
-        return ((v.a, v.q) < (0, 0)) - ((w.a, w.q) < (0, 0)) or v.a * w.q - v.q * w.a
-
-    return sorted(vectors, key=cmp_to_key(cmp))
 
 
 # A polygon's cycle is eight blocks of L rows, built from its first-octant
@@ -300,7 +290,7 @@ def _int_lines(x: np.ndarray, y: np.ndarray, mid: str, end: str) -> str:
 
 
 def polygon_csv_chunks(polygon: LatticePolygon | ScaledPolygon) -> Iterator[str]:
-    """The text of polygon_csv, a header and then the blocks of the cycle:
+    """The polygon's CSV, a header and then the blocks of the cycle:
     integer rows by the digit kernel, scaled rows by their octant's
     formatted magnitudes."""
     yield "x,y\n"
@@ -313,14 +303,11 @@ def polygon_csv_chunks(polygon: LatticePolygon | ScaledPolygon) -> Iterator[str]
         yield "\n"
 
 
-def polygon_csv(polygon: LatticePolygon | ScaledPolygon) -> str:
-    return "".join(polygon_csv_chunks(polygon))
-
-
 def polygon_svg_chunks(polygon: LatticePolygon | ScaledPolygon) -> Iterator[str]:
-    """The text of polygon_svg, a header, the blocks of the cycle as in
-    polygon_csv_chunks and a footer; the {:.6f} text of an integer is its
-    digits and ".000000", as every coordinate is far below 2^53."""
+    """The polygon's SVG, one closed polyline (scaled polygons in the fixed
+    unit frame): a header, the blocks of the cycle as in polygon_csv_chunks
+    and a footer; the {:.6f} text of an integer is its digits and
+    ".000000", as every coordinate is far below 2^53."""
     if isinstance(polygon, ScaledPolygon):
         viewbox = "-1.2 -1.2 2.4 2.4"
         width = 0.006
@@ -342,8 +329,3 @@ def polygon_svg_chunks(polygon: LatticePolygon | ScaledPolygon) -> Iterator[str]
     for j, block in enumerate(blocks):
         yield " L " + block if j else block
     yield f' Z" fill="none" stroke="black" stroke-width="{width}"/>\n</svg>\n'
-
-
-def polygon_svg(polygon: LatticePolygon | ScaledPolygon) -> str:
-    """A single closed polyline; scaled polygons use the fixed unit frame."""
-    return "".join(polygon_svg_chunks(polygon))

@@ -20,7 +20,8 @@ The curvature trace is rebuilt the way the package built it before its
 integer rows: one neighbour query and one exact `Fraction` circumradius
 per order, and the way it wrote them a run of orders at a time before
 its float columns became arrays: the run's integers and r^2 once, in
-Python ints, and the two floats of each order one at a time.  The ladder's
+Python ints, and the two floats of each order one at a time, and the
+way it wrote a list of samples, one f-string each.  The ladder's
 Mobius check is summed one term per divisor d, as it was before its terms
 were grouped by the value of Q//d.  Ball membership keeps the order in which the package first
 ran its tests: the Besicovitch tie test before any bracketing.
@@ -52,7 +53,7 @@ import numpy as np
 
 from jarnik import limit_curves
 from jarnik.analysis import _distance_to_C
-from jarnik.curvature import circumradius_squared, predicted_radius
+from jarnik.curvature import CurvatureSample, _x_ladder, circumradius_squared, predicted_radius
 from jarnik.domains import DomainSpec, _iroot_floor, lattice_contains, moment_integrals
 from jarnik.limit_curves import LimitCurve, Point, beta_complete, log_beta, reg_inc_beta
 from jarnik.number_theory import (
@@ -271,6 +272,18 @@ def fraction_trace_csv(lam: RealSpec, q_min: int, q_max: int, side: str | None =
     return "\n".join(lines) + "\n"
 
 
+def trace_csv(samples: Sequence[CurvatureSample]) -> str:
+    """The `curvature` CSV of a list of samples, one f-string per sample."""
+    return "Q,q1,q2,r_squared_num,r_squared_den,r_tilde,predicted\n" + "".join(
+        f"{s.order},{s.q1},{s.q2},{s.r_squared.numerator},{s.r_squared.denominator},"
+        f"{s.r_tilde!r},{s.predicted!r}\n" for s in samples)
+
+
+def scale_ladder(q_max: int) -> list[Fraction]:
+    """R(Q) = 3 X(Q,1)/2 for Q = 0..q_max, from the package's int64 ladder."""
+    return [Fraction(3 * x, 2) for x in _x_ladder(q_max).tolist()]
+
+
 def run_trace_lines(lam: RealSpec, q_min: int, q_max: int, side: str | None = None) -> str:
     """The `curvature` CSV a run at a time, in Python ints and floats: per
     run of farey_neighbor_runs, ",q1,q2,num,den," and sqrt(num / den) once,
@@ -427,8 +440,10 @@ def dihedral_images(points: Sequence[tuple[float, float]]) -> list[list[tuple[fl
 def curve_csv(curve: LimitCurve, samples: int) -> str:
     """The arc's (lambda, x, y) rows, each formatted by its own f-string and
     joined at the end."""
+    lams = limit_curves._uniform_grid(samples)
+    xs, ys = curve.points(lams).T.tolist()
     lines = ["lambda,x,y"]
-    for lam, x, y in limit_curves.sample_arc(curve, samples):
+    for lam, x, y in zip(lams.tolist(), xs, ys):
         lines.append(f"{lam!r},{x!r},{y!r}")
     return "\n".join(lines) + "\n"
 

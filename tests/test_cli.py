@@ -524,14 +524,14 @@ def test_curvature_rational_slope_refused_before_ladder(capsys, monkeypatch, lam
 
 @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "file"])
 def test_curvature_wrong_totient_fails_before_any_output(capsys, monkeypatch, tmp_path, to_file):
-    sieve = curvature.totient_sieve
+    sieve = curvature.totient_array
 
     def perturbed(limit):
         phi = sieve(limit)
         phi[97] += 1
         return phi
 
-    monkeypatch.setattr(curvature, "totient_sieve", perturbed)
+    monkeypatch.setattr(curvature, "totient_array", perturbed)
     argv = ["curvature", "--lambda", "const:inv-sqrt3", "--q-min", "2", "--q-max", "1000"]
     code, out, err = run_capture(capsys, argv + (["--output", str(tmp_path / "t.csv")] if to_file else []))
     assert code == 1 and out == ""
@@ -685,6 +685,24 @@ def test_unwritable_output_refused_before_any_work(capsys, monkeypatch, tmp_path
     assert code == 2 and out == ""
     assert err == f"jarnik: argument error: cannot write {target}: {reason}\n"
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["curvature", "--lambda", "rat:1/0", "--side", "+", "--q-max", "10"],
+        ["curvature", "--lambda", "rat:0/0", "--side", "+", "--q-max", "10"],
+        ["polygon", "--domain", "octagon:1/0", "--q", "5"],
+        ["polygon", "--domain", "ball:1/0", "--q", "5"],
+        ["limit-curve", "--curve", "Cp:1/0"],
+        ["limit-curve", "--curve", "Cdelta:3/0"],
+        ["converge", "--domain", "square", "--curve", "Cp:2/0", "--q-list", "5"],
+    ],
+)
+def test_zero_denominator_is_an_argument_error(capsys, argv):
+    code, out, err = run_capture(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("jarnik: argument error: zero denominator")
 
 
 # ---------------------------------------------------------------------------

@@ -15,12 +15,10 @@ from jarnik.curvature import (
     limit_curve_radius,
     limsup_liminf_estimate,
     local_radius,
+    points_svg,
     predicted_radius,
-    scale_ladder,
-    trace_csv,
     trace_lines,
     trace_points,
-    trace_svg,
 )
 from jarnik import curvature
 from jarnik.curvature import _bounds_for, _x_by_moebius
@@ -34,7 +32,9 @@ from oracles import (
     fraction_trace_csv,
     run_trace_lines,
     scale_factor,
+    scale_ladder,
     square_scale_factor,
+    trace_csv,
     x_by_moebius_terms,
 )
 
@@ -145,7 +145,7 @@ def test_scale_ladder_crosscheck_runs():
 
 
 def test_moebius_check_takes_the_int8_array_or_the_list():
-    assert curvature.moebius_sieve is moebius_array
+    assert curvature.moebius_array is moebius_array
     mu = moebius_array(10**5)
     for order in (1, 2, 64, 1000, 10**5):
         assert _x_by_moebius(order, mu) == _x_by_moebius(order, mu.tolist()), order
@@ -162,8 +162,8 @@ def test_ladder_refuses_a_top_beyond_its_int64_bound(monkeypatch):
     def no_sieve(limit):
         raise AssertionError(f"sieved up to {limit}")
 
-    monkeypatch.setattr(curvature, "totient_sieve", no_sieve)
-    monkeypatch.setattr(curvature, "moebius_sieve", no_sieve)
+    monkeypatch.setattr(curvature, "totient_array", no_sieve)
+    monkeypatch.setattr(curvature, "moebius_array", no_sieve)
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="MAX_LADDER_ORDER"):
@@ -178,14 +178,14 @@ def test_ladder_refuses_a_top_beyond_its_int64_bound(monkeypatch):
 
 def test_scale_ladder_guard_catches_a_wrong_totient(monkeypatch):
     # one wrong phi(q) far below the top still changes X(q_max, 1)
-    sieve = curvature.totient_sieve
+    sieve = curvature.totient_array
 
     def perturbed(limit):
         phi = sieve(limit)
         phi[97] += 1
         return phi
 
-    monkeypatch.setattr(curvature, "totient_sieve", perturbed)
+    monkeypatch.setattr(curvature, "totient_array", perturbed)
     with pytest.raises(ArithmeticError):
         scale_ladder(1000)
 
@@ -461,7 +461,7 @@ def test_trace_points_are_the_float_column_of_the_trace(text, side):
 
 def test_trace_svg_well_formed():
     trace = curvature_trace(INV_SQRT3, 10, 200)
-    svg = trace_svg(trace, _bounds_for(INV_SQRT3))
+    svg = points_svg([(s.order, s.r_tilde) for s in trace], _bounds_for(INV_SQRT3))
     root = ET.fromstring(svg)
     lines = root.findall("{http://www.w3.org/2000/svg}line")
     assert len(lines) == 3  # band floor, band ceiling, limit-curve radius

@@ -24,7 +24,7 @@ from jarnik.number_theory import (
     moebius_array,
     moebius_sieve,
     parse_real,
-    totient_sieve,
+    totient_array,
 )
 
 from oracles import (
@@ -122,17 +122,17 @@ def test_moebius_array_is_the_int8_sieve():
 
 
 def test_totient_sieve_prefix():
-    phi = totient_sieve(12)
+    phi = totient_array(12).tolist()
     assert phi[1:13] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
 
 
 def test_array_sieves_match_the_list_sieves():
     for limit in [*range(1, 501), 10**5]:
-        assert totient_sieve(limit) == totient_list_sieve(limit), limit
+        assert totient_array(limit).tolist() == totient_list_sieve(limit), limit
         assert moebius_sieve(limit) == moebius_linear_sieve(limit), limit
-    assert {type(v) for v in totient_sieve(30) + moebius_sieve(30)} == {int}
+    assert {type(v) for v in totient_array(30).tolist() + moebius_sieve(30)} == {int}
     with pytest.raises(ValueError):
-        totient_sieve(0)
+        totient_array(0)
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,8 @@ from jarnik.polygon import (
     build_polygon,
     fundamental_vertex,
     fundamental_vertices,
-    polygon_csv,
-    polygon_svg,
+    polygon_csv_chunks,
+    polygon_svg_chunks,
     primitive_vectors,
     scale_polygon,
 )
@@ -255,9 +255,9 @@ def test_array_scaling_and_export_match_per_vertex_formatting(domain):
         assert sp.vertices == tuple(((x + 0.5) / rf, (y - rf) / rf) for x, y in poly.vertices)
         for shape in (poly, sp):
             want_csv = "x,y\n" + "".join(f"{x!r},{y!r}\n" for x, y in shape.vertices)
-            assert polygon_csv(shape) == want_csv
+            assert "".join(polygon_csv_chunks(shape)) == want_csv
             want_path = " L ".join(f"{x:.6f} {-y:.6f}" for x, y in shape.vertices)
-            assert f'd="M {want_path} Z"' in polygon_svg(shape)
+            assert f'd="M {want_path} Z"' in "".join(polygon_svg_chunks(shape))
 
 
 def digest(chunks):
@@ -299,7 +299,7 @@ def check_against_reference_cycle(spec, order):
         assert digest(blocks + [" L "]) == digest(path)
     (x0, y0), (x1, y1) = ref.min(axis=0).tolist(), ref.max(axis=0).tolist()
     pad = max(2, (x1 - x0) // 20)
-    svg = polygon_svg(poly)
+    svg = "".join(polygon_svg_chunks(poly))
     assert f'viewBox="{x0 - pad} {-y1 - pad} {x1 - x0 + 2 * pad} {y1 - y0 + 2 * pad}"' in svg
     assert f'stroke-width="{max((x1 - x0) / 400.0, 0.05)}"' in svg
 
@@ -369,20 +369,11 @@ def test_octant_exports_stream_one_block_per_chunk():
     sp = scale_polygon(build_polygon(ball(Fraction(5, 3)), 30))
     size = len(sp.xy) // 8
     chunks = list(polygon_module.polygon_csv_chunks(sp))
-    assert chunks[0] == "x,y\n" and "".join(chunks) == polygon_csv(sp)
+    assert chunks[0] == "x,y\n" and "".join(chunks[1:]) == "".join(f"{x!r},{y!r}\n" for x, y in sp.vertices)
     assert max(chunk.count("\n") for chunk in chunks[1:]) == size - 1
     svg = list(polygon_module.polygon_svg_chunks(sp))
-    assert len(svg) == 10 and "".join(svg) == polygon_svg(sp)
-
-
-def test_sort_ccw_matches_fraction_key_oracle():
-    rng = random.Random(5)
-    vecs = set()
-    while len(vecs) < 400:
-        q, a = rng.randint(-50, 50), rng.randint(-50, 50)
-        if (q or a) and math.gcd(q, a) == 1:
-            vecs.add(PrimitiveVector(q, a))
-    assert polygon_module.sort_ccw(sorted(vecs)) == sort_ccw(sorted(vecs))
+    path = " L ".join(f"{x:.6f} {-y:.6f}" for x, y in sp.vertices)
+    assert len(svg) == 10 and f'd="M {path} Z"' in "".join(svg)
 
 
 def test_fundamental_vertex_examples():
@@ -471,7 +462,7 @@ def test_vertex_sum_normalized_error_at_500():
 
 def test_polygon_csv_layout():
     poly = build_polygon(square(), 4)
-    lines = polygon_csv(poly).splitlines()
+    lines = "".join(polygon_csv_chunks(poly)).splitlines()
     assert lines[0] == "x,y"
     assert lines[1] == "0,0"  # vertex following the (1,0) edge comes first
     assert len(lines) == 49
@@ -479,9 +470,9 @@ def test_polygon_csv_layout():
 
 def test_polygon_svg_well_formed():
     for shape in (build_polygon(square(), 4), scale_polygon(build_polygon(square(), 4))):
-        root = ET.fromstring(polygon_svg(shape))
+        root = ET.fromstring("".join(polygon_svg_chunks(shape)))
         assert root.tag.endswith("svg")
         path = root.find("{http://www.w3.org/2000/svg}path")
         assert path is not None and path.get("d").startswith("M ")
-    scaled = polygon_svg(scale_polygon(build_polygon(square(), 4)))
+    scaled = "".join(polygon_svg_chunks(scale_polygon(build_polygon(square(), 4))))
     assert 'viewBox="-1.2 -1.2 2.4 2.4"' in scaled
