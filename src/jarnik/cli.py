@@ -54,6 +54,8 @@ def _write_artifact(chunks: Iterable[str], path: str | None) -> None:
         return
     if os.path.isdir(path):
         raise ValueError(f"cannot write {path}: Is a directory")
+    if not os.path.basename(path):  # "" or a path ending in a separator
+        raise ValueError(f"cannot write {path}: No file name")
     try:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".jarnik-tmp-")
     except OSError as exc:
@@ -61,6 +63,10 @@ def _write_artifact(chunks: Iterable[str], path: str | None) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             handle.writelines(chunks)
+        # mkstemp made the file 0600; give it the mode open() gives a new file
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -17,7 +17,8 @@ numpy; every other sampler reads it.  The incomplete beta functions come
 from `scipy.special.betainc`, imported on first use.  `curve_csv_chunks`
 writes the CSV 4096 rows at a time by the float digit kernel of
 `textgrid`, which gives repr's text; `curve_svg_chunks` formats each arc
-coordinate once with {:.6f}.
+coordinate's magnitude once with {:.6f} and writes each dihedral image as
+one byte grid of those texts and their signs.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -276,7 +276,7 @@ def curve_csv_chunks(curve: LimitCurve, samples: int) -> Iterator[str]:
 
 def curve_svg_chunks(curve: LimitCurve, samples: int) -> Iterator[str]:
     """The curve's SVG, the fundamental arc and its eight dihedral images
-    as a single path, written one image at a time.
+    as a single path, written one image at a time, each one byte grid.
 
     Each arc coordinate's magnitude is formatted once; an image writes the
     texts of the arc's x and y columns, swapped or not, each after its sign:
@@ -284,9 +284,8 @@ def curve_svg_chunks(curve: LimitCurve, samples: int) -> Iterator[str]:
     for the y axis, which points down), so -0.0 and values that round to
     zero keep the sign {:.6f} gives them."""
     arc = curve.points(_uniform_grid(samples))
-    texts = [list(map("{:.6f}".format, col)) for col in np.abs(arc).T.tolist()]
-    # signs[c][flip]: the sign texts of column c, negated under flip
-    signs = [[np.where(neg ^ flip, "-", "").tolist() for flip in (False, True)] for neg in np.signbit(arc).T]
+    texts = [textgrid.str_grid(list(map("{:.6f}".format, col.tolist()))) for col in np.abs(arc).T]
+    neg = np.signbit(arc)
     yield (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         '<svg xmlns="http://www.w3.org/2000/svg" viewBox="-1.2 -1.2 2.4 2.4">\n'
@@ -294,7 +293,8 @@ def curve_svg_chunks(curve: LimitCurve, samples: int) -> Iterator[str]:
     )
     for i, (swapped, (sx, sy)) in enumerate(zip(_DIHEDRAL_SWAPS, _DIHEDRAL_SIGNS.tolist())):
         cx, cy = (1, 0) if swapped else (0, 1)
-        leads = chain(("M " if i == 0 else " M ",), repeat(" L "))
-        rows = zip(leads, signs[cx][sx < 0], texts[cx], repeat(" "), signs[cy][sy > 0], texts[cy])
-        yield "".join(chain.from_iterable(rows))
+        sign_x = (neg[:, cx, None] ^ (sx < 0)) * np.uint8(ord("-"))
+        sign_y = (neg[:, cy, None] ^ (sy > 0)) * np.uint8(ord("-"))
+        rows = textgrid.lines([" L ", sign_x, texts[cx], " ", sign_y, texts[cy]])
+        yield (" M " if i else "M ") + rows[len(" L "):]
     yield '" fill="none" stroke="black" stroke-width="0.006"/>\n</svg>\n'

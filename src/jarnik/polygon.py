@@ -29,10 +29,12 @@ is correctly rounded and symmetric in sign and no magnitude is zero.
 like 0.3 Q^3).  An empty arc, when (1, 1) lies outside the region, is the
 one special case: its polygon is the unit square.
 
-The exports are streamed a block of the cycle at a time: integer rows by
-the int64 digit kernel of `textgrid`, scaled rows by formatting each
-octant magnitude once with repr or {:.6f} and following the blocks'
-sign-and-swap template.
+`_blocks` is the one walk of that sign-and-swap template: the cycle's
+columns and every export read it.  The exports are streamed a block of
+the cycle at a time, each block one byte grid of `textgrid.lines`:
+integer rows from the int64 digit kernel, scaled rows from the text of
+each octant magnitude, written once (repr by the float kernel for CSV,
+{:.6f} for SVG), with the block's signs as constant columns.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -119,14 +121,19 @@ def _template(octant: np.ndarray) -> tuple[np.ndarray, tuple]:
     return (octant[:size], _BLOCKS) if size else (octant, _BLOCKS[::2])
 
 
-def _blocks(a: np.ndarray, b: np.ndarray, template: tuple) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The (x, y) columns of each block of a cycle, the magnitudes a and b
-    swapped, reversed and signed as `template` says."""
+def _blocks(a: np.ndarray, b: np.ndarray, template: tuple
+            ) -> Iterator[tuple[str, np.ndarray, str, np.ndarray]]:
+    """(sx, u, sy, w) of each block of a cycle: its columns u and w, the rows
+    of the magnitudes a and b swapped and reversed as `template` says, and
+    their signs, "" or "-".  The magnitudes may be numbers or their text
+    grids."""
     for swapped, reversed_, sx, sy in template:
         u, w = (b, a) if swapped else (a, b)
-        if reversed_:
-            u, w = u[::-1], w[::-1]
-        yield (-u if sx else u), (-w if sy else w)
+        yield (sx, u[::-1], sy, w[::-1]) if reversed_ else (sx, u, sy, w)
+
+
+def _signed(sign: str, v: np.ndarray) -> np.ndarray:
+    return -v if sign else v
 
 
 class _OctantShape:
@@ -184,8 +191,8 @@ class LatticePolygon(_OctantShape):
         r2 = int(2 * self.scale)
         rows, template = _template(self.octant)
         x, y = rows.T
-        for u, w in _blocks(2 * x + 1, r2 - 2 * y, template):
-            yield (u - 1) // 2, (w + r2) // 2
+        for sx, u, sy, w in _blocks(2 * x + 1, r2 - 2 * y, template):
+            yield (_signed(sx, u) - 1) // 2, (_signed(sy, w) + r2) // 2
 
     def edges(self) -> list[PrimitiveVector]:
         steps = self.xy - np.roll(self.xy, 1, axis=0)
@@ -238,8 +245,13 @@ class ScaledPolygon(_OctantShape):
 
     def blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """The (x, y) columns of each block: signed swaps of the octant."""
+        return ((_signed(sx, u), _signed(sy, w)) for sx, u, sy, w in _blocks(*self._magnitudes()))
+
+    def _magnitudes(self) -> tuple[np.ndarray, np.ndarray, tuple]:
+        """The magnitudes a = x and b = -y of the octant's rows, which its
+        blocks repeat, and their template."""
         rows, template = _template(self.octant)
-        return _blocks(rows[:, 0], -rows[:, 1], template)
+        return rows[:, 0], -rows[:, 1], template
 
 
 def scale_polygon(polygon: LatticePolygon) -> ScaledPolygon:
@@ -254,64 +266,41 @@ def scale_polygon(polygon: LatticePolygon) -> ScaledPolygon:
 # ---------------------------------------------------------------------------
 
 
-def _octant_blocks(octant: np.ndarray, fmt: Callable[[float], str], mid: str, end: str,
-                   flip_y: bool = False) -> Iterator[str]:
-    """The blocks of the cycle of a float octant, each row x + mid + y and
-    rows joined by end, with y negated under flip_y.  fmt runs once per
-    octant magnitude, as fmt(-v) == "-" + fmt(v) for v of clear sign bit;
-    each block's x sign is folded into its join separator, and its rows
-    come from one of four families (swapped or not, y sign), each shared by
-    two blocks."""
-    rows, template = _template(octant)
-    a, b = (list(map(fmt, col.tolist())) for col in (rows[:, 0], -rows[:, 1]))
-    families: dict[tuple[bool, str], list[str]] = {}
-    for swapped, reversed_, sx, sy in template:
-        if flip_y:
-            sy = "" if sy else "-"
-        lines = families.get((swapped, sy))
-        if lines is None:
-            u, w = (b, a) if swapped else (a, b)
-            lines = families[swapped, sy] = [f"{x}{mid}{sy}{y}" for x, y in zip(u, w)]
-        yield sx + (end + sx).join(reversed(lines) if reversed_ else lines)
-
-
-def _int_lines(x: np.ndarray, y: np.ndarray, mid: str, end: str) -> str:
-    """"".join(f"{x}{mid}{y}{end}") over int64 columns x and y, exactly.
-
-    Each row is laid out in one uint8 grid of two fields, one per column,
-    by the digit kernel of `textgrid`: a sign byte, the digits of both
-    columns, filled in one loop, and the column's separator in the room
-    left after them."""
-    grid = textgrid.int_grid(np.stack((x, y), axis=1), max(len(mid), len(end)))
-    at = grid.shape[2] - max(len(mid), len(end))
-    for k, sep in enumerate((mid, end)):
-        grid[:, k, at : at + len(sep)] = np.frombuffer(sep.encode(), dtype=np.uint8)
-    return textgrid.text(grid)
+def _int_rows(x: np.ndarray, y: np.ndarray, lead: str, sep: str, end: str) -> str:
+    """The rows lead + x + sep + y + end of int64 columns x and y, exactly,
+    from one grid of the digit kernel of `textgrid`."""
+    grid = textgrid.int_grid(np.stack((x, y), axis=1))
+    return textgrid.lines([lead, grid[:, 0], sep, grid[:, 1], end])
 
 
 def polygon_csv_chunks(polygon: LatticePolygon | ScaledPolygon) -> Iterator[str]:
-    """The polygon's CSV, a header and then the blocks of the cycle:
-    integer rows by the digit kernel, scaled rows by their octant's
-    formatted magnitudes."""
+    """The polygon's CSV, a header and then the blocks of the cycle, each
+    one byte grid: integer rows by the digit kernel, scaled rows from the
+    repr text of each octant magnitude, taken once, and each block's signs."""
     yield "x,y\n"
     if isinstance(polygon, LatticePolygon):
         for x, y in polygon.blocks():
-            yield _int_lines(x, y, ",", "\n")
+            yield _int_rows(x, y, "", ",", "\n")
         return
-    for block in _octant_blocks(polygon.octant, repr, ",", "\n"):
-        yield block
-        yield "\n"
+    a, b, template = polygon._magnitudes()
+    grid = textgrid.float_grid(np.stack((a, b), axis=1))
+    for sx, u, sy, w in _blocks(grid[:, 0], grid[:, 1], template):
+        yield textgrid.lines([sx, u, ",", sy, w, "\n"])
 
 
 def polygon_svg_chunks(polygon: LatticePolygon | ScaledPolygon) -> Iterator[str]:
     """The polygon's SVG, one closed polyline (scaled polygons in the fixed
-    unit frame): a header, the blocks of the cycle as in polygon_csv_chunks
-    and a footer; the {:.6f} text of an integer is its digits and
-    ".000000", as every coordinate is far below 2^53."""
+    unit frame): a header, the blocks of the cycle as in polygon_csv_chunks,
+    each row led by " L " but the first, and a footer; the {:.6f} text of an
+    integer is its digits and ".000000", as every coordinate is far below
+    2^53."""
     if isinstance(polygon, ScaledPolygon):
         viewbox = "-1.2 -1.2 2.4 2.4"
         width = 0.006
-        blocks = _octant_blocks(polygon.octant, "{:.6f}".format, " ", " L ", flip_y=True)
+        a, b, template = polygon._magnitudes()
+        a, b = (textgrid.str_grid(list(map("{:.6f}".format, col.tolist()))) for col in (a, b))
+        blocks = (textgrid.lines([" L ", sx, u, " ", "" if sy else "-", w])  # y points down
+                  for sx, u, sy, w in _blocks(a, b, template))
     else:
         # the polygon spans 2R in each direction about its centre (-1/2, R)
         r2 = int(2 * polygon.scale)
@@ -319,13 +308,12 @@ def polygon_svg_chunks(polygon: LatticePolygon | ScaledPolygon) -> Iterator[str]
         pad = max(2, r2 // 20)
         viewbox = f"{x0 - pad} {-r2 - pad} {r2 + 2 * pad} {r2 + 2 * pad}"
         width = max(r2 / 400.0, 0.05)
-        blocks = (_int_lines(x, -y, ".000000 ", ".000000 L ")[: -len(" L ")]  # y points down
-                  for x, y in polygon.blocks())
+        blocks = (_int_rows(x, -y, " L ", ".000000 ", ".000000") for x, y in polygon.blocks())
     yield (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{viewbox}">\n'
         '  <path d="M '
     )
     for j, block in enumerate(blocks):
-        yield " L " + block if j else block
+        yield block if j else block[len(" L "):]
     yield f' Z" fill="none" stroke="black" stroke-width="{width}"/>\n</svg>\n'

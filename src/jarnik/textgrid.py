@@ -49,10 +49,6 @@ def str_grid(texts: Sequence[str], width: int = 0) -> np.ndarray:
     return np.array(texts, dtype=f"S{width}").view(np.uint8).reshape(len(texts), -1)
 
 
-def text(grid: np.ndarray) -> str:
-    return grid.tobytes().translate(None, b"\0").decode("ascii")
-
-
 def lines(parts: Sequence[np.ndarray | str]) -> str:
     """The text of the rows of `parts`, grids of one row per line and
     constant separators, laid side by side."""
@@ -60,7 +56,7 @@ def lines(parts: Sequence[np.ndarray | str]) -> str:
     grid = np.empty((next(len(p) for p in parts if not isinstance(p, str)), sum(widths)), dtype=np.uint8)
     for part, at, width in zip(parts, np.cumsum([0] + widths).tolist(), widths):
         grid[:, at : at + width] = np.frombuffer(part.encode(), np.uint8) if isinstance(part, str) else part
-    return text(grid)
+    return grid.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _g_row(key: int) -> tuple[int, int, int, int]:

@@ -13,13 +13,11 @@ from fractions import Fraction
 
 from scipy import integrate
 
-from jarnik.analysis import convergence_table, lemma_check
 from jarnik.curvature import circumradius_squared, curvature_trace, limsup_liminf_estimate
 from jarnik.domains import ball, diamond, moment_integrals, octagon, square
 from jarnik.limit_curves import (
     LimitCurve,
     curve_C1,
-    curve_Cdelta,
     curve_Cp,
     reg_inc_beta,
 )
@@ -41,7 +39,7 @@ from jarnik.polygon import (
 from jarnik.analysis import distance_to_curve
 
 from oracles import curve_Cp_alternate_y, scale_factor
-from test_number_theory import CORPUS, brute_force_farey
+from test_number_theory import CORPUS
 
 P4_RUN = [
     (-1, 0), (0, 0), (4, 1), (7, 2), (9, 3), (12, 5), (16, 8), (17, 9),

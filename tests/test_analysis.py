@@ -21,7 +21,7 @@ from jarnik.analysis import (
     lemma_check,
 )
 from jarnik.domains import ball, diamond, octagon, parse_domain, square
-from jarnik.limit_curves import LimitCurve, curve_C1, dihedral_images, parse_curve
+from jarnik.limit_curves import LimitCurve, dihedral_images, parse_curve
 from jarnik.polygon import build_polygon, scale_polygon
 
 from oracles import curve_distance_oracle, moment_route_ratio, vertices_and_midpoints

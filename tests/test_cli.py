@@ -56,6 +56,17 @@ def test_polygon_atomic_file_output(tmp_path, capsys):
     assert not [p for p in os.listdir(tmp_path) if p.startswith(".jarnik-tmp-")]
 
 
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o002, 0o664), (0o077, 0o600)], ids=["022", "002", "077"])
+def test_output_file_mode_follows_the_umask(tmp_path, capsys, umask, mode):
+    target = tmp_path / "poly.csv"
+    saved = os.umask(umask)
+    try:
+        code, _, _ = run_capture(capsys, ["polygon", "--domain", "square", "--q", "4", "--output", str(target)])
+    finally:
+        os.umask(saved)
+    assert code == 0 and target.stat().st_mode & 0o777 == mode
+
+
 def test_polygon_svg(tmp_path, capsys):
     target = tmp_path / "poly.svg"
     code, _, _ = run_capture(
@@ -334,6 +345,14 @@ def test_limit_curve_golden_bytes(capsys, curve):
     code, out, _ = run_capture(capsys, ["limit-curve", "--curve", curve, "--samples", "1001"])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_LIMIT_CURVE_SHA256[curve]
+
+
+def test_limit_curve_svg_golden_bytes_at_the_sample_cap(capsys):
+    # recorded when each image was still joined from per-value strings
+    argv = ["limit-curve", "--curve", "Cp:3", "--samples", "1048576", "--format", "svg"]
+    code, out, _ = run_capture(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == "13be2f1306e4ae1756ff1001fd23e6917edd6d69eb3a53ba4e3c65df3c21966a"
 
 
 def test_limit_curve_samples_above_cap_exit_2(capsys):
@@ -672,16 +691,19 @@ def test_curvature_bad_range(capsys):
     (["curvature", "--lambda", "const:e-2", "--q-max", "50"], curvature, "trace_lines"),
 ], ids=["polygon", "limit-curve", "converge", "curvature"])
 @pytest.mark.parametrize("where, reason", [
-    ("missing/out.csv", "No such file or directory"),
-    ("", "Is a directory"),
-], ids=["missing-directory", "directory"])
+    (lambda d: str(d / "missing" / "out.csv"), "No such file or directory"),
+    (lambda d: str(d), "Is a directory"),
+    (lambda d: str(d / "missing") + os.sep, "No file name"),
+    (lambda d: "", "No file name"),
+], ids=["missing-directory", "directory", "missing-directory-name", "empty"])
 def test_unwritable_output_refused_before_any_work(capsys, monkeypatch, tmp_path, argv, module, work, where, reason):
     def no_work(*args, **kwargs):
         raise AssertionError("work started for an unwritable output")
 
     monkeypatch.setattr(module, work, no_work)
-    target = tmp_path / where
-    code, out, err = run_capture(capsys, argv + ["--output", str(target)])
+    monkeypatch.chdir(tmp_path)  # where an empty name resolves
+    target = where(tmp_path)
+    code, out, err = run_capture(capsys, argv + ["--output", target])
     assert code == 2 and out == ""
     assert err == f"jarnik: argument error: cannot write {target}: {reason}\n"
     assert os.listdir(tmp_path) == []

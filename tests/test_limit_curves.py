@@ -10,14 +10,12 @@ from hypothesis import strategies as st
 from jarnik import limit_curves
 from jarnik.limit_curves import (
     LimitCurve,
-    cp_half_scaled_residual,
     curve_C,
     curve_C1,
     curve_Cdelta,
     curve_Cp,
     curve_csv_chunks,
     curve_svg_chunks,
-    inc_beta,
     parse_curve,
     reg_inc_beta,
 )

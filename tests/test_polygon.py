@@ -12,6 +12,7 @@ from jarnik.domains import ball, contains, diamond, octagon, parse_domain, squar
 from jarnik.number_theory import INV_SQRT3, farey_sequence
 from jarnik.polygon import (
     PrimitiveVector,
+    ScaledPolygon,
     build_polygon,
     fundamental_vertex,
     fundamental_vertices,
@@ -324,8 +325,9 @@ def test_distinct_value_export_keeps_the_sign_of_zero():
     # 0.0 and -0.0 compare equal but print differently: an octant whose
     # magnitudes hold 0.0 gets -0.0 wherever its block is signed
     octant = np.array([(0.0, -0.5), (0.5, -0.0), (0.0, -0.5)])
-    csv = "\n".join(polygon_module._octant_blocks(octant, repr, ",", "\n"))
-    assert csv == "\n".join([
+    sp = ScaledPolygon(octant, Fraction(1, 2), 1, square())
+    csv = "".join(polygon_csv_chunks(sp))
+    assert csv == "x,y\n" + "".join(row + "\n" for row in [
         "0.0,-0.5", "0.5,-0.0",     # (a, -b)
         "0.0,-0.5", "0.5,-0.0",     # (b, -a), reversed
         "0.5,0.0", "0.0,0.5",       # (b, a)
@@ -335,7 +337,8 @@ def test_distinct_value_export_keeps_the_sign_of_zero():
         "-0.5,-0.0", "-0.0,-0.5",   # (-b, -a)
         "-0.5,-0.0", "-0.0,-0.5",   # (-a, -b), reversed
     ])
-    path = " L ".join(polygon_module._octant_blocks(octant, "{:.6f}".format, " ", " L ", flip_y=True))
+    svg = "".join(polygon_svg_chunks(sp))
+    path = svg[svg.index('d="M ') + len('d="M ') : svg.index(' Z"')]
     assert path.startswith("0.000000 0.500000 L 0.500000 0.000000 L ")
     assert path.endswith(" L -0.500000 0.000000 L -0.000000 0.500000")
 
@@ -352,7 +355,7 @@ def test_digit_kernel_matches_per_vertex_formatting(chunk_rows):
     rng = random.Random(11)
 
     def kernel(x, y, mid, end):
-        return "".join(polygon_module._int_lines(x[i : i + chunk_rows], y[i : i + chunk_rows], mid, end)
+        return "".join(polygon_module._int_rows(x[i : i + chunk_rows], y[i : i + chunk_rows], "", mid, end)
                        for i in range(0, len(x), chunk_rows))
 
     for values in (KERNEL_VALUES, [v for v in KERNEL_VALUES if abs(v) <= 2**53]):
@@ -370,7 +373,7 @@ def test_octant_exports_stream_one_block_per_chunk():
     size = len(sp.xy) // 8
     chunks = list(polygon_module.polygon_csv_chunks(sp))
     assert chunks[0] == "x,y\n" and "".join(chunks[1:]) == "".join(f"{x!r},{y!r}\n" for x, y in sp.vertices)
-    assert max(chunk.count("\n") for chunk in chunks[1:]) == size - 1
+    assert max(chunk.count("\n") for chunk in chunks[1:]) == size
     svg = list(polygon_module.polygon_svg_chunks(sp))
     path = " L ".join(f"{x:.6f} {-y:.6f}" for x, y in sp.vertices)
     assert len(svg) == 10 and f'd="M {path} Z"' in "".join(svg)

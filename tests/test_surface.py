@@ -26,3 +26,19 @@ def test_every_module_level_definition_is_used_in_the_package():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in used
     ]
     assert unused == []
+
+
+def test_every_module_level_import_in_the_tests_is_used():
+    # a name a test file imports and never reads is left from a test that
+    # stopped using it
+    unused = []
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Import) or isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        unused.append(f"{path.name}:{name}")
+    assert unused == []
