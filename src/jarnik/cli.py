@@ -16,6 +16,7 @@ never leaves a partial artifact.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -84,6 +85,7 @@ def _capped(cap: int, name: str, what: str = "order") -> Callable[[str], int]:
             raise argparse.ArgumentTypeError(f"{what} {value} is outside 1..{cap} ({name})")
         return value
 
+    bounded.__name__ = what  # argparse says "invalid <what> value: ..."
     return bounded
 
 
@@ -91,12 +93,15 @@ _order = _capped(MAX_ORDER, "MAX_ORDER")
 _samples = _capped(MAX_SAMPLES, "MAX_SAMPLES", "samples")
 
 
+# _parse_domain and _parse_curve quote the argument as typed when they refuse
+# it: its Fraction may have thousands of digits (ball:1e300), more than str()
+# will convert.
 def _parse_domain(raw: str) -> domains.DomainSpec:
     spec = domains.parse_domain(raw)
     p = spec.param
     if spec.kind == "ball" and (p.numerator > MAX_BALL_NUMERATOR or p.denominator > MAX_BALL_DENOMINATOR):
         raise ValueError(
-            f"ball exponent {p} needs a numerator at most {MAX_BALL_NUMERATOR} (MAX_BALL_NUMERATOR) "
+            f"the ball exponent of {raw} needs a numerator at most {MAX_BALL_NUMERATOR} (MAX_BALL_NUMERATOR) "
             f"and a denominator at most {MAX_BALL_DENOMINATOR} (MAX_BALL_DENOMINATOR)"
         )
     return spec
@@ -114,7 +119,7 @@ def _parse_curve(raw: str) -> limit_curves.LimitCurve:
     except ArithmeticError:
         finite = False
     if not finite:
-        raise ValueError(f"curve {curve} is not finite in float64 at lambda = 0 or 1")
+        raise ValueError(f"curve {raw} is not finite in float64 at lambda = 0 or 1")
     return curve
 
 
@@ -123,6 +128,9 @@ def _parse_q_list(raw: str) -> list[int]:
     if not orders:
         raise argparse.ArgumentTypeError("need at least one order")
     return orders
+
+
+_parse_q_list.__name__ = "order list"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -169,6 +177,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("selftest", help="run the embedded exact-value checks")
     return parser
+
+
+# The parser `run` uses, built on its first call and kept for the process:
+# parse_args returns a fresh Namespace each time, and argparse looks up
+# sys.stdout, sys.stderr and the terminal width only when it prints.
+_parser = functools.cache(build_parser)
 
 
 def _cmd_polygon(args: argparse.Namespace) -> Iterator[str]:
@@ -298,9 +312,8 @@ _COMMANDS = {"polygon": _cmd_polygon, "limit-curve": _cmd_limit_curve,
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on bad usage
         return int(exc.code or 0)
     try:

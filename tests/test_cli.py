@@ -25,6 +25,18 @@ def run_capture(capsys, argv):
     return code, captured.out, captured.err
 
 
+def run_python(code):
+    """stdout of a fresh interpreter running `code` with this jarnik importable."""
+    import jarnik
+
+    src = os.path.dirname(os.path.dirname(jarnik.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60, env=env
+    )
+    return result.stdout
+
+
 # ---------------------------------------------------------------------------
 # polygon
 # ---------------------------------------------------------------------------
@@ -727,6 +739,35 @@ def test_zero_denominator_is_an_argument_error(capsys, argv):
     assert err.startswith("jarnik: argument error: zero denominator")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["polygon", "--domain", "square", "--q", "abc"], "argument --q: invalid order value: 'abc'"),
+    (["limit-curve", "--curve", "C", "--samples", "abc"], "argument --samples: invalid samples value: 'abc'"),
+    (["curvature", "--lambda", "const:e-2", "--q-max", "abc"], "argument --q-max: invalid order value: 'abc'"),
+    (["converge", "--domain", "square", "--curve", "C", "--q-list", "5,x"],
+     "argument --q-list: invalid order list value: '5,x'"),
+], ids=["q", "samples", "q-max", "q-list"])
+def test_malformed_integer_names_the_kind_of_number(capsys, argv, message):
+    code, out, err = run_capture(capsys, argv)
+    assert code == 2 and out == "" and message in err
+
+
+# the Fractions of these parameters have hundreds or thousands of digits;
+# past 4300 even formatting them fails
+@pytest.mark.parametrize("argv, typed", [
+    (["limit-curve", "--curve", "Cdelta:1e300"], "Cdelta:1e300"),
+    (["limit-curve", "--curve", "Cdelta:1e5000"], "Cdelta:1e5000"),
+    (["limit-curve", "--curve", "Cp:1e-5000"], "Cp:1e-5000"),
+    (["converge", "--domain", "octagon:2", "--curve", "Cp:1e-5000", "--q-list", "5"], "Cp:1e-5000"),
+    (["polygon", "--domain", "ball:1e300", "--q", "5"], "ball:1e300"),
+    (["polygon", "--domain", "ball:1e5000", "--q", "5"], "ball:1e5000"),
+    (["converge", "--domain", "ball:1e5000", "--curve", "Cp:2", "--q-list", "5"], "ball:1e5000"),
+])
+def test_refusal_quotes_the_parameter_as_typed(capsys, argv, typed):
+    code, out, err = run_capture(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("jarnik: argument error: ") and typed in err
+
+
 # ---------------------------------------------------------------------------
 # selftest and plumbing
 # ---------------------------------------------------------------------------
@@ -738,6 +779,48 @@ def test_selftest_passes_and_is_deterministic(capsys):
     assert "FAIL" not in first
     code, second, _ = run_capture(capsys, ["selftest"])
     assert first == second
+
+
+def test_parser_is_built_on_the_first_run_and_never_at_import():
+    code = (
+        "import argparse, contextlib, io\n"
+        "built = 0\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting_init(self, *args, **kwargs):\n"
+        "    global built\n"
+        "    built += 1\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting_init\n"
+        "import jarnik, jarnik.cli\n"
+        "counts = [built]\n"
+        "for argv in (['polygon', '--domain', 'square', '--q', '4'], ['selftest'], ['polygon', '--q', 'x']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "        jarnik.cli.run(argv)\n"
+        "    counts.append(built)\n"
+        "print(*counts)"
+    )
+    at_import, *after_runs = map(int, run_python(code).split())
+    assert at_import == 0 and after_runs[0] > 0  # the parser and one per subcommand
+    assert after_runs == [after_runs[0]] * 3
+
+
+def test_runs_sharing_the_parser_stay_independent(capsys, tmp_path):
+    # each argv follows one that would leak into it if state carried over
+    argvs = [
+        ["polygon", "--domain", "square"],
+        ["polygon", "-h"],
+        ["polygon", "--domain", "diamond", "--q", "6", "--output", str(tmp_path / "out.csv")],
+        ["polygon", "--domain", "diamond", "--q", "6"],
+        ["polygon", "--domain", "square", "--q", "5", "--scaled", "--format", "svg"],
+        ["polygon", "--domain", "square", "--q", "5"],
+        ["curvature", "--lambda", "rat:2/5", "--side", "-", "--q-min", "5", "--q-max", "40"],
+        ["curvature", "--lambda", "const:e-2", "--q-max", "40"],
+        ["curvature", "--lambda", "surd:(1+sqrt(5))/2", "--q-max", "40"],
+    ]
+    forward = [run_capture(capsys, argv) for argv in argvs]
+    backward = [run_capture(capsys, argv) for argv in reversed(argvs)][::-1]
+    assert forward == backward
+    assert [code for code, _, _ in forward] == [2, 0, 0, 0, 0, 0, 0, 0, 2]
 
 
 def test_help_documents_all_flags():
@@ -757,44 +840,23 @@ def test_help_documents_all_flags():
 
 
 def test_import_leaves_scipy_spatial_unloaded():
-    import jarnik
-
-    src = os.path.dirname(os.path.dirname(jarnik.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = "import sys, jarnik, jarnik.cli; print('scipy.spatial' in sys.modules)"
-    result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60, env=env
-    )
-    assert result.stdout.strip() == "False"
+    assert run_python(code).strip() == "False"
 
 
 def test_sampled_converge_leaves_scipy_spatial_unloaded():
-    import jarnik
-
-    src = os.path.dirname(os.path.dirname(jarnik.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = (
         "import contextlib, io, sys; from jarnik.cli import run\n"
         "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
         "    code = run(['converge', '--domain', 'diamond', '--curve', 'C1', '--q-list', '30'])\n"
         "print(code, out.getvalue().count('diamond,30,C1,'), 'scipy.spatial' in sys.modules)"
     )
-    result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60, env=env
-    )
-    assert result.stdout.split() == ["0", "1", "False"]
+    assert run_python(code).split() == ["0", "1", "False"]
 
 
 def test_import_leaves_scipy_special_unloaded():
-    import jarnik
-
-    src = os.path.dirname(os.path.dirname(jarnik.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = "import sys, jarnik, jarnik.cli; print('scipy.special' in sys.modules)"
-    result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60, env=env
-    )
-    assert result.stdout.strip() == "False"
+    assert run_python(code).strip() == "False"
 
 
 def test_unknown_command_exit_2(capsys):
