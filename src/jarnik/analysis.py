@@ -269,11 +269,17 @@ def _canonical_curve(curve: LimitCurve) -> tuple[str, Fraction | None]:
     return (curve.family, curve.param)
 
 
-def check_pairing(spec: DomainSpec, curve: LimitCurve) -> None:
-    if _canonical_curve(expected_curve(spec)) != _canonical_curve(curve):
-        raise ValueError(
-            f"domain {spec} converges to {expected_curve(spec)}, not {curve}"
-        )
+def check_pairing(spec: DomainSpec, curve: LimitCurve, typed: tuple[str, str] | None = None) -> None:
+    """Refuse a curve other than the one proved for the region's family.
+    The refusal names the domain and the curve by `typed`, the texts they
+    were parsed from, if given: a parameter's Fraction may have more digits
+    than str() will convert."""
+    expected = expected_curve(spec)
+    if _canonical_curve(expected) != _canonical_curve(curve):
+        domain, given = typed or (str(spec), str(curve))
+        param = domain.strip().partition(":")[2]  # the expected curve's, as the domain's text writes it
+        want = expected if expected.param is None else f"{expected.family}:{param}"
+        raise ValueError(f"domain {domain} converges to {want}, not {given}")
 
 
 def convergence_table(

@@ -94,8 +94,8 @@ _samples = _capped(MAX_SAMPLES, "MAX_SAMPLES", "samples")
 
 
 # _parse_domain and _parse_curve quote the argument as typed when they refuse
-# it: its Fraction may have thousands of digits (ball:1e300), more than str()
-# will convert.
+# it, and so does the pairing check of _cmd_converge: its Fraction may have
+# thousands of digits (ball:1e300), more than str() will convert.
 def _parse_domain(raw: str) -> domains.DomainSpec:
     spec = domains.parse_domain(raw)
     p = spec.param
@@ -203,6 +203,7 @@ def _cmd_limit_curve(args: argparse.Namespace) -> Iterator[str]:
 def _cmd_converge(args: argparse.Namespace) -> Iterator[str]:
     spec = _parse_domain(args.domain)
     curve = _parse_curve(args.curve)
+    analysis.check_pairing(spec, curve, (args.domain, args.curve))
     records = analysis.convergence_table(spec, args.q_list, curve, samples=args.samples)
     yield analysis.convergence_csv(records)
 

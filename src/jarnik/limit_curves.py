@@ -17,8 +17,9 @@ numpy; every other sampler reads it.  The incomplete beta functions come
 from `scipy.special.betainc`, imported on first use.  `curve_csv_chunks`
 writes the CSV 4096 rows at a time by the float digit kernel of
 `textgrid`, which gives repr's text; `curve_svg_chunks` formats each arc
-coordinate's magnitude once with {:.6f} and writes each dihedral image as
-one byte grid of those texts and their signs.
+coordinate's magnitude once with {:.6f}, a slice at a time into one
+fixed-width grid, and writes each dihedral image from those texts and
+their signs, 2^16 rows at a time.
 """
 
 from __future__ import annotations
@@ -257,6 +258,8 @@ def dihedral_images(points: np.ndarray) -> np.ndarray:
 
 # CSV rows are written this many at a time, as curvature._BLOCK orders are.
 _CSV_BLOCK_ROWS = 4096
+# SVG rows of an image are written this many at a time.
+_SVG_BLOCK_ROWS = 1 << 16
 
 
 def curve_csv_chunks(curve: LimitCurve, samples: int) -> Iterator[str]:
@@ -276,7 +279,8 @@ def curve_csv_chunks(curve: LimitCurve, samples: int) -> Iterator[str]:
 
 def curve_svg_chunks(curve: LimitCurve, samples: int) -> Iterator[str]:
     """The curve's SVG, the fundamental arc and its eight dihedral images
-    as a single path, written one image at a time, each one byte grid.
+    as a single path, written _SVG_BLOCK_ROWS rows of an image at a time,
+    each one byte grid.
 
     Each arc coordinate's magnitude is formatted once; an image writes the
     texts of the arc's x and y columns, swapped or not, each after its sign:
@@ -284,7 +288,7 @@ def curve_svg_chunks(curve: LimitCurve, samples: int) -> Iterator[str]:
     for the y axis, which points down), so -0.0 and values that round to
     zero keep the sign {:.6f} gives them."""
     arc = curve.points(_uniform_grid(samples))
-    texts = [textgrid.str_grid(list(map("{:.6f}".format, col.tolist()))) for col in np.abs(arc).T]
+    texts = [textgrid.fixed_grid(col) for col in np.abs(arc).T]
     neg = np.signbit(arc)
     yield (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
@@ -293,8 +297,10 @@ def curve_svg_chunks(curve: LimitCurve, samples: int) -> Iterator[str]:
     )
     for i, (swapped, (sx, sy)) in enumerate(zip(_DIHEDRAL_SWAPS, _DIHEDRAL_SIGNS.tolist())):
         cx, cy = (1, 0) if swapped else (0, 1)
-        sign_x = (neg[:, cx, None] ^ (sx < 0)) * np.uint8(ord("-"))
-        sign_y = (neg[:, cy, None] ^ (sy > 0)) * np.uint8(ord("-"))
-        rows = textgrid.lines([" L ", sign_x, texts[cx], " ", sign_y, texts[cy]])
-        yield (" M " if i else "M ") + rows[len(" L "):]
+        for start in range(0, samples, _SVG_BLOCK_ROWS):
+            block = slice(start, start + _SVG_BLOCK_ROWS)
+            sign_x = (neg[block, cx, None] ^ (sx < 0)) * np.uint8(ord("-"))
+            sign_y = (neg[block, cy, None] ^ (sy > 0)) * np.uint8(ord("-"))
+            rows = textgrid.lines([" L ", sign_x, texts[cx][block], " ", sign_y, texts[cy][block]])
+            yield rows if start else (" M " if i else "M ") + rows[len(" L "):]
     yield '" fill="none" stroke="black" stroke-width="0.006"/>\n</svg>\n'

@@ -30,11 +30,14 @@ like 0.3 Q^3).  An empty arc, when (1, 1) lies outside the region, is the
 one special case: its polygon is the unit square.
 
 `_blocks` is the one walk of that sign-and-swap template: the cycle's
-columns and every export read it.  The exports are streamed a block of
-the cycle at a time, each block one byte grid of `textgrid.lines`:
-integer rows from the int64 digit kernel, scaled rows from the text of
-each octant magnitude, written once (repr by the float kernel for CSV,
-{:.6f} for SVG), with the block's signs as constant columns.
+columns and every export read it.  Both kinds of export format each
+octant magnitude once and write each block of the cycle from those texts
+and its signs, one byte grid of `textgrid.lines` per block.  Integer
+exports take one pass of the int64 digit kernel over the octant rows,
+which writes the eight texts a block's x and y can be, its signs
+included; scaled exports take the repr (float kernel, CSV) or {:.6f}
+(SVG) text of each magnitude, with the block's signs as constant
+columns.
 """
 
 from __future__ import annotations
@@ -266,21 +269,36 @@ def scale_polygon(polygon: LatticePolygon) -> ScaledPolygon:
 # ---------------------------------------------------------------------------
 
 
-def _int_rows(x: np.ndarray, y: np.ndarray, lead: str, sep: str, end: str) -> str:
-    """The rows lead + x + sep + y + end of int64 columns x and y, exactly,
-    from one grid of the digit kernel of `textgrid`."""
-    grid = textgrid.int_grid(np.stack((x, y), axis=1))
-    return textgrid.lines([lead, grid[:, 0], sep, grid[:, 1], end])
+def _int_texts(polygon: LatticePolygon, y_sign: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The text grids of the x and y_sign * y columns of each block of the
+    cycle, y_sign 1 or -1, from one pass of the digit kernel over the
+    octant rows.  For the doubled magnitudes u = A or B of
+    `LatticePolygon.blocks`, a block's x is (u - 1)/2, or -(u + 1)/2 where
+    its x sign is "-", and its y, never negative, is (2R + u)/2, or
+    (2R - u)/2 where its y sign is "-".  Those eight values of each row are
+    written once with their signs, so -y has "-" wherever y is not 0."""
+    r2 = int(2 * polygon.scale)
+    rows, template = _template(polygon.octant)
+
+    def values(s: slice) -> np.ndarray:
+        x, y = rows[s].T
+        u = np.stack((2 * x + 1, r2 - 2 * y), axis=1)
+        return np.stack(((u - 1) // 2, -(u + 1) // 2, y_sign * ((r2 + u) // 2), y_sign * ((r2 - u) // 2)), axis=2)
+
+    grid = textgrid.sliced_int_grid((len(rows), 2, 4), r2, values)
+    for sx, u, sy, w in _blocks(grid[:, 0], grid[:, 1], template):
+        yield u[:, 1 if sx else 0], w[:, 3 if sy else 2]
 
 
 def polygon_csv_chunks(polygon: LatticePolygon | ScaledPolygon) -> Iterator[str]:
     """The polygon's CSV, a header and then the blocks of the cycle, each
-    one byte grid: integer rows by the digit kernel, scaled rows from the
-    repr text of each octant magnitude, taken once, and each block's signs."""
+    one byte grid: integer rows from the digit-kernel texts of the octant,
+    scaled rows from the repr text of each octant magnitude, taken once,
+    and each block's signs."""
     yield "x,y\n"
     if isinstance(polygon, LatticePolygon):
-        for x, y in polygon.blocks():
-            yield _int_rows(x, y, "", ",", "\n")
+        for x, y in _int_texts(polygon, 1):
+            yield textgrid.lines([x, ",", y, "\n"])
         return
     a, b, template = polygon._magnitudes()
     grid = textgrid.float_grid(np.stack((a, b), axis=1))
@@ -298,7 +316,7 @@ def polygon_svg_chunks(polygon: LatticePolygon | ScaledPolygon) -> Iterator[str]
         viewbox = "-1.2 -1.2 2.4 2.4"
         width = 0.006
         a, b, template = polygon._magnitudes()
-        a, b = (textgrid.str_grid(list(map("{:.6f}".format, col.tolist()))) for col in (a, b))
+        a, b = textgrid.fixed_grid(a), textgrid.fixed_grid(b)
         blocks = (textgrid.lines([" L ", sx, u, " ", "" if sy else "-", w])  # y points down
                   for sx, u, sy, w in _blocks(a, b, template))
     else:
@@ -308,7 +326,7 @@ def polygon_svg_chunks(polygon: LatticePolygon | ScaledPolygon) -> Iterator[str]
         pad = max(2, r2 // 20)
         viewbox = f"{x0 - pad} {-r2 - pad} {r2 + 2 * pad} {r2 + 2 * pad}"
         width = max(r2 / 400.0, 0.05)
-        blocks = (_int_rows(x, -y, " L ", ".000000 ", ".000000") for x, y in polygon.blocks())
+        blocks = (textgrid.lines([" L ", x, ".000000 ", y, ".000000"]) for x, y in _int_texts(polygon, -1))
     yield (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{viewbox}">\n'

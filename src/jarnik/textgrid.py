@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -36,11 +36,38 @@ def _digits(cols: np.ndarray, mag: np.ndarray) -> None:
 def int_grid(v: np.ndarray, pad: int = 0) -> np.ndarray:
     """The text of each int64 value of v as a (*v.shape, width) grid: a sign
     byte, NUL for a nonnegative value, the digits and `pad` NUL columns."""
-    mag = np.abs(v).astype(np.uint64)  # -2^63 wraps to its magnitude
-    width = len(str(int(mag.max(initial=0))))
-    grid = np.zeros((*v.shape, 1 + width + pad), dtype=np.uint8)
-    grid[..., 0] = (v < 0).view(np.uint8) * ord("-")
-    _digits(grid[..., 1 : 1 + width], mag)
+    return sliced_int_grid(v.shape, max(int(v.max(initial=0)), -int(v.min(initial=0))), v.__getitem__, pad)
+
+
+# The sliced writers below take this many rows of values at a time.
+_SLICE = 1 << 16
+
+
+def sliced_int_grid(shape: tuple[int, ...], top: int, values: Callable[[slice], np.ndarray],
+                    pad: int = 0) -> np.ndarray:
+    """The text of int64 values as int_grid writes it, as one (*shape, width)
+    grid for values of magnitude at most top: values(s) gives the rows s of
+    the values, which are taken _SLICE rows at a time, so that only one
+    slice of them is alive beside the grid."""
+    grid = np.zeros((*shape, 1 + len(str(top)) + pad), dtype=np.uint8)
+    for start in range(0, shape[0], _SLICE):
+        rows = slice(start, start + _SLICE)
+        v = values(rows)
+        grid[rows, ..., 0] = (v < 0).view(np.uint8) * ord("-")
+        _digits(grid[rows, ..., 1 : grid.shape[-1] - pad], np.abs(v).astype(np.uint64))  # -2^63 wraps to 2^63
+    return grid
+
+
+def fixed_grid(v: np.ndarray) -> np.ndarray:
+    """The {:.6f} text of each finite float64 value of the 1-d array v as
+    one grid, formatted _SLICE values at a time, so that only one slice of
+    Python floats and strings is alive beside the grid."""
+    top = max(-v.min(initial=0.0), v.max(initial=0.0))
+    width = len(f"{top:.6f}") + bool(np.signbit(v).any())  # the largest magnitude's, and a sign
+    grid = np.empty((len(v), width), dtype=np.uint8)
+    for start in range(0, len(v), _SLICE):
+        rows = slice(start, start + _SLICE)
+        grid[rows] = str_grid(list(map("{:.6f}".format, v[rows].tolist())), width)
     return grid
 
 

@@ -768,6 +768,14 @@ def test_refusal_quotes_the_parameter_as_typed(capsys, argv, typed):
     assert err.startswith("jarnik: argument error: ") and typed in err
 
 
+@pytest.mark.parametrize("domain", ["octagon:1e300", "octagon:1e5000"])
+def test_pairing_refusal_quotes_the_domain_and_curve_as_typed(capsys, domain):
+    code, out, err = run_capture(capsys, ["converge", "--domain", domain, "--curve", "Cdelta:2", "--q-list", "5"])
+    assert code == 2 and out == ""
+    param = domain.partition(":")[2]
+    assert err == f"jarnik: argument error: domain {domain} converges to Cdelta:{param}, not Cdelta:2\n"
+
+
 # ---------------------------------------------------------------------------
 # selftest and plumbing
 # ---------------------------------------------------------------------------

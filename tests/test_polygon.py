@@ -23,6 +23,7 @@ from jarnik.polygon import (
 )
 
 import jarnik.polygon as polygon_module
+from jarnik import textgrid
 import oracles
 from oracles import scale_factor, sort_ccw
 
@@ -350,13 +351,16 @@ KERNEL_VALUES = [0, 1, -1, 2**63 - 1, -(2**63 - 1)] + [
 
 @pytest.mark.parametrize("chunk_rows", [7, 1 << 16])
 def test_digit_kernel_matches_per_vertex_formatting(chunk_rows):
-    # the kernel on slices of the value columns, as the exports call it
-    # once per block of a cycle
+    # the kernel on slices of the value columns, each slice one grid of two
+    # columns laid out between separators
     rng = random.Random(11)
 
     def kernel(x, y, mid, end):
-        return "".join(polygon_module._int_rows(x[i : i + chunk_rows], y[i : i + chunk_rows], "", mid, end)
-                       for i in range(0, len(x), chunk_rows))
+        def rows(i):
+            grid = textgrid.int_grid(np.stack((x[i : i + chunk_rows], y[i : i + chunk_rows]), axis=1))
+            return textgrid.lines([grid[:, 0], mid, grid[:, 1], end])
+
+        return "".join(rows(i) for i in range(0, len(x), chunk_rows))
 
     for values in (KERNEL_VALUES, [v for v in KERNEL_VALUES if abs(v) <= 2**53]):
         ys = values[::-1]
@@ -377,6 +381,52 @@ def test_octant_exports_stream_one_block_per_chunk():
     svg = list(polygon_module.polygon_svg_chunks(sp))
     path = " L ".join(f"{x:.6f} {-y:.6f}" for x, y in sp.vertices)
     assert len(svg) == 10 and f'd="M {path} Z"' in "".join(svg)
+
+
+def test_integer_exports_stream_one_block_per_chunk():
+    poly = build_polygon(ball(Fraction(5, 3)), 30)
+    size = len(poly.xy) // 8
+    chunks = list(polygon_csv_chunks(poly))
+    assert len(chunks) == 9 and chunks[0] == "x,y\n"
+    assert "".join(chunks[1:]) == "".join(f"{x!r},{y!r}\n" for x, y in poly.vertices)
+    assert [chunk.count("\n") for chunk in chunks[1:]] == [size] * 8
+    svg = list(polygon_svg_chunks(poly))
+    path = " L ".join(f"{x:.6f} {-y:.6f}" for x, y in poly.vertices)
+    assert len(svg) == 10 and f'd="M {path} Z"' in "".join(svg)
+
+
+@pytest.mark.parametrize("domain, order", [("square", 1), ("diamond", 1), ("square", 4)])
+def test_integer_svg_writes_zero_height_without_a_sign(domain, order):
+    # -y is written with "-" only where y is not 0: the vertices on the x
+    # axis print 0.000000, in the unit square (diamond at Q = 1) as well
+    poly = build_polygon(parse_domain(domain), order)
+    svg = "".join(polygon_svg_chunks(poly))
+    path = svg[svg.index('d="M ') + len('d="M ') : svg.index(' Z"')].split(" L ")
+    on_axis = [f"{x}.000000 0.000000" for x, y in poly.vertices if y == 0]
+    assert on_axis and all(point in path for point in on_axis)
+    assert "-0.000000" not in svg
+    assert path == [f"{x:.6f} {-y:.6f}" for x, y in poly.vertices]
+
+
+def test_integer_export_calls_the_digit_kernel_once(monkeypatch):
+    calls = Counter()
+
+    def counting(name):
+        kernel = getattr(textgrid, name)
+
+        def call(*args):
+            calls[name] += 1
+            return kernel(*args)
+
+        return call
+
+    for name in ("sliced_int_grid", "int_grid"):
+        monkeypatch.setattr(textgrid, name, counting(name))
+    poly = build_polygon(octagon(2), 40)
+    for export in (polygon_csv_chunks, polygon_svg_chunks):
+        calls.clear()
+        assert len(list(export(poly))) > 8
+        assert calls == Counter(sliced_int_grid=1)
 
 
 def test_fundamental_vertex_examples():

@@ -70,6 +70,28 @@ def test_int_and_str_grids_join_with_separators():
     assert textgrid.lines([ints, ";", texts, "|\n"]) == want
 
 
+def test_sliced_int_grid_equals_int_grid_across_slices(monkeypatch):
+    monkeypatch.setattr(textgrid, "_SLICE", 3)
+    values = np.array([[0, -7], [2**63 - 1, -(2**63 - 1)], [10, -10], [99, 100], [1, -1], [5, 0], [-3, 12]])
+    seen = []
+
+    def rows(s):
+        seen.append((s.start, s.stop))
+        return values[s]
+
+    grid = textgrid.sliced_int_grid(values.shape, 2**63 - 1, rows)
+    assert seen == [(0, 3), (3, 6), (6, 9)]
+    assert np.array_equal(grid, textgrid.int_grid(values))
+
+
+def test_fixed_grid_matches_format_across_slices(monkeypatch):
+    monkeypatch.setattr(textgrid, "_SLICE", 4)
+    values = [0.0, -0.0, 1.0, -0.5, 9.9999996, 1e-7, -1e-7, 123.4567891, 0.25, 2.0**40]
+    for column in (values, [abs(v) for v in values], [0.0, 0.5], []):
+        grid = textgrid.fixed_grid(np.array(column, dtype=np.float64))
+        assert textgrid.lines([grid, "\n"]) == "".join(f"{v:.6f}\n" for v in column)
+
+
 def test_g_table_entries_meet_the_kernel_bounds():
     # the shifts of _shortest stay in 2..6 and its scaled significands in 64 bits
     for key in range(2, 4094):
