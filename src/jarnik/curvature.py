@@ -38,6 +38,7 @@ from .number_theory import (
     QuadraticSurd,
     RationalReal,
     RealSpec,
+    _small_primes_and_cofactors,
     convergent_walk,
     farey_neighbor_runs,
     moebius_array,
@@ -114,10 +115,12 @@ def _x_ladder(q_max: int) -> np.ndarray:
     there."""
     if not 1 <= q_max <= MAX_LADDER_ORDER:
         raise ValueError(f"ladder top {q_max} is outside 1..{MAX_LADDER_ORDER} (MAX_LADDER_ORDER)")
-    xs = totient_array(q_max)  # a fresh int64 array, so that its sieve's temporaries are gone
+    sieve = _small_primes_and_cofactors(q_max)  # one sieve for both
+    mu, xs = moebius_array(q_max, sieve), totient_array(q_max, sieve)
+    del sieve  # its cofactors, as large as xs, are not needed past here
     xs *= np.arange(q_max + 1, dtype=np.int64)
     xs.cumsum(out=xs)
-    x, check = int(xs[-1]), _x_by_moebius(q_max, moebius_array(q_max))
+    x, check = int(xs[-1]), _x_by_moebius(q_max, mu)
     if check != x:
         raise ArithmeticError(f"scale ladder drift at Q={q_max}: {x} != {check}")
     return xs

@@ -50,13 +50,14 @@ def _small_primes_and_cofactors(limit: int) -> tuple[list[int], np.ndarray]:
     return primes, rest
 
 
-def moebius_array(limit: int) -> np.ndarray:
+def moebius_array(limit: int, sieve: tuple[list[int], np.ndarray] | None = None) -> np.ndarray:
     """mu(0..limit) as an int8 array (mu[0] = 0).
 
     mu(1) = 1; mu(n) = 0 when a prime square divides n; otherwise
-    (-1)^(number of prime factors).
+    (-1)^(number of prime factors).  `sieve` is
+    _small_primes_and_cofactors(limit) where the caller has it already.
     """
-    primes, rest = _small_primes_and_cofactors(limit)
+    primes, rest = sieve or _small_primes_and_cofactors(limit)
     mu = np.ones(limit + 1, dtype=np.int8)
     mu[0] = 0
     for p in primes:
@@ -76,15 +77,15 @@ def moebius_sieve(limit: int) -> list[int]:
 _COFACTOR_SLICE = 1 << 16
 
 
-def totient_array(limit: int) -> np.ndarray:
+def totient_array(limit: int, sieve: tuple[list[int], np.ndarray] | None = None) -> np.ndarray:
     """phi(0..limit) as an int64 array (phi[0] = 0).
 
     Each prime p <= sqrt(limit) takes phi(n) -= phi(n)/p on its multiples,
     then the one prime cofactor above sqrt(limit) that n may have, which
     still divides phi(n) at that point, is taken out the same way, a slice
-    of orders at a time.
+    of orders at a time.  `sieve` is as for moebius_array.
     """
-    primes, rest = _small_primes_and_cofactors(limit)
+    primes, rest = sieve or _small_primes_and_cofactors(limit)
     phi = np.arange(limit + 1, dtype=np.int64)
     for p in primes:
         phi[p::p] -= phi[p::p] // p

@@ -3,21 +3,22 @@ value, padded with NUL bytes anywhere in the row, which one
 `bytes.translate` deletes.  `float_grid` writes float64 values exactly as
 repr does, the shortest decimal that rounds back to the value and the
 closest one when several qualify, by Giulietti's Schubfach algorithm
-(R. Giulietti, "The Schubfach way to render doubles", 2020) in uint64
-numpy over 32-bit limbs; subnormals, inf and nan are written by repr
-itself.
+(R. Giulietti, "The Schubfach way to render doubles", 2020) in float64
+numpy: for 2^-21 < |v| < 2^56, v 10^-k is exact as Dekker's product and
+its error (T. J. Dekker, "A floating-point technique for extending the
+available precision", 1971), and each of Schubfach's decisions is one
+comparison of its fraction with a threshold, certified where the margin
+exceeds 2^-44.  Every other value, near-ties such as odd m/2^17 and
+subnormals, inf and nan included, is written by repr itself.
 """
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
 from functools import cache
 from typing import Callable, Sequence
 
 import numpy as np
 
-_M32, _M63 = np.uint64(2**32 - 1), np.uint64(2**63 - 1)
 _SPAN = 17  # the digits of a normalised Schubfach decimal
 
 
@@ -35,8 +36,10 @@ def _digits(cols: np.ndarray, mag: np.ndarray) -> None:
 
 def int_grid(v: np.ndarray, pad: int = 0) -> np.ndarray:
     """The text of each int64 value of v as a (*v.shape, width) grid: a sign
-    byte, NUL for a nonnegative value, the digits and `pad` NUL columns."""
-    return sliced_int_grid(v.shape, max(int(v.max(initial=0)), -int(v.min(initial=0))), v.__getitem__, pad)
+    byte, NUL for a nonnegative value, if some value is negative, the
+    digits and `pad` NUL columns."""
+    low = int(v.min(initial=0))
+    return sliced_int_grid(v.shape, max(int(v.max(initial=0)), -low), v.__getitem__, pad, low < 0)
 
 
 # The sliced writers below take this many rows of values at a time.
@@ -44,17 +47,18 @@ _SLICE = 1 << 16
 
 
 def sliced_int_grid(shape: tuple[int, ...], top: int, values: Callable[[slice], np.ndarray],
-                    pad: int = 0) -> np.ndarray:
+                    pad: int = 0, sign: bool = True) -> np.ndarray:
     """The text of int64 values as int_grid writes it, as one (*shape, width)
-    grid for values of magnitude at most top: values(s) gives the rows s of
-    the values, which are taken _SLICE rows at a time, so that only one
-    slice of them is alive beside the grid."""
-    grid = np.zeros((*shape, 1 + len(str(top)) + pad), dtype=np.uint8)
+    grid for values of magnitude at most top, with a sign column if `sign`:
+    values(s) gives the rows s of the values, which are taken _SLICE rows
+    at a time, so that only one slice of them is alive beside the grid."""
+    grid = np.zeros((*shape, sign + len(str(top)) + pad), dtype=np.uint8)
     for start in range(0, shape[0], _SLICE):
         rows = slice(start, start + _SLICE)
         v = values(rows)
-        grid[rows, ..., 0] = (v < 0).view(np.uint8) * ord("-")
-        _digits(grid[rows, ..., 1 : grid.shape[-1] - pad], np.abs(v).astype(np.uint64))  # -2^63 wraps to 2^63
+        if sign:
+            grid[rows, ..., 0] = (v < 0).view(np.uint8) * ord("-")
+        _digits(grid[rows, ..., sign : grid.shape[-1] - pad], np.abs(v).astype(np.uint64))  # -2^63 wraps to 2^63
     return grid
 
 
@@ -86,96 +90,102 @@ def lines(parts: Sequence[np.ndarray | str]) -> str:
     return grid.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def _g_row(key: int) -> tuple[int, int, int, int]:
-    """(k, h, g1, g0) for the normal float64 values v = c 2^q with biased
-    exponent key >> 1 and, for odd key, c = 2^52: k = floor(log10(2^q)), or
-    floor(log10(3/4 2^q)) where c = 2^52 and the value below v is half as
-    far as the one above, by Giulietti's integer forms of these logs; then
-    10^-k = beta 2^r with 2^125 <= beta < 2^126, g = floor(beta) + 1 =
-    g1 2^63 + g0, and h = q + r + 127, which is 2..5."""
-    q = (key >> 1) - 1075
-    k = (q * 661971961083 - (274743187321 if key & 1 and key > 3 else 0)) >> 41
-    r = (-k * 913124641741 >> 38) - 125
-    g = math.floor(Fraction(10) ** -k / Fraction(2) ** r) + 1
-    return k % 2**64, q + r + 127, g >> 63, g & (2**63 - 1)
+# The float64 kernel takes _LOW < v < _HIGH, where 0 <= -k <= 22: there
+# 10^-k is exact, and so is v 10^-k as Dekker's product and its error.
+_LOW, _HIGH = 2.0**-21, 2.0**56
+_SURE = 2.0**-44  # the margin past which a decision is certified
+
+
+def _halves(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split of float64 x into two 26-bit halves that sum to it."""
+    big = x * 134217729.0  # 2^27 + 1
+    hi = big - (big - x)
+    return hi, x - hi
 
 
 @cache
-def _g_table() -> np.ndarray:  # the _g_row of each key by column, and 1 where filled in
-    return np.zeros((5, 4096), dtype=np.uint64)
+def _table() -> np.ndarray:
+    """Columns k, 10^-k, its halves, wl and 10 - wr by key (biased exponent
+    << 1 | (fraction == 0)) of v = c 2^q: k = floor(log10(2^q)), or
+    floor(log10(3/4 2^q)) below a c = 2^52, by Giulietti's integer forms
+    of these logs, and v rounds from (c - wl) 2^q..(c + wr) 2^q over 10^k,
+    wr = 2^(q-1) 10^-k and wl = wr, or wr/2 below c = 2^52."""
+    key = np.r_[2004, 2006:2158]  # the keys of _LOW < v < _HIGH; 2005 is _LOW itself
+    q, edge = (key >> 1) - 1075, key & 1
+    k = (q * 661971961083 - edge * 274743187321) >> 41
+    p = np.array([float(10**n) for n in range(23)])[-k]
+    wr = np.ldexp(p, q - 1)
+    table = np.zeros((6, 4096))
+    table[:, key] = k, p, *_halves(p), wr / (1 + edge), 10 - wr
+    return table
 
 
-def _g_columns(key: np.ndarray) -> np.ndarray:
-    table, key = _g_table(), key.astype(np.intp)
-    for new in set(key[table[4, key] == 0].tolist()):  # not np.unique, which imports numpy.ma
-        table[:, new] = (*_g_row(new), 1)
-    return table[:4].take(key, axis=1)
+def _shortest(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(f, k, sure) for each float64 _LOW < v < _HIGH: where sure, f 10^k,
+    f in [10^15, 10^17), is the decimal repr writes, the shortest that
+    rounds back to v, of those the closest, of those the one with f even.
+    By Giulietti's Schubfach, with T = v 10^-k = s + phi, s = floor(T), as
+    Dekker's exact hi + lo: each decision compares phi with one threshold.
+    s rounds to v if phi < wl, s + 1 if phi > 1 - wr, the multiple of ten
+    s - r, r = s mod 10, if phi < wl - r, s - r + 10 if phi > 10 - wr - r,
+    and s + 1 is closer if phi > 1/2.  phi and the thresholds are within
+    2^-48, so a margin beyond _SURE settles each comparison exactly and
+    leaves no end of the interval, open or closed, and no tie to decide."""
+    bits = v.view(np.int64)
+    k, p, p1, p0, wl, wr10 = _table().take((bits >> 52 << 1) | (bits << 12 == 0), axis=1)
+    v1, v0 = _halves(v)
+    hi = v * p
+    lo = ((v1 * p1 - hi) + v1 * p0 + v0 * p1) + v0 * p0
+    down = np.floor(lo)
+    phi = lo - down
+    s = hi.astype(np.int64) + down.astype(np.int64)
+    tens = s // 10 * 10  # not s % 10, which numpy divides out in full
+    a, b, r = wl - phi, wr10 - phi, (s - tens).astype(np.float64)
+    margin = np.abs(a)
+    for gap in (a - r, b - 9, b - r, phi - 0.5):  # not np.minimum.reduce, which stacks them first
+        np.minimum(margin, np.abs(gap), out=margin)
+    uin, win, upin, wpin = a > 0, b < 9, a > r, b < r
+    up = (win & ~uin) | ((uin == win) & (phi > 0.5))
+    return np.where(upin ^ wpin, tens + 10 * wpin, s + up), k.astype(np.int64), margin > _SURE
 
 
-def _wide(hi: np.ndarray, lo: np.ndarray, g: np.ndarray, s: np.ndarray, up: bool) -> tuple[np.ndarray, ...]:
-    """(hi 2^64 + lo) + g 2^s, or - g 2^s, in 128 bits, for 0 < s < 64."""
-    step = lo + (g << s) if up else lo - (g << s)
-    return (hi + (g >> (64 - s)) + (step < lo) if up else hi - (g >> (64 - s)) - (step > lo)), step
-
-
-def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(f, k) with f 10^k, f in [10^15, 10^17), the decimal repr writes for
-    each positive normal float64 of bits: the shortest that rounds back to
-    it, of those the closest, of those the one with f even.  In Giulietti's
-    terms v = c 2^q rounds from (c -+ 1/2) 2^q, or from (c - 1/4) 2^q below
-    a c = 2^52; with cb = 4c these ends and v, over 10^k, are vbl, vbr and
-    vb = rop(g (x << h) 2^-127) for x = cb - 2 (or cb - 1), cb + 2 and cb.
-    g cp is taken once, and the ends move it by g 2^(h+1) (or g 2^h)."""
-    t, exponent = bits & np.uint64(2**52 - 1), bits >> 52
-    k, h, g1, g0 = _g_columns((exponent << 1) | (t == 0))
-    c = t | np.uint64(2**52)
-    out = c & 1  # an odd c rounds half away from itself: its interval is open
-    cp = c << 2 << h
-    cl, ch = cp & _M32, cp >> 32
-
-    def mulhi(a):  # the high 64 bits of a cp
-        al, ah = a & _M32, a >> 32
-        ll, lh, hl = al * cl, al * ch, ah * cl
-        return ah * ch + (lh >> 32) + (hl >> 32) + (((ll >> 32) + (lh & _M32) + (hl & _M32)) >> 32)
-
-    def rop(x1, y1, y0):  # Giulietti's figure 8, from x1 = mulhi(g0) and y1 2^64 + y0 = g1 cp
-        z = (y0 >> 1) + x1
-        return (y1 + (z >> 63)) | (((z & _M63) + _M63) >> 63)
-
-    x1, x0, y1, y0 = mulhi(g0), g0 * cp, mulhi(g1), g1 * cp
-    vb = rop(x1, y1, y0)
-    vbl, vbr = (rop(_wide(x1, x0, g0, s, up)[0], *_wide(y1, y0, g1, s, up))
-                for s, up in ((h + 1 - ((t == 0) & (exponent > 1)), False), (h + 1, True)))
-    s = vb >> 2
-    # the one multiple of 10^(k+1) in the rounding interval, if there is one,
-    sp10 = s // 10 * 10
-    upin, wpin = vbl + out <= sp10 << 2, ((sp10 + 10) << 2) + out <= vbr
-    # else s or s + 1, whichever is in it, or the closer, or the even one
-    uin, win = vbl + out <= s << 2, ((s + 1) << 2) + out <= vbr
-    up = (win & ~uin) | ((uin == win) & ((vb & 3) + (s & 1) > 2))
-    return np.where(upin ^ wpin, sp10 + np.uint64(10) * wpin, s + up), k.view(np.int64)
+def _swar(x: np.ndarray) -> np.ndarray:
+    """The 8 ASCII digits of each int64 0 <= x < 10^8 as a (*x.shape, 8)
+    grid, first digit first: its halves in two 32-bit lanes of one word,
+    then quotient and remainder in 16- and 8-bit lanes by multiply-shift."""
+    top = x // 10000
+    w = top | (x - top * 10000) << 32
+    for base, mul, shift, mask, lane in ((100, 5243, 19, 0x7F0000007F, 16), (10, 103, 10, 0xF000F000F000F, 8)):
+        q = (w * mul >> shift) & mask
+        w = q | (w - q * base) << lane
+    return (w | 0x3030303030303030).astype("<i8", copy=False).view(np.uint8).reshape(*x.shape, 8)
 
 
 def float_grid(v: np.ndarray) -> np.ndarray:
     """The text of each float64 value of v as repr writes it, as a
-    (*v.shape, width) grid.  A normal value is its Schubfach decimal f 10^k,
-    f normalised to 17 digits d_0..d_16 with d_0 nonzero, and p = k + 17 the
-    place of the point.  In fixed notation, for 1e-4 <= |v| < 1e16, "0."
-    and -p zeros lead when p <= 0, the point follows d_{p-1} when a nonzero
-    digit follows it and ".0" does otherwise; in exponent notation the point
-    follows d_0 when a nonzero digit follows it, and "e", the sign and at
-    least two digits of p - 1 end the text.  The zeros that end the digits
-    after these are dropped.  Zero is written as 1.0 with d_0 = 0."""
+    (*v.shape, width) grid.  A value the kernel certifies is its Schubfach
+    decimal f 10^k, f normalised to 17 digits d_0..d_16 with d_0 nonzero,
+    and p = k + 17 the place of the point.  In fixed notation, for
+    1e-4 <= |v| < 1e16, "0." and -p zeros lead when p <= 0, the point
+    follows d_{p-1} when a nonzero digit follows it and ".0" does
+    otherwise; in exponent notation the point follows d_0 when a nonzero
+    digit follows it, and "e", the sign and two digits of p - 1 end the
+    text.  The zeros that end the digits after these are dropped.  Zero is
+    written as 1.0 with d_0 = 0; every other value is written by repr."""
     flat = np.ascontiguousarray(v, dtype=np.float64).reshape(-1)
-    mag = np.abs(flat)
-    normal = (mag >= 2.2250738585072014e-308) & (mag < np.inf)
-    expo = normal & ((mag < 1e-4) | (mag >= 1e16))
-    f, k = _shortest(np.where(normal, mag, 1.0).view(np.uint64))
+    mag, sign = np.abs(flat), np.signbit(flat)
+    fast = (mag > _LOW) & (mag < _HIGH)
+    expo = fast & ((mag < 1e-4) | (mag >= 1e16))
+    f, k, sure = _shortest(np.where(fast, mag, 1.0))
     short = f < 10**16
     p = k + _SPAN - short
     point = np.where(expo, 1, p).astype(np.int8)
-    digits = np.zeros((_SPAN, len(flat)), dtype=np.uint8)  # row j: d_j of every value
-    _digits(digits.T, np.where(short, f * 10, f))
+    f = np.where(short, f * 10, f)
+    high = f // 10**8
+    lead = high // 10**8
+    digits = np.empty((_SPAN, len(flat)), dtype=np.uint8)  # row j: d_j of every value
+    digits[0] = lead + ord("0")
+    digits[1:] = _swar(np.stack((high - lead * 10**8, f - high * 10**8), axis=1)).reshape(-1, _SPAN - 1).T
     digits[0][mag == 0.0] = ord("0")
     last = np.full(len(flat), _SPAN, dtype=np.int8)  # 1 + the place of the last nonzero digit
     zeros = np.ones(len(flat), dtype=bool)
@@ -187,17 +197,23 @@ def float_grid(v: np.ndarray) -> np.ndarray:
         digits[j] *= ~zeros | (point > j)  # a zero before the point stays
     after = np.where((point > 0) & (point < last), point, 0)  # the point follows d_{after - 1}
     used = np.bincount(after, minlength=_SPAN + 1)
-    rows = [np.signbit(flat) * np.uint8(ord("-"))]
-    rows += [(-point >= i) * np.uint8(ord(c)) for i, c in zip((0, 0, 1, 2, 3), "0.000")]
+    # only the columns some value uses: a sign, "0.000" up to the deepest point
+    rows = [sign * np.uint8(ord("-"))] if sign.any() else []
+    deepest = -int(point.min(initial=1))
+    rows += [(-point >= i) * np.uint8(ord(c)) for i, c in zip((0, 0, 1, 2, 3), "0.000") if i <= deepest]
     for j in range(_SPAN):
         rows += [digits[j]] + ([(after == j + 1) * np.uint8(ord("."))] if used[j + 1] else [])
-    rows += [((point >= last) & ~expo) * np.uint8(ord(c)) for c in ".0"]
-    if expo.any():
+    suffix = (point >= last) & ~expo
+    if suffix.any():
+        rows += [suffix * np.uint8(ord(c)) for c in ".0"]
+    if expo.any():  # |p - 1| <= 16 for the values the kernel takes
         e = np.abs(p - 1)
         rows += [(text * expo).astype(np.uint8) for text in (
-            ord("e"), np.where(p > 0, ord("+"), ord("-")), (48 + e // 100) * (e >= 100), 48 + e // 10 % 10, 48 + e % 10)]
-    grid = np.stack(rows, axis=1)  # at least 25 columns, which every repr fits
-    other = ~normal & (mag != 0.0)  # subnormal, inf or nan
+            ord("e"), np.where(p > 0, ord("+"), ord("-")), 48 + e // 10, 48 + e % 10)]
+    other = ~(fast & sure) & (mag != 0.0)  # beyond the kernel or uncertified, subnormal, inf or nan
     if other.any():
-        grid[other] = str_grid([repr(x) for x in flat[other].tolist()], len(rows))
+        rows += [np.zeros_like(digits[0])] * (25 - len(rows))  # 25 columns, which every repr fits
+    grid = np.stack(rows, axis=1)
+    if other.any():
+        grid[other] = str_grid([repr(x) for x in flat[other].tolist()], grid.shape[1])
     return grid.reshape(*v.shape, grid.shape[1])

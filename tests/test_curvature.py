@@ -180,8 +180,8 @@ def test_scale_ladder_guard_catches_a_wrong_totient(monkeypatch):
     # one wrong phi(q) far below the top still changes X(q_max, 1)
     sieve = curvature.totient_array
 
-    def perturbed(limit):
-        phi = sieve(limit)
+    def perturbed(limit, primes_and_cofactors=None):
+        phi = sieve(limit, primes_and_cofactors)
         phi[97] += 1
         return phi
 

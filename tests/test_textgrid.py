@@ -92,9 +92,48 @@ def test_fixed_grid_matches_format_across_slices(monkeypatch):
         assert textgrid.lines([grid, "\n"]) == "".join(f"{v:.6f}\n" for v in column)
 
 
-def test_g_table_entries_meet_the_kernel_bounds():
-    # the shifts of _shortest stay in 2..6 and its scaled significands in 64 bits
-    for key in range(2, 4094):
-        k, h, g1, g0 = textgrid._g_row(key)
-        assert 2 <= h <= 5
-        assert 2**125 < g1 * 2**63 + g0 <= 2**126 and g0 < 2**63
+def test_every_kernel_exponent_and_its_neighbours_match_repr():
+    # 64 random mantissas for each binary exponent 2^-23..2^58: every key of
+    # the float64 kernel, and the first keys beyond it on both sides
+    rng = np.random.default_rng(22)
+    exponents = np.arange(-23, 59)
+    values = np.ldexp(1.0 + rng.random((len(exponents), 64)), exponents[:, None]).reshape(-1)
+    values[::3] *= -1
+    assert rows_text(values) == reprs(values)
+
+
+def test_kernel_powers_of_two_match_repr():
+    # c = 2^52, where the value below is half as far as the one above
+    powers = np.ldexp(1.0, np.arange(-23, 59))
+    values = np.concatenate((powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)))
+    assert rows_text(values) == reprs(values)
+
+
+def test_exact_ties_match_repr():
+    # odd m/2^17: 18 significant digits, so two 17-digit decimals are equally near
+    values = np.arange(2**17 + 1, 2**20, 2) / 2**17
+    assert rows_text(values) == reprs(values)
+
+
+def test_ties_and_values_beyond_the_kernel_take_the_repr_fallback(monkeypatch):
+    ties = np.arange(2**17 + 1, 2**17 + 64, 2) / 2**17
+    beyond = np.array([2.0**-21, 2.0**-30, 1e-300, 2.0**56, 1e20, 1e300, 5e-324])
+    sure = np.array([0.5, 1.25, 3.3, 0.001, 12345.678, 1e-5, 2.0**55])
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return f"{x!r}"
+
+    monkeypatch.setattr(textgrid, "repr", counted, raising=False)
+    values = np.concatenate((ties, beyond, sure, -ties, -beyond))
+    assert rows_text(values) == reprs(values)
+    assert sorted(calls) == sorted(np.concatenate((ties, beyond, -ties, -beyond)).tolist())
+
+
+def test_grids_hold_only_columns_some_value_uses():
+    assert textgrid.float_grid(np.array([1.5, 2.25])).shape == (2, 17 + 1)  # the digits and one point
+    assert textgrid.float_grid(np.array([-1.5, 2.0])).shape == (2, 1 + 17 + 1 + 2)  # a sign and ".0"
+    assert textgrid.float_grid(np.array([1.5, np.nan])).shape == (2, 25)  # room for repr
+    assert textgrid.int_grid(np.array([0, 7, 123])).shape == (3, 3)
+    assert textgrid.int_grid(np.array([0, -7, 123]), 1).shape == (3, 5)
