@@ -1,56 +1,28 @@
 """Lattice polygons with primitive-vector edges, their limit curves, and
-the exact Farey/continued-fraction analysis of their local curvature."""
+the exact Farey/continued-fraction analysis of their local curvature.
 
-from .analysis import (
-    ConvergenceRecord,
-    convergence_table,
-    distance_to_curve,
-    expected_curve,
-    lemma_check,
-)
+`__all__` is the public API, and the one place where it is decided: each
+name in it is reached by a command of `jarnik.cli` or by its selftest.
+"""
+
+from .analysis import ConvergenceRecord, convergence_table, expected_curve
 from .curvature import (
     CurvatureBounds,
-    CurvatureSample,
     circumradius_squared,
-    curvature_trace,
+    curvature_runs,
     limit_curve_radius,
-    limsup_liminf_estimate,
-    local_radius,
-    predicted_radius,
+    trace_lines,
+    trace_points,
 )
-from .domains import (
-    DomainSpec,
-    MomentPair,
-    ball,
-    contains,
-    diamond,
-    moment_integrals,
-    octagon,
-    parse_domain,
-    square,
-)
-from .limit_curves import (
-    LimitCurve,
-    curve_C,
-    curve_C1,
-    curve_Cdelta,
-    curve_Cp,
-    parse_curve,
-    reg_inc_beta,
-)
+from .domains import DomainSpec, MomentPair, ball, diamond, moment_integrals, octagon, parse_domain, square
+from .limit_curves import LimitCurve, parse_curve, reg_inc_beta
 from .number_theory import (
-    ContinuedFraction,
     FareyNeighbors,
     QuadraticSurd,
     RationalReal,
     RealSpec,
-    cf_expand,
-    convergents,
-    farey_neighbor_walk,
-    farey_neighbors,
+    farey_neighbor_runs,
     farey_neighbors_sided,
-    farey_sequence,
-    moebius_sieve,
     parse_real,
 )
 from .polygon import (
@@ -58,10 +30,24 @@ from .polygon import (
     PrimitiveVector,
     ScaledPolygon,
     build_polygon,
-    fundamental_vertex,
     fundamental_vertices,
-    primitive_vectors,
     scale_polygon,
 )
+
+__all__ = [
+    # regions
+    "DomainSpec", "MomentPair", "ball", "diamond", "moment_integrals", "octagon", "parse_domain", "square",
+    # polygons
+    "LatticePolygon", "PrimitiveVector", "ScaledPolygon", "build_polygon", "fundamental_vertices",
+    "scale_polygon",
+    # limit curves and convergence
+    "LimitCurve", "parse_curve", "reg_inc_beta", "ConvergenceRecord", "convergence_table", "expected_curve",
+    # exact slopes and their Farey neighbors
+    "RealSpec", "RationalReal", "QuadraticSurd", "parse_real", "FareyNeighbors", "farey_neighbor_runs",
+    "farey_neighbors_sided",
+    # local curvature
+    "CurvatureBounds", "circumradius_squared", "curvature_runs", "limit_curve_radius", "trace_lines",
+    "trace_points",
+]
 
 __version__ = "0.1.0"

@@ -41,7 +41,7 @@ import numpy as np
 
 from .domains import DomainSpec
 from .limit_curves import LimitCurve, dihedral_images
-from .polygon import ScaledPolygon, build_polygon, fundamental_vertices, scale_polygon
+from .polygon import ScaledPolygon, build_polygon, scale_polygon
 
 
 # ---------------------------------------------------------------------------
@@ -231,15 +231,6 @@ def curve_distance(
     return sampled
 
 
-def distance_to_curve(
-    poly: ScaledPolygon, curve: LimitCurve, samples: int = 2**14
-) -> float:
-    """Upper bound on the largest distance from the polygon's vertices and
-    edge midpoints to the full eight-fold curve."""
-    measured, slack = curve_distance(curve, samples)(_probe_points(poly, curve))
-    return measured + slack
-
-
 # ---------------------------------------------------------------------------
 # Convergence tables
 # ---------------------------------------------------------------------------
@@ -306,63 +297,3 @@ def convergence_csv(records: Sequence[ConvergenceRecord]) -> str:
     for r in records:
         lines.append(f"{r.domain},{r.order},{r.curve},{r.sup_distance!r},{r.bound!r}")
     return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# Vertex-sum asymptotics
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LemmaRow:
-    order: int
-    lam: Fraction
-    x_exact: int
-    y_exact: int
-    x_normalized_error: float  # |X pi^2/(2 lam Q^3) - 1| * Q / log Q
-    y_normalized_error: float
-
-
-@dataclass(frozen=True)
-class LemmaReport:
-    rows: tuple[LemmaRow, ...]
-    max_x_error: float
-    max_y_error: float
-
-    def render(self) -> str:
-        lines = ["Q,lambda,X,Y,x_err_normalized,y_err_normalized"]
-        for r in self.rows:
-            lines.append(
-                f"{r.order},{r.lam},{r.x_exact},{r.y_exact},"
-                f"{r.x_normalized_error:.6f},{r.y_normalized_error:.6f}"
-            )
-        lines.append(f"max_x_error,{self.max_x_error:.6f}")
-        lines.append(f"max_y_error,{self.max_y_error:.6f}")
-        return "\n".join(lines) + "\n"
-
-
-def lemma_check(q_list: Sequence[int], lam_grid: Sequence[Fraction]) -> LemmaReport:
-    """Normalized errors of the vertex sums against their main terms
-    2 lam Q^3/pi^2 and lam^2 Q^3/pi^2.  Bounded normalized errors are the
-    desk-scale signature of the O(Q^2 log Q) remainder."""
-    if not q_list:
-        raise ValueError("need at least one order")
-    if min(q_list) < 2:  # Q / log Q is undefined at Q = 1
-        raise ValueError("lemma orders must be at least 2")
-    from .domains import square
-
-    lams = [Fraction(lam) for lam in lam_grid]
-    if not all(0 < lam <= 1 for lam in lams):
-        raise ValueError("lemma grid needs slopes in (0, 1]")
-    rows = []
-    for order in sorted(set(q_list)):
-        norm = order / math.log(order)
-        for lam, (x, y) in zip(lams, fundamental_vertices(square(), order, lams)):
-            xerr = abs(x * math.pi**2 / (2 * float(lam) * order**3) - 1.0) * norm
-            yerr = abs(y * math.pi**2 / (float(lam) ** 2 * order**3) - 1.0) * norm
-            rows.append(LemmaRow(order, lam, x, y, xerr, yerr))
-    return LemmaReport(
-        tuple(rows),
-        max(r.x_normalized_error for r in rows),
-        max(r.y_normalized_error for r in rows),
-    )

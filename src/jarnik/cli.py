@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import math
 import os
 import sys
@@ -229,15 +230,15 @@ def _selftest_checks() -> list[tuple[str, bool, str]]:
     def record(name: str, ok: bool, detail: str = "") -> None:
         checks.append((name, ok, detail))
 
-    v4 = polygon.primitive_vectors(domains.square(), 4)
+    p4 = polygon.build_polygon(domains.square(), 4)
+    v4 = p4.edges()
     record("48 primitive vectors at order 4", len(v4) == 48, f"got {len(v4)}")
 
-    p4 = polygon.build_polygon(domains.square(), 4)
     head = p4.vertices[:7]
     want = ((0, 0), (4, 1), (7, 2), (9, 3), (12, 5), (16, 8), (17, 9))
     record("order-4 polygon fundamental arc vertices", head == want, f"got {head}")
 
-    vertex = polygon.fundamental_vertex(domains.square(), 4, number_theory.INV_SQRT3)
+    (vertex,) = polygon.fundamental_vertices(domains.square(), 4, [number_theory.INV_SQRT3])
     record("fundamental vertex (9, 3) at slope 1/sqrt(3)", vertex == (9, 3), f"got {vertex}")
 
     r2 = curvature.circumradius_squared((7, 2), (9, 3), (12, 5))
@@ -245,42 +246,34 @@ def _selftest_checks() -> list[tuple[str, bool, str]]:
     r2b = curvature.circumradius_squared((4, 1), (7, 2), (9, 3))
     record("circumradius^2 725/2", r2b == Fraction(725, 2), f"got {r2b}")
 
-    ((_, _, a1, q1, a2, q2, _, _, (x,)),) = curvature.curvature_runs(number_theory.INV_SQRT3, 4, 4)
+    ((_, _, a1, q1, a2, q2, num, den, (x,)),) = curvature.curvature_runs(number_theory.INV_SQRT3, 4, 4)
     r2_row = curvature.circumradius_squared((0, 0), (q1, a1), (q1 + q2, a1 + a2))
-    r2_local, ladder = curvature.local_radius(4, number_theory.INV_SQRT3).r_squared, Fraction(3 * x, 2)
-    record("integer row of 1/sqrt(3) at order 4: local_radius's r^2, R(4) = 51/2",
-           r2_row == r2_local and ladder == Fraction(51, 2), f"got {r2_row}, {r2_local}, {ladder}")
+    ladder = Fraction(3 * x, 2)
+    record("integer row of 1/sqrt(3) at order 4: r^2 = num/den of its neighbors, R(4) = 51/2",
+           r2_row == Fraction(num, den) and ladder == Fraction(51, 2), f"got {r2_row}, {num}/{den}, {ladder}")
 
-    farey4 = number_theory.farey_sequence(4)
-    want_farey = [Fraction(n, d) for n, d in
-                  ((0, 1), (1, 4), (1, 3), (1, 2), (2, 3), (3, 4), (1, 1))]
+    a, q = number_theory.farey_fractions(4)
+    farey4 = list(zip(a.tolist(), q.tolist()))
+    want_farey = [(1, 4), (1, 3), (1, 2), (2, 3), (3, 4), (1, 1)]
     record("order-4 Farey sequence", farey4 == want_farey, f"got {farey4}")
 
-    nb = number_theory.farey_neighbors(number_theory.INV_SQRT3, 15)
+    ((_, _, a1, q1, a2, q2),) = number_theory.farey_neighbor_runs(number_theory.INV_SQRT3, 15, 15)
     record(
         "Farey neighbors of 1/sqrt(3) at order 15",
-        (nb.left, nb.right) == (Fraction(4, 7), Fraction(7, 12)),
-        f"got {nb.left}, {nb.right}",
+        (a1, q1, a2, q2) == (4, 7, 7, 12),
+        f"got {a1}/{q1}, {a2}/{q2}",
     )
 
-    cf = number_theory.cf_expand(number_theory.INV_SQRT3, 12)
-    record(
-        "continued fraction of 1/sqrt(3)",
-        cf.partial_quotients == (1, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1),
-        f"got {cf.partial_quotients}",
-    )
-    cf_e = number_theory.cf_expand(number_theory.E_MINUS_2, 12)
-    record(
-        "continued fraction of e-2",
-        cf_e.partial_quotients == (1, 2, 1, 1, 4, 1, 1, 6, 1, 1, 8, 1),
-        f"got {cf_e.partial_quotients}",
-    )
+    cf = tuple(itertools.islice(number_theory.INV_SQRT3.quotients(), 12))
+    record("continued fraction of 1/sqrt(3)", cf == (1, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1), f"got {cf}")
+    cf_e = tuple(itertools.islice(number_theory.E_MINUS_2.quotients(), 12))
+    record("continued fraction of e-2", cf_e == (1, 2, 1, 1, 4, 1, 1, 6, 1, 1, 8, 1), f"got {cf_e}")
 
-    x, y = limit_curves.curve_C1(0.37)
+    x, y = limit_curves.LimitCurve("C1").point(0.37)
     resid = abs(math.sqrt(1 - abs(x)) + math.sqrt(1 - abs(y)) - 1)
     record("diamond limit-curve identity", resid < 1e-12, f"residual {resid:.2e}")
 
-    cx, cy = limit_curves.curve_Cp(2, 0.7)
+    cx, cy = limit_curves.LimitCurve("Cp", 2).point(0.7)
     circ = abs(cx * cx + cy * cy - 1)
     record("ball(2) limit curve is the unit circle", circ < 1e-9, f"residual {circ:.2e}")
 

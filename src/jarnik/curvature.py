@@ -14,7 +14,8 @@ same over runs of orders, and a trace over a range of Q is evaluated a
 block of orders at a time.  The runs that fill a block are certified
 together in int64 arrays, r^2 is taken once per run (in int64 where a
 bound shows that it fits, in Python ints otherwise), and the two float
-columns r_tilde and predicted are numpy expressions over the block, with
+columns r_tilde and predicted, its asymptote q1 q2 (q1+q2)/Q^3 pi^2/6
+(1+lam^2)^(3/2), are numpy expressions over the block, with
 the same IEEE operations in the same order as one order at a time.  The
 CSV text of a block is one byte grid (textgrid): the orders and the two
 float columns are written by numpy digit kernels, repr's exact text for
@@ -33,13 +34,9 @@ import numpy as np
 
 from . import textgrid
 from .number_theory import (
-    FareyNeighbors,
-    GeneratedCF,
-    QuadraticSurd,
     RationalReal,
     RealSpec,
     _small_primes_and_cofactors,
-    convergent_walk,
     farey_neighbor_runs,
     moebius_array,
     totient_array,
@@ -67,13 +64,6 @@ def circumradius_squared(
 def limit_curve_radius(lam: float) -> float:
     """Radius of curvature of the parabolic limit curve at parameter lam."""
     return (2.0 / 3.0) * (1.0 + lam * lam) ** 1.5
-
-
-def predicted_radius(order: int, lam: float, q1: int, q2: int) -> float:
-    """Asymptotic scaled radius q1 q2 (q1+q2)/Q^3 * pi^2 (1+lam^2)^(3/2)/6."""
-    return (
-        q1 * q2 * (q1 + q2) / order**3 * _SQUARE_COEFF * (1.0 + lam * lam) ** 1.5
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -127,30 +117,8 @@ def _x_ladder(q_max: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Samples and traces
+# Bounds and traces
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class CurvatureSample:
-    order: int
-    lambda_spec: str
-    neighbors: FareyNeighbors
-    r_squared: Fraction
-    r_tilde: float
-    predicted: float
-
-    @property
-    def q1(self) -> int:
-        return self.neighbors.left.denominator
-
-    @property
-    def q2(self) -> int:
-        return self.neighbors.right.denominator
-
-    @property
-    def r(self) -> float:
-        return math.sqrt(self.r_squared)
 
 
 @dataclass(frozen=True)
@@ -160,29 +128,19 @@ class CurvatureBounds:
     band_low: float  # pi^2/6 (1+lam^2)^(3/2)
     band_high: float  # pi^2/3 (1+lam^2)^(3/2)
     limit_radius: float  # 2/3 (1+lam^2)^(3/2)
-    exact_limsup: float | None = None  # from liminf k_{n-1}/k_n when periodic
 
 
 def _bounds_for(lam: RealSpec) -> CurvatureBounds:
+    """The band and the limit-curve radius at an irrational slope, from
+    float(lam) alone."""
     value = float(lam)
     shape = (1.0 + value * value) ** 1.5
-    periodic = isinstance(lam, QuadraticSurd) or (
-        isinstance(lam, GeneratedCF) and getattr(lam, "periodic", False)
-    )
-    exact = None
-    if periodic:
-        # liminf of k_{n-1}/k_n over the (eventual) quotient cycle: the
-        # minimum of the last 80 ratios up to n = 242
-        ks = [k for _, k in islice(convergent_walk(lam.quotients()), 243)]
-        exact_liminf = min(kp / k for kp, k in zip(ks[-81:-1], ks[-80:]))
-        exact = (2.0 + exact_liminf) / (1.0 + exact_liminf) ** 2 * _SQUARE_COEFF * shape
     return CurvatureBounds(
         str(lam),
         value,
         _SQUARE_COEFF * shape,
         2.0 * _SQUARE_COEFF * shape,
         limit_curve_radius(value),
-        exact,
     )
 
 
@@ -312,7 +270,7 @@ def _blocks(lam: RealSpec | Fraction, q_min: int, q_max: int, side: str | None) 
     frac, _, lam_value = _cut_point(lam, side)
     runs = farey_neighbor_runs(lam if frac is None else frac, q_min, q_max, side)
     cut = None if frac is None else frac.as_integer_ratio()
-    shape = (1.0 + lam_value * lam_value) ** 1.5  # the factor of predicted_radius
+    shape = (1.0 + lam_value * lam_value) ** 1.5  # the factor of the predicted radius
     return _evaluated(runs, lam, side, cut, _x_ladder(q_max), q_min, q_max, shape)
 
 
@@ -370,53 +328,6 @@ def curvature_runs(
             for block in blocks for run in block.runs())
 
 
-def local_radius(order: int, lam: RealSpec | Fraction, side: str | None = None) -> CurvatureSample:
-    """The curvature sample at a single order; see curvature_trace."""
-    return curvature_trace(lam, order, order, side)[0]
-
-
-def curvature_trace(
-    lam: RealSpec | Fraction, q_min: int, q_max: int, side: str | None = None
-) -> list[CurvatureSample]:
-    """One sample per integer order in [q_min, q_max], from the certified
-    runs and float columns of _blocks: the samples of one run within a
-    block share its FareyNeighbors, of its first order there, and its r^2.
-
-    Rational lam needs a side ('+' or '-'); irrational lam must come as an
-    exact RealSpec.
-    """
-    blocks = _blocks(lam, q_min, q_max, side)
-    lambda_spec = _cut_point(lam, side)[1]
-    samples = []
-    for block in blocks:
-        r_tilde, predicted = block.r_tilde.tolist(), block.predicted.tolist()
-        for lo, hi, a1, q1, a2, q2, num, den in block.runs():
-            neighbors = FareyNeighbors(Fraction(a1, q1), Fraction(a2, q2), lo)
-            r_squared, at = Fraction(num, den), lo - block.lo
-            samples += [
-                CurvatureSample(order, lambda_spec, neighbors, r_squared, rt, pr)
-                for order, rt, pr in zip(range(lo, hi + 1), r_tilde[at:], predicted[at:])
-            ]
-    return samples
-
-
-def limsup_liminf_estimate(
-    lam: RealSpec, q_max: int
-) -> tuple[float, float, CurvatureBounds]:
-    """Running sup and inf of the scaled radius over the window
-    [q_max/4, q_max], with the theoretical band they should respect.
-
-    These are window statistics of a finite trace, not certified limits;
-    the band plays the role of the oracle.
-    """
-    if lam.is_rational:
-        raise ValueError("limit estimates are defined for irrational slopes")
-    if q_max < 8:
-        raise ValueError("window too small")
-    values = [r_tilde for _, r_tilde in trace_points(lam, max(2, q_max // 4), q_max)]
-    return (max(values), min(values), _bounds_for(lam))
-
-
 # ---------------------------------------------------------------------------
 # Export
 # ---------------------------------------------------------------------------
@@ -429,7 +340,7 @@ def trace_lines(
     lam: RealSpec | Fraction, q_min: int, q_max: int, side: str | None = None
 ) -> Iterator[str]:
     """The trace's CSV, a row "Q,q1,q2,num,den,r_tilde,predicted" per
-    sample of curvature_trace(...) after a header, a block at a time from
+    order after a header, a block at a time from
     _blocks, with its checks done before this returns.  Each block is one
     byte grid (textgrid): the Q column, the text "q1,q2,num,den," of each
     run in the block repeated over its orders, and r_tilde and predicted
@@ -456,8 +367,8 @@ def trace_lines(
 def trace_points(
     lam: RealSpec | Fraction, q_min: int, q_max: int, side: str | None = None
 ) -> Iterator[tuple[int, float]]:
-    """(Q, r_tilde) of curvature_trace(...), the r_tilde column of _blocks,
-    with its checks done before this returns."""
+    """(Q, r_tilde) for each order, the r_tilde column of _blocks, with its
+    checks done before this returns."""
     blocks = _blocks(lam, q_min, q_max, side)
     return (point for block in blocks for point in zip(range(block.lo, block.hi + 1), block.r_tilde.tolist()))
 

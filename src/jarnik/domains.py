@@ -194,13 +194,6 @@ def lattice_contains(spec: DomainSpec, q: int, a: int, order: int) -> bool:
         raise ArithmeticError(f"{exc}: point ({q}, {a}) of region {spec} at order {order}") from exc
 
 
-def contains(spec: DomainSpec, x: Rational, y: Rational) -> bool:
-    """Whether the rational point (x, y) lies in the (closed) region."""
-    fx, fy = Fraction(x), Fraction(y)
-    den = math.lcm(fx.denominator, fy.denominator)
-    return lattice_contains(spec, int(fx * den), int(fy * den), den)
-
-
 # ---------------------------------------------------------------------------
 # Moment integrals over the wedge S(lam)
 # ---------------------------------------------------------------------------

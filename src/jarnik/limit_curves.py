@@ -9,8 +9,9 @@ Four families, each given by its fundamental arc over lam in [0, 1]:
              beta functions with mu = lam^p/(1 + lam^p)
 
 The full curve is the orbit of the fundamental arc under the dihedral
-group of order eight.  Where an algebraic form of the arc is known the
-curve exposes an implicit residual for verification.
+group of order eight.  The algebraic forms known for some arcs (the
+parabola of C, the diamond identity, the p = 1/2 quintic) are residual
+checks in `tests/oracles.py`.
 
 `LimitCurve.points` evaluates an arc at a whole array of parameters with
 numpy; every other sampler reads it.  The incomplete beta functions come
@@ -69,74 +70,13 @@ def inc_beta(z: float, a: float, b: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Parametric arcs
-# ---------------------------------------------------------------------------
-
-
-def curve_C(lam: float) -> Point:
-    """Arc of y = 3x^2/4 - 1 from (0,-1) to (2/3,-2/3)."""
-    return LimitCurve("C").point(lam)
-
-
-def curve_C1(lam: float) -> Point:
-    """Arc of sqrt(1-|x|) + sqrt(1-|y|) = 1 from (0,-1) to (3/4,-3/4)."""
-    return LimitCurve("C1").point(lam)
-
-
-def curve_Cdelta(delta: float, lam: float) -> Point:
-    """Octagon-family arc: a tilted parabola from (0,-1) to the diagonal."""
-    return LimitCurve("Cdelta", delta).point(lam)
-
-
-def curve_Cp(p: float, lam: float) -> Point:
-    """Ball-family arc via regularized incomplete beta functions."""
-    return LimitCurve("Cp", p).point(lam)
-
-
-# ---------------------------------------------------------------------------
 # Curve objects
 # ---------------------------------------------------------------------------
-
-# fundamental arc of the p = 1/2 ball curve: irreducible quintic relation
-_CP_HALF_QUINTIC: dict[tuple[int, int], int] = {
-    (0, 0): -45253,
-    (1, 0): 86140,
-    (2, 0): -37030,
-    (3, 0): -3220,
-    (4, 0): -765,
-    (5, 0): 128,
-    (0, 1): -86140,
-    (1, 1): 169060,
-    (2, 1): -80340,
-    (3, 1): -1940,
-    (4, 1): -640,
-    (0, 2): -37030,
-    (1, 2): 80340,
-    (2, 2): -44590,
-    (3, 2): 1280,
-    (0, 3): 3220,
-    (1, 3): -1940,
-    (2, 3): -1280,
-    (0, 4): -765,
-    (1, 4): 640,
-    (0, 5): -128,
-}
-
-
-def cp_half_scaled_residual(x: float, y: float) -> float:
-    """Quintic residual at (x, y), scaled by the total term magnitude."""
-    num = 0.0
-    scale = 0.0
-    for (i, j), coef in _CP_HALF_QUINTIC.items():
-        term = coef * x**i * y**j
-        num += term
-        scale += abs(term)
-    return abs(num) / scale
 
 
 @dataclass(frozen=True)
 class LimitCurve:
-    """A limit-curve family member: parametric arc plus optional residual."""
+    """A limit-curve family member and its parametric fundamental arc."""
 
     family: str  # "C" | "C1" | "Cdelta" | "Cp"
     param: Fraction | float | None = None
@@ -181,26 +121,6 @@ class LimitCurve:
     def point(self, lam: float) -> Point:
         x, y = self.points([lam])[0].tolist()
         return (x, y)
-
-    def implicit_residual(self, x: float, y: float) -> float | None:
-        """Residual of the known algebraic form, None where none is known.
-
-        For the p = 1/2 ball curve the residual is scaled (see
-        cp_half_scaled_residual); elsewhere it is the plain defect.
-        """
-        p = self.param
-        if self.family == "C":
-            return y - (0.75 * x * x - 1.0)
-        if self.family == "C1" or (self.family == "Cp" and p == 1):
-            return math.sqrt(1.0 - abs(x)) + math.sqrt(1.0 - abs(y)) - 1.0
-        if self.family == "Cdelta":
-            d = float(p)
-            return 4.0 * d * (1.0 + d) ** 2 * (y + 1.0) - (1.0 + 3.0 * d) * (d * x + y + 1.0) ** 2
-        if p == 2:
-            return x * x + y * y - 1.0
-        if p == Fraction(1, 2):
-            return cp_half_scaled_residual(x, y)
-        return None
 
     def __str__(self) -> str:
         if self.param is None:

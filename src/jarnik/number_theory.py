@@ -1,10 +1,11 @@
 """Exact integer number theory.
 
-Mobius sieve, Farey sequences and neighbor queries, continued fractions
-with convergents and secondary convergents, plus exact specifications of
-real numbers (rationals, quadratic surds, pattern-generated continued
-fractions) so that ordering questions against fractions are decided with
-integer arithmetic only, never floating point.
+Mobius and totient sieves, the Farey fractions of an order, the convergent
+walk of a quotient stream and the Farey neighbors of a slope in runs of
+orders read off it, plus exact specifications of real numbers (rationals,
+quadratic surds, pattern-generated continued fractions) so that ordering
+questions against fractions are decided with integer arithmetic only,
+never floating point.
 
 Conventions used throughout: a number x in (0,1) has the continued
 fraction x = [0; b_1, b_2, ...] with positive integer partial quotients,
@@ -13,7 +14,7 @@ and the convergents h_n/k_n follow
     h_0 = 1, h_1 = 0, h_{n+1} = b_n h_n + h_{n-1}
     k_0 = 0, k_1 = 1, k_{n+1} = b_n k_n + k_{n-1}
 
-so the first convergent listed is h_1/k_1 = 0/1.
+so `convergent_walk` yields h_0/k_0 = 1/0 and then h_1/k_1 = 0/1.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice, pairwise
+from itertools import pairwise
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -65,11 +66,6 @@ def moebius_array(limit: int, sieve: tuple[list[int], np.ndarray] | None = None)
         mu[p * p :: p * p] = 0
     mu[rest > 1] *= -1
     return mu
-
-
-def moebius_sieve(limit: int) -> list[int]:
-    """mu(0..limit) as a list of Python ints; see moebius_array."""
-    return moebius_array(limit).tolist()
 
 
 # Orders per slice of the totient sieve's cofactor pass, which bounds its
@@ -152,12 +148,6 @@ def farey_fractions(
             f"{a[k + 1]}/{q[k + 1]} at order {order}"
         )
     return a, q
-
-
-def farey_sequence(order: int) -> list[Fraction]:
-    """All reduced fractions in [0,1] with denominator <= order, increasing."""
-    a, q = farey_fractions(order)
-    return [Fraction(0, 1)] + list(map(Fraction, a.tolist(), q.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -350,14 +340,22 @@ def parse_real(text: str) -> RealSpec:
 
     Accepted forms: ``rat:a/b``, ``surd:(P+sqrt(D))/Q``, ``const:e-2``,
     ``const:inv-sqrt3``, and ``cf:[0;b1,b2,...,(p1,p2,...)]`` where the
-    parenthesised tail repeats forever.
+    parenthesised tail repeats forever.  A number that int() cannot read,
+    not an integer (``rat:1/2/3``) or longer than the digits it converts,
+    is refused with the text as typed.
     """
     text = text.strip()
-    if text.startswith("rat:"):
-        body = text[4:]
-        num, _, den = body.partition("/")
+
+    def integer(token: str) -> int:
         try:
-            value = Fraction(int(num), int(den)) if den else Fraction(int(num))
+            return int(token)
+        except ValueError:
+            raise ValueError(f"unsupported real specification: {text!r}") from None
+
+    if text.startswith("rat:"):
+        num, _, den = text[4:].partition("/")
+        try:
+            value = Fraction(integer(num), integer(den)) if den else Fraction(integer(num))
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {text!r}") from None
         return RationalReal(value)
@@ -367,11 +365,11 @@ def parse_real(text: str) -> RealSpec:
         return INV_SQRT3
     m = _SURD.match(text)
     if m:
-        return QuadraticSurd(int(m.group(1)), int(m.group(2)), int(m.group(3)))
+        return QuadraticSurd(*map(integer, m.groups()))
     m = _CF_LITERAL.match(text)
     if m:
-        head = tuple(int(t) for t in m.group(1).split(",") if t)
-        cycle = tuple(int(t) for t in m.group(2).split(",")) if m.group(2) else ()
+        head = tuple(integer(t) for t in m.group(1).split(",") if t)
+        cycle = tuple(integer(t) for t in m.group(2).split(",")) if m.group(2) else ()
         if any(b < 1 for b in head + cycle):
             raise ValueError("partial quotients must be positive")
         if cycle:
@@ -386,7 +384,7 @@ def parse_real(text: str) -> RealSpec:
 
 
 # ---------------------------------------------------------------------------
-# Continued fractions and convergents
+# Convergents
 # ---------------------------------------------------------------------------
 
 
@@ -400,56 +398,6 @@ def convergent_walk(quotients: Iterable[int]) -> Iterator[tuple[int, int]]:
         h_prev, h = h, b * h + h_prev
         k_prev, k = k, b * k + k_prev
         yield h, k
-
-
-@dataclass(frozen=True)
-class ContinuedFraction:
-    """A prefix of the expansion [0; b_1, b_2, ...].
-
-    ``terminated`` marks rational inputs whose expansion ended before the
-    requested number of quotients.
-    """
-
-    kind: str  # "rational" | "periodic-quadratic" | "pattern-generated"
-    partial_quotients: tuple[int, ...]
-    terminated: bool = False
-
-    def convergent_pairs(self) -> list[tuple[int, int]]:
-        """(h_n, k_n) for n = 1, 2, ... derived from the stored quotients."""
-        return list(islice(convergent_walk(self.partial_quotients), 1, None))
-
-
-def cf_expand(x: RealSpec | Fraction, n_terms: int) -> ContinuedFraction:
-    """First n_terms partial quotients of x in (0,1), computed exactly."""
-    if n_terms < 1:
-        raise ValueError("need at least one partial quotient")
-    spec = RationalReal(Fraction(x)) if isinstance(x, (Fraction, int)) else x
-    if spec.cmp(Fraction(0)) <= 0 or spec.cmp(Fraction(1)) >= 0:
-        raise ValueError("continued fraction expansion requires x in (0, 1)")
-    quots: list[int] = []
-    terminated = False
-    stream = spec.quotients()
-    for _ in range(n_terms):
-        try:
-            quots.append(next(stream))
-        except StopIteration:
-            terminated = True
-            break
-    if isinstance(spec, RationalReal):
-        kind = "rational"
-    elif isinstance(spec, QuadraticSurd):
-        kind = "periodic-quadratic"
-    else:
-        kind = "pattern-generated"
-    return ContinuedFraction(kind, tuple(quots), terminated)
-
-
-def convergents(cf: ContinuedFraction, count: int | None = None) -> list[Fraction]:
-    """Convergents h_1/k_1, h_2/k_2, ... from the stored quotients."""
-    pairs = cf.convergent_pairs()
-    if count is not None:
-        pairs = pairs[:count]
-    return [Fraction(h, k) for h, k in pairs]
 
 
 # ---------------------------------------------------------------------------
@@ -509,24 +457,6 @@ def _rational_runs(a: int, b: int, c: int, d: int, side: str, lo: int, q_max: in
         hi = q_max if d + b > q_max else d + b - 1
         yield (lo, hi, a, b, c, d) if side == "+" else (lo, hi, c, d, a, b)
         lo, c, d = hi + 1, c + a, d + b
-
-
-def farey_neighbor_walk(lam: RealSpec, q_min: int, q_max: int) -> Iterator[FareyNeighbors]:
-    """The neighbors of irrational lam at every order Q = q_min..q_max: the
-    runs of farey_neighbor_runs, one FareyNeighbors per order."""
-    runs = farey_neighbor_runs(lam, q_min, q_max)
-    return (
-        FareyNeighbors(Fraction(a1, q1), Fraction(a2, q2), q)
-        for lo, hi, a1, q1, a2, q2 in runs
-        for q in range(lo, hi + 1)
-    )
-
-
-def farey_neighbors(lam: RealSpec, order: int) -> FareyNeighbors:
-    """One step of farey_neighbor_walk: the neighbors of lam at one order."""
-    if order < 1:
-        raise ValueError("Farey order must be a positive integer")
-    return next(farey_neighbor_walk(lam, order, order))
 
 
 def farey_neighbors_sided(lam: Fraction, side: str, order: int) -> FareyNeighbors:

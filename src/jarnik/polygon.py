@@ -93,12 +93,6 @@ def _fundamental_arc(spec: DomainSpec, order: int) -> tuple[np.ndarray, np.ndarr
     return q, a
 
 
-def primitive_vectors(spec: DomainSpec, order: int) -> list[PrimitiveVector]:
-    """All primitive vectors (q, a) with (q/Q, a/Q) in the region, in
-    counterclockwise order from (1, 0)."""
-    return build_polygon(spec, order).edges()
-
-
 # A polygon's cycle is eight blocks of L rows, built from its first-octant
 # vertices (a_k, -b_k), k < L, with magnitudes a_k, b_k > 0: block j holds
 # (a_k, b_k) or, swapped, (b_k, a_k), in order or reversed, and signed:
@@ -215,8 +209,9 @@ def build_polygon(spec: DomainSpec, order: int) -> LatticePolygon:
 def fundamental_vertices(
     spec: DomainSpec, order: int, lams: Iterable[RealSpec | Fraction | int | float]
 ) -> list[tuple[int, int]]:
-    """fundamental_vertex at each slope of lams, from one arc and its
-    prefix sums."""
+    """The vertex reached by summing the fundamental-arc edges (0 < a <= q)
+    with slope at most lam, as exact integers, at each slope of lams: one
+    arc, its prefix sums and a bisection per slope."""
     lams = [lam if isinstance(lam, RealSpec) else RationalReal(Fraction(lam)) for lam in lams]
     poly = build_polygon(spec, order)
     octant = poly.octant.tolist()
@@ -224,14 +219,6 @@ def fundamental_vertices(
     # the arc rises in slope: cut it before the first edge with a > floor(lam q)
     cuts = (bisect_left(arc, True, key=lambda e: e[1] > lam.floor_scaled(e[0])) for lam in lams)
     return [tuple(octant[k]) for k in cuts]
-
-
-def fundamental_vertex(
-    spec: DomainSpec, order: int, lam: RealSpec | Fraction | int | float
-) -> tuple[int, int]:
-    """The vertex reached by summing the fundamental-arc edges (0 < a <= q)
-    with slope at most lam, as exact integers."""
-    return fundamental_vertices(spec, order, [lam])[0]
 
 
 @dataclass(frozen=True, eq=False)

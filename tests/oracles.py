@@ -17,11 +17,11 @@ package used before its int64 ones.  The neighbours at a run of orders are
 checked against a plain scan: the best fraction on each side of the slope
 over every denominator up to the order.
 The curvature trace is rebuilt the way the package built it before its
-integer rows: one neighbour query and one exact `Fraction` circumradius
-per order, and the way it wrote them a run of orders at a time before
-its float columns became arrays: the run's integers and r^2 once, in
-Python ints, and the two floats of each order one at a time, and the
-way it wrote a list of samples, one f-string each.  The ladder's
+integer rows: one exact `Fraction` circumradius per order, of the
+neighbours that the plain scan finds, and the way it wrote them a run of
+orders at a time before its float columns became arrays: the run's
+integers and r^2 once, in Python ints, and the two floats of each order
+one at a time.  The ladder's
 Mobius check is summed one term per divisor d, as it was before its terms
 were grouped by the value of Q//d.  Ball membership keeps the order in which the package first
 ran its tests: the Besicovitch tie test before any bracketing.
@@ -36,35 +36,56 @@ before its sign-and-swap template: each of the eight images formatted
 coordinate by coordinate, and its CSV one row at a time, joined at the
 end.
 
-The last section holds second routes to quantities the package computes
+The section of second routes holds quantities the package computes
 once: exact ball-family arcs for p = 1/m, a second closed form of the
 ball arc's y, the map of C onto C1, the partial sums of mu(q)/q^2, the
 moment-route vertex ratios and the asymptote of R(Q).
+
+The last section holds views and checks that only the tests read, built
+on the package's own routes: the Farey sequence as Fractions from the
+array kernel, the neighbours of a slope at one order from its run, the
+membership of a rational point, a curvature trace as one sample per order
+(the runs of `curvature_runs` with the floats read back from the text of
+`trace_lines`), the predicted radius, window estimates of the trace with
+the limsup of a periodic quotient stream, the vertex-sum lemma check, and
+the implicit residuals of the curves whose algebraic form is known.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, islice
 from typing import Sequence
 
 import numpy as np
 
 from jarnik import limit_curves
 from jarnik.analysis import _distance_to_C
-from jarnik.curvature import CurvatureSample, _x_ladder, circumradius_squared, predicted_radius
-from jarnik.domains import DomainSpec, _iroot_floor, lattice_contains, moment_integrals
+from jarnik.curvature import (
+    _SQUARE_COEFF,
+    CurvatureBounds,
+    _bounds_for,
+    _cut_point,
+    _x_ladder,
+    circumradius_squared,
+    curvature_runs,
+    trace_lines,
+    trace_points,
+)
+from jarnik.domains import DomainSpec, _iroot_floor, lattice_contains, moment_integrals, square
 from jarnik.limit_curves import LimitCurve, Point, beta_complete, log_beta, reg_inc_beta
 from jarnik.number_theory import (
     FareyNeighbors,
+    QuadraticSurd,
     RationalReal,
     RealSpec,
+    convergent_walk,
+    farey_fractions,
     farey_neighbor_runs,
-    farey_neighbors,
-    farey_neighbors_sided,
 )
-from jarnik.polygon import LatticePolygon, PrimitiveVector, _fundamental_arc, build_polygon, fundamental_vertex
+from jarnik.polygon import LatticePolygon, PrimitiveVector, _fundamental_arc, build_polygon, fundamental_vertices
 
 
 def primitive_vectors(spec: DomainSpec, order: int) -> list[PrimitiveVector]:
@@ -250,33 +271,19 @@ def square_scale_factor(order: int) -> Fraction:
 
 def fraction_trace_csv(lam: RealSpec, q_min: int, q_max: int, side: str | None = None) -> str:
     """The `curvature` CSV by Fractions: per order, the neighbours by
-    farey_neighbors (or farey_neighbors_sided at a rational slope), r^2 as
-    the circumradius of the vertex triple, and R(Q) from a running sum of
-    the totients."""
+    farey_neighbor_scan, r^2 as the circumradius of the vertex triple, and
+    R(Q) from a running sum of the totients."""
     phi = totient_list_sieve(q_max)
     x = sum(q * phi[q] for q in range(q_min))
     lam_value = float(lam)
     lines = ["Q,q1,q2,r_squared_num,r_squared_den,r_tilde,predicted"]
-    for order in range(q_min, q_max + 1):
+    for order, a1, q1, a2, q2 in farey_neighbor_scan(lam, q_min, q_max, side):
         x += order * phi[order]
-        if side is None:
-            nb = farey_neighbors(lam, order)
-        else:
-            nb = farey_neighbors_sided(lam.value, side, order)
-        a1, q1 = nb.left.numerator, nb.left.denominator
-        a2, q2 = nb.right.numerator, nb.right.denominator
         r_sq = circumradius_squared((0, 0), (q1, a1), (q1 + q2, a1 + a2))
         r_tilde = math.sqrt(r_sq) / float(Fraction(3 * x, 2))
         predicted = predicted_radius(order, lam_value, q1, q2)
         lines.append(f"{order},{q1},{q2},{r_sq.numerator},{r_sq.denominator},{r_tilde!r},{predicted!r}")
     return "\n".join(lines) + "\n"
-
-
-def trace_csv(samples: Sequence[CurvatureSample]) -> str:
-    """The `curvature` CSV of a list of samples, one f-string per sample."""
-    return "Q,q1,q2,r_squared_num,r_squared_den,r_tilde,predicted\n" + "".join(
-        f"{s.order},{s.q1},{s.q2},{s.r_squared.numerator},{s.r_squared.denominator},"
-        f"{s.r_tilde!r},{s.predicted!r}\n" for s in samples)
 
 
 def scale_ladder(q_max: int) -> list[Fraction]:
@@ -498,9 +505,9 @@ def curve_distance_oracle(curve: LimitCurve, samples: int = 2**14):
 def curve_Cp_alternate_y(p: float, lam: float) -> float:
     """Second closed form of the ball-family y coordinate.
 
-    Algebraically equal to curve_Cp(p, lam)[1] through the contiguous
-    relations of I_z; kept as an independent evaluation path and checked
-    against the primary one in tests.
+    Algebraically equal to LimitCurve("Cp", p).point(lam)[1] through the
+    contiguous relations of I_z; kept as an independent evaluation path and
+    checked against the primary one in tests.
     """
     p = float(p)
     if p <= 0:
@@ -582,7 +589,7 @@ def partial_zeta_inverse(order: int) -> Fraction:
 def moment_route_ratio(spec: DomainSpec, order: int, lam: Fraction) -> tuple[float, float]:
     """Ratios of the exact vertex sums to the integral predictions
     Q^3/zeta(2) * (mx, my); both tend to 1."""
-    x, y = fundamental_vertex(spec, order, lam)
+    ((x, y),) = fundamental_vertices(spec, order, [lam])
     moments = moment_integrals(spec, lam)
     main = order**3 * 6.0 / math.pi**2
     return (x / (main * float(moments.mx)), y / (main * float(moments.my)))
@@ -599,3 +606,216 @@ def scale_factor_asymptote(spec: DomainSpec) -> float:
         return 2.0 * beta_complete(1.0 / p, 2.0 / p) / (p * math.pi**2)
     moments = moment_integrals(spec, 1)
     return float(6 * (moments.mx + moments.my)) / math.pi**2
+
+
+# ---------------------------------------------------------------------------
+# Views and checks that only the tests read
+# ---------------------------------------------------------------------------
+
+
+def farey_sequence(order: int) -> list[Fraction]:
+    """All reduced fractions in [0, 1] with denominator <= order, increasing:
+    0/1 and the fractions of farey_fractions."""
+    a, q = farey_fractions(order)
+    return [Fraction(0)] + list(map(Fraction, a.tolist(), q.tolist()))
+
+
+def farey_neighbors(lam: RealSpec, order: int) -> FareyNeighbors:
+    """The neighbours of irrational lam at one order: the one run of
+    farey_neighbor_runs over that order."""
+    ((_, _, a1, q1, a2, q2),) = farey_neighbor_runs(lam, order, order)
+    return FareyNeighbors(Fraction(a1, q1), Fraction(a2, q2), order)
+
+
+def contains(spec: DomainSpec, x: Fraction | int, y: Fraction | int) -> bool:
+    """Whether the rational point (x, y) lies in the (closed) region: the
+    lattice point of their common denominator."""
+    fx, fy = Fraction(x), Fraction(y)
+    den = math.lcm(fx.denominator, fy.denominator)
+    return lattice_contains(spec, int(fx * den), int(fy * den), den)
+
+
+@dataclass(frozen=True)
+class CurvatureSample:
+    order: int
+    lambda_spec: str
+    neighbors: FareyNeighbors
+    r_squared: Fraction
+    r_tilde: float
+    predicted: float
+
+    @property
+    def q1(self) -> int:
+        return self.neighbors.left.denominator
+
+    @property
+    def q2(self) -> int:
+        return self.neighbors.right.denominator
+
+    @property
+    def r(self) -> float:
+        return math.sqrt(self.r_squared)
+
+
+def curvature_trace(
+    lam: RealSpec | Fraction, q_min: int, q_max: int, side: str | None = None
+) -> list[CurvatureSample]:
+    """One sample per order in [q_min, q_max]: the neighbours and r^2 of
+    the run of curvature_runs that holds it, and r_tilde and predicted read
+    back from the repr text of its trace_lines row."""
+    rows = "".join(trace_lines(lam, q_min, q_max, side)).splitlines()[1:]
+    floats = iter([tuple(map(float, row.split(",")[5:])) for row in rows])
+    label = _cut_point(lam, side)[1]
+    samples = []
+    for lo, hi, a1, q1, a2, q2, num, den, _ in curvature_runs(lam, q_min, q_max, side):
+        neighbors = FareyNeighbors(Fraction(a1, q1), Fraction(a2, q2), lo)
+        samples += [CurvatureSample(q, label, neighbors, Fraction(num, den), *next(floats))
+                    for q in range(lo, hi + 1)]
+    return samples
+
+
+def predicted_radius(order: int, lam: float, q1: int, q2: int) -> float:
+    """Asymptotic scaled radius q1 q2 (q1+q2)/Q^3 * pi^2 (1+lam^2)^(3/2)/6."""
+    return q1 * q2 * (q1 + q2) / order**3 * _SQUARE_COEFF * (1.0 + lam * lam) ** 1.5
+
+
+@dataclass(frozen=True)
+class EstimateBounds(CurvatureBounds):
+    exact_limsup: float | None = None  # from liminf k_{n-1}/k_n when periodic
+
+
+def limsup_liminf_estimate(lam: RealSpec, q_max: int) -> tuple[float, float, EstimateBounds]:
+    """Running sup and inf of the scaled radius over the window
+    [q_max/4, q_max], with the theoretical band they should respect and,
+    for a periodic quotient stream, the limsup read off its convergents.
+
+    These are window statistics of a finite trace, not certified limits;
+    the band plays the role of the oracle.  The limsup takes the liminf of
+    k_{n-1}/k_n over the (eventual) quotient cycle as the minimum of the
+    last 80 ratios up to n = 242.
+    """
+    if lam.is_rational:
+        raise ValueError("limit estimates are defined for irrational slopes")
+    if q_max < 8:
+        raise ValueError("window too small")
+    values = [r_tilde for _, r_tilde in trace_points(lam, max(2, q_max // 4), q_max)]
+    bounds = _bounds_for(lam)
+    exact = None
+    if isinstance(lam, QuadraticSurd) or getattr(lam, "periodic", False):
+        ks = [k for _, k in islice(convergent_walk(lam.quotients()), 243)]
+        liminf = min(kp / k for kp, k in zip(ks[-81:-1], ks[-80:]))
+        value = bounds.lambda_value
+        exact = (2.0 + liminf) / (1.0 + liminf) ** 2 * _SQUARE_COEFF * (1.0 + value * value) ** 1.5
+    return max(values), min(values), EstimateBounds(**vars(bounds), exact_limsup=exact)
+
+
+@dataclass(frozen=True)
+class LemmaRow:
+    order: int
+    lam: Fraction
+    x_exact: int
+    y_exact: int
+    x_normalized_error: float  # |X pi^2/(2 lam Q^3) - 1| * Q / log Q
+    y_normalized_error: float
+
+
+@dataclass(frozen=True)
+class LemmaReport:
+    rows: tuple[LemmaRow, ...]
+    max_x_error: float
+    max_y_error: float
+
+    def render(self) -> str:
+        lines = ["Q,lambda,X,Y,x_err_normalized,y_err_normalized"]
+        for r in self.rows:
+            lines.append(
+                f"{r.order},{r.lam},{r.x_exact},{r.y_exact},"
+                f"{r.x_normalized_error:.6f},{r.y_normalized_error:.6f}"
+            )
+        lines.append(f"max_x_error,{self.max_x_error:.6f}")
+        lines.append(f"max_y_error,{self.max_y_error:.6f}")
+        return "\n".join(lines) + "\n"
+
+
+def lemma_check(q_list: Sequence[int], lam_grid: Sequence[Fraction]) -> LemmaReport:
+    """Normalized errors of the vertex sums against their main terms
+    2 lam Q^3/pi^2 and lam^2 Q^3/pi^2.  Bounded normalized errors are the
+    desk-scale signature of the O(Q^2 log Q) remainder."""
+    if not q_list:
+        raise ValueError("need at least one order")
+    if min(q_list) < 2:  # Q / log Q is undefined at Q = 1
+        raise ValueError("lemma orders must be at least 2")
+    lams = [Fraction(lam) for lam in lam_grid]
+    if not all(0 < lam <= 1 for lam in lams):
+        raise ValueError("lemma grid needs slopes in (0, 1]")
+    rows = []
+    for order in sorted(set(q_list)):
+        norm = order / math.log(order)
+        for lam, (x, y) in zip(lams, fundamental_vertices(square(), order, lams)):
+            xerr = abs(x * math.pi**2 / (2 * float(lam) * order**3) - 1.0) * norm
+            yerr = abs(y * math.pi**2 / (float(lam) ** 2 * order**3) - 1.0) * norm
+            rows.append(LemmaRow(order, lam, x, y, xerr, yerr))
+    return LemmaReport(
+        tuple(rows),
+        max(r.x_normalized_error for r in rows),
+        max(r.y_normalized_error for r in rows),
+    )
+
+
+# fundamental arc of the p = 1/2 ball curve: irreducible quintic relation
+CP_HALF_QUINTIC: dict[tuple[int, int], int] = {
+    (0, 0): -45253,
+    (1, 0): 86140,
+    (2, 0): -37030,
+    (3, 0): -3220,
+    (4, 0): -765,
+    (5, 0): 128,
+    (0, 1): -86140,
+    (1, 1): 169060,
+    (2, 1): -80340,
+    (3, 1): -1940,
+    (4, 1): -640,
+    (0, 2): -37030,
+    (1, 2): 80340,
+    (2, 2): -44590,
+    (3, 2): 1280,
+    (0, 3): 3220,
+    (1, 3): -1940,
+    (2, 3): -1280,
+    (0, 4): -765,
+    (1, 4): 640,
+    (0, 5): -128,
+}
+
+
+def cp_half_scaled_residual(x: float, y: float) -> float:
+    """Quintic residual at (x, y), scaled by the total term magnitude."""
+    num = 0.0
+    scale = 0.0
+    for (i, j), coef in CP_HALF_QUINTIC.items():
+        term = coef * x**i * y**j
+        num += term
+        scale += abs(term)
+    return abs(num) / scale
+
+
+def implicit_residual(curve: LimitCurve, x: float, y: float) -> float | None:
+    """Residual of the curve's known algebraic form at (x, y), None where
+    none is known.
+
+    For the p = 1/2 ball curve the residual is scaled (see
+    cp_half_scaled_residual); elsewhere it is the plain defect.
+    """
+    p = curve.param
+    if curve.family == "C":
+        return y - (0.75 * x * x - 1.0)
+    if curve.family == "C1" or (curve.family == "Cp" and p == 1):
+        return math.sqrt(1.0 - abs(x)) + math.sqrt(1.0 - abs(y)) - 1.0
+    if curve.family == "Cdelta":
+        d = float(p)
+        return 4.0 * d * (1.0 + d) ** 2 * (y + 1.0) - (1.0 + 3.0 * d) * (d * x + y + 1.0) ** 2
+    if p == 2:
+        return x * x + y * y - 1.0
+    if p == Fraction(1, 2):
+        return cp_half_scaled_residual(x, y)
+    return None

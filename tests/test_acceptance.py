@@ -10,35 +10,26 @@ budget.  Run with::
 import math
 import time
 from fractions import Fraction
+from itertools import islice
 
 from scipy import integrate
 
-from jarnik.curvature import circumradius_squared, curvature_trace, limsup_liminf_estimate
+from jarnik.analysis import convergence_table
+from jarnik.curvature import circumradius_squared
 from jarnik.domains import ball, diamond, moment_integrals, octagon, square
-from jarnik.limit_curves import (
-    LimitCurve,
-    curve_C1,
-    curve_Cp,
-    reg_inc_beta,
-)
-from jarnik.number_theory import (
-    E_MINUS_2,
-    INV_SQRT3,
-    cf_expand,
+from jarnik.limit_curves import LimitCurve, reg_inc_beta
+from jarnik.number_theory import E_MINUS_2, INV_SQRT3, convergent_walk, moebius_array, parse_real
+from jarnik.polygon import build_polygon, fundamental_vertices
+
+from oracles import (
+    curvature_trace,
+    curve_Cp_alternate_y,
     farey_neighbors,
     farey_sequence,
-    moebius_sieve,
-    parse_real,
+    implicit_residual,
+    limsup_liminf_estimate,
+    scale_factor,
 )
-from jarnik.polygon import (
-    build_polygon,
-    fundamental_vertex,
-    primitive_vectors,
-    scale_polygon,
-)
-from jarnik.analysis import distance_to_curve
-
-from oracles import curve_Cp_alternate_y, scale_factor
 from test_number_theory import CORPUS
 
 P4_RUN = [
@@ -63,10 +54,10 @@ def test_criterion_1_exact_lattice_values():
     run = [poly.vertices[-1]] + list(poly.vertices[:14])
     clauses.append(("order-4 vertex run", run == P4_RUN, f"{run}"))
 
-    count = len(primitive_vectors(square(), 4))
+    count = len(build_polygon(square(), 4).edges())
     clauses.append(("48 vectors at order 4", count == 48, f"{count}"))
 
-    vertex = fundamental_vertex(square(), 4, INV_SQRT3)
+    vertex = fundamental_vertices(square(), 4, [INV_SQRT3])[0]
     clauses.append(("vertex (9,3)", vertex == (9, 3), f"{vertex}"))
 
     r1 = circumradius_squared((7, 2), (9, 3), (12, 5))
@@ -89,8 +80,8 @@ def test_criterion_2_farey_cf_suite():
         ("neighbors (4/7, 7/12)", (nb.left, nb.right) == (Fraction(4, 7), Fraction(7, 12)), f"{nb}")
     )
 
-    cf1 = cf_expand(INV_SQRT3, 12).partial_quotients
-    cf2 = cf_expand(E_MINUS_2, 12).partial_quotients
+    cf1 = tuple(islice(INV_SQRT3.quotients(), 12))
+    cf2 = tuple(islice(E_MINUS_2.quotients(), 12))
     clauses.append(("1/sqrt(3) quotients", cf1 == (1, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1), f"{cf1}"))
     clauses.append(("e-2 quotients", cf2 == (1, 2, 1, 1, 4, 1, 1, 6, 1, 1, 8, 1), f"{cf2}"))
 
@@ -119,7 +110,7 @@ def test_criterion_2_farey_cf_suite():
 def test_criterion_3_vertex_sum_asymptotics():
     t0 = time.time()
     order = 2000
-    x, y = fundamental_vertex(square(), order, 1)
+    x, y = fundamental_vertices(square(), order, [1])[0]
 
     x_err = abs(x * math.pi**2 / (2 * order**3) - 1)
     y_err = abs(y * math.pi**2 / order**3 - 1)
@@ -144,8 +135,7 @@ def test_criterion_4_limit_curve_convergence():
     ]
     clauses = []
     for spec, curve in pairings:
-        d50 = distance_to_curve(scale_polygon(build_polygon(spec, 50)), curve)
-        d500 = distance_to_curve(scale_polygon(build_polygon(spec, 500)), curve)
+        d50, d500 = (row.bound for row in convergence_table(spec, [50, 500], curve))
         clauses.append(
             (f"{spec} vs {curve} below 0.02 at 500", d500 < 0.02, f"{d500:.6f}")
         )
@@ -161,34 +151,34 @@ def test_criterion_5_curve_identities():
     clauses = []
 
     c1 = LimitCurve("C1")
-    worst = max(abs(c1.implicit_residual(*curve_C1(l))) for l in grid)
+    worst = max(abs(implicit_residual(c1, *c1.point(l))) for l in grid)
     clauses.append(("diamond-curve identity 1e-12", worst < 1e-12, f"{worst:.2e}"))
 
     worst = 0.0
     for d in (Fraction(1, 2), Fraction(2), Fraction(5)):
         curve = LimitCurve("Cdelta", d)
-        worst = max(worst, max(abs(curve.implicit_residual(*curve.point(l))) for l in grid))
+        worst = max(worst, max(abs(implicit_residual(curve, *curve.point(l))) for l in grid))
     clauses.append(("octagon-family parabola residual 1e-12", worst < 1e-12, f"{worst:.2e}"))
 
     worst = max(
-        abs(math.hypot(*curve_Cp(2, l)) - 1.0) for l in grid
+        abs(math.hypot(*LimitCurve("Cp", 2).point(l)) - 1.0) for l in grid
     )
     clauses.append(("ball(2) curve is the unit circle 1e-9", worst < 1e-9, f"{worst:.2e}"))
 
     worst = max(
-        max(abs(a - b) for a, b in zip(curve_Cp(1, l), curve_C1(l))) for l in grid
+        max(abs(a - b) for a, b in zip(LimitCurve("Cp", 1).point(l), c1.point(l))) for l in grid
     )
     clauses.append(("ball(1) curve equals diamond curve 1e-12", worst < 1e-12, f"{worst:.2e}"))
 
     chalf = LimitCurve("Cp", Fraction(1, 2))
-    worst = max(chalf.implicit_residual(*chalf.point(l)) for l in grid)
+    worst = max(implicit_residual(chalf, *chalf.point(l)) for l in grid)
     clauses.append(("ball(1/2) quintic scaled residual 1e-6", worst < 1e-6, f"{worst:.2e}"))
 
     worst = 0.0
     for p in (0.5, 1.0, 1.5, 2.0, 3.0):
         worst = max(
             worst,
-            max(abs(curve_Cp(p, l)[1] - curve_Cp_alternate_y(p, l)) for l in grid[::2]),
+            max(abs(LimitCurve("Cp", p).point(l)[1] - curve_Cp_alternate_y(p, l)) for l in grid[::2]),
         )
     clauses.append(("two y-forms agree 1e-9", worst < 1e-9, f"{worst:.2e}"))
 
@@ -206,7 +196,7 @@ def test_criterion_6_curvature_landmarks():
     # period of the continued fraction, times pi^2/6 (1+lam^2)^(3/2).  For
     # 1/sqrt(3) = [0; 1, (1, 2)] it is 4 pi^2 (3 sqrt3 - 5)/(9 sqrt3), at the
     # blocks with quotient 2, and the exact trace approaches it from above.
-    ks = [k for _, k in cf_expand(INV_SQRT3, 40).convergent_pairs()]
+    ks = [k for _, k in islice(convergent_walk(INV_SQRT3.quotients()), 1, 41)]
     floor = min(x / (1 + x) ** 2 for x in (b / a for a, b in zip(ks[-3:], ks[-2:])))
     floor *= math.pi**2 / 6 * (1 + float(INV_SQRT3) ** 2) ** 1.5
     closed_form = 4 * math.pi**2 * (3 * math.sqrt(3) - 5) / (9 * math.sqrt(3))
@@ -271,7 +261,7 @@ def test_criterion_7_property_suites():
 
     # Mobius divisor-sum identity
     limit = 10_000
-    mu = moebius_sieve(limit)
+    mu = moebius_array(limit).tolist()
     acc = [0] * (limit + 1)
     for d in range(1, limit + 1):
         if mu[d]:

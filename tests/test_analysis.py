@@ -16,19 +16,13 @@ from jarnik.analysis import (
     convergence_csv,
     convergence_table,
     curve_distance,
-    distance_to_curve,
     expected_curve,
-    lemma_check,
 )
 from jarnik.domains import ball, diamond, octagon, parse_domain, square
 from jarnik.limit_curves import LimitCurve, dihedral_images, parse_curve
 from jarnik.polygon import build_polygon, scale_polygon
 
-from oracles import curve_distance_oracle, moment_route_ratio, vertices_and_midpoints
-
-
-def scaled_square(order):
-    return scale_polygon(build_polygon(square(), order))
+from oracles import curve_distance_oracle, lemma_check, moment_route_ratio, vertices_and_midpoints
 
 
 # ---------------------------------------------------------------------------
@@ -55,27 +49,24 @@ def test_distance_exact_for_parabola_family():
 
 
 def test_square_q4_distance_regression_baseline():
-    value = distance_to_curve(scaled_square(4), LimitCurve("C"))
+    (value,) = (row.bound for row in convergence_table(square(), [4], LimitCurve("C")))
     assert value == pytest.approx(0.0162934800, abs=1e-8)
 
 
 def test_distance_decreases_along_geometric_ladder():
-    values = [
-        distance_to_curve(scaled_square(order), LimitCurve("C"))
-        for order in (25, 100, 400)
-    ]
+    values = [row.bound for row in convergence_table(square(), [25, 100, 400], LimitCurve("C"))]
     assert values[0] > values[1] > values[2]
 
 
 def test_distance_rate_bounded():
-    for order in (50, 100, 200, 400):
-        d = distance_to_curve(scaled_square(order), LimitCurve("C"))
+    for row in convergence_table(square(), [50, 100, 200, 400], LimitCurve("C")):
+        d, order = row.bound, row.order
         assert d * order / math.log(order) < 0.02, order
 
 
 def test_distance_requires_dense_sampling():
     with pytest.raises(ValueError):
-        distance_to_curve(scaled_square(4), LimitCurve("C"), samples=100)
+        convergence_table(square(), [4], LimitCurve("C"), samples=100)
 
 
 # The folded distance must reproduce the full-image oracle bit for bit.

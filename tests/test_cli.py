@@ -768,6 +768,20 @@ def test_refusal_quotes_the_parameter_as_typed(capsys, argv, typed):
     assert err.startswith("jarnik: argument error: ") and typed in err
 
 
+# int() reads neither a number past 4300 digits nor "2/3"
+@pytest.mark.parametrize("lam", [
+    "rat:1/2/3",
+    "rat:1/" + "7" * 5000,
+    "surd:(" + "1" * 5000 + "+sqrt(5))/2",
+    "cf:[0;" + "9" * 5000 + "]",
+    "cf:[0;1,(" + "9" * 5000 + ")]",
+], ids=["rat-two-slashes", "rat-5000-digits", "surd-5000-digits", "cf-5000-digits", "cf-cycle-5000-digits"])
+def test_slope_refusal_quotes_the_argument_as_typed(capsys, lam):
+    code, out, err = run_capture(capsys, ["curvature", "--lambda", lam, "--q-max", "10"])
+    assert code == 2 and out == ""
+    assert err == f"jarnik: argument error: unsupported real specification: {lam!r}\n"
+
+
 @pytest.mark.parametrize("domain", ["octagon:1e300", "octagon:1e5000"])
 def test_pairing_refusal_quotes_the_domain_and_curve_as_typed(capsys, domain):
     code, out, err = run_capture(capsys, ["converge", "--domain", domain, "--curve", "Cdelta:2", "--q-list", "5"])

@@ -3,38 +3,36 @@ import random
 import tracemalloc
 import xml.etree.ElementTree as ET
 from fractions import Fraction
-from itertools import pairwise
+from itertools import islice, pairwise
 
 import pytest
 
 from jarnik.curvature import (
-    CurvatureSample,
     circumradius_squared,
     curvature_runs,
-    curvature_trace,
     limit_curve_radius,
-    limsup_liminf_estimate,
-    local_radius,
     points_svg,
-    predicted_radius,
     trace_lines,
     trace_points,
 )
 from jarnik import curvature
 from jarnik.curvature import _bounds_for, _x_by_moebius
 from jarnik.domains import square
-from jarnik.limit_curves import curve_C
-from jarnik.number_theory import E_MINUS_2, INV_SQRT3, farey_neighbor_runs, moebius_array, moebius_sieve, parse_real
-from jarnik.polygon import build_polygon, fundamental_vertex, scale_polygon
+from jarnik.limit_curves import LimitCurve
+from jarnik.number_theory import E_MINUS_2, INV_SQRT3, GeneratedCF, farey_neighbor_runs, moebius_array, parse_real
+from jarnik.polygon import build_polygon, fundamental_vertices, scale_polygon
 
 from oracles import (
+    CurvatureSample,
+    curvature_trace,
     farey_neighbor_scan,
     fraction_trace_csv,
+    limsup_liminf_estimate,
+    predicted_radius,
     run_trace_lines,
     scale_factor,
     scale_ladder,
     square_scale_factor,
-    trace_csv,
     x_by_moebius_terms,
 )
 
@@ -64,29 +62,29 @@ def test_circumradius_collinear_rejected():
 
 
 def test_local_radius_inv_sqrt3_order_4():
-    sample = local_radius(4, INV_SQRT3)
+    sample = curvature_trace(INV_SQRT3, 4, 4)[0]
     assert sample.r_squared == Fraction(1105, 2)
     assert (sample.q1, sample.q2) == (2, 3)
 
 
 def test_local_radius_sided_order_4():
-    plus = local_radius(4, Fraction(1, 2), side="+")
-    minus = local_radius(4, Fraction(1, 2), side="-")
+    plus = curvature_trace(Fraction(1, 2), 4, 4, side="+")[0]
+    minus = curvature_trace(Fraction(1, 2), 4, 4, side="-")[0]
     assert plus.r_squared == Fraction(1105, 2)
     assert minus.r_squared == Fraction(725, 2)
 
 
 def test_local_radius_matches_polygon_triple():
     # the closed form equals the circumradius of the actual vertex triple
-    sample = local_radius(4, INV_SQRT3)
+    sample = curvature_trace(INV_SQRT3, 4, 4)[0]
     assert circumradius_squared((7, 2), (9, 3), (12, 5)) == sample.r_squared
 
 
 def test_local_radius_requires_side_for_rationals():
     with pytest.raises(ValueError):
-        local_radius(10, Fraction(1, 3))
+        curvature_trace(Fraction(1, 3), 10, 10)[0]
     with pytest.raises(ValueError):
-        local_radius(10, INV_SQRT3, side="+")
+        curvature_trace(INV_SQRT3, 10, 10, side="+")[0]
 
 
 def test_closed_form_equals_circumradius_on_many_samples():
@@ -102,12 +100,11 @@ def test_closed_form_equals_circumradius_on_many_samples():
     for _ in range(1000):
         spec = rng.choice(specs)
         order = rng.randint(2, 200)
-        sample = local_radius(order, spec)
-        nb = sample.neighbors
-        v = fundamental_vertex(square(), order, spec)
-        before = (v[0] - nb.left.denominator, v[1] - nb.left.numerator)
-        after = (v[0] + nb.right.denominator, v[1] + nb.right.numerator)
-        assert circumradius_squared(before, v, after) == sample.r_squared
+        ((_, _, a1, q1, a2, q2, num, den, _),) = curvature_runs(spec, order, order)
+        v = fundamental_vertices(square(), order, [spec])[0]
+        before = (v[0] - q1, v[1] - a1)
+        after = (v[0] + q2, v[1] + a2)
+        assert circumradius_squared(before, v, after) == Fraction(num, den)
         checked += 1
     assert checked == 1000
 
@@ -115,12 +112,11 @@ def test_closed_form_equals_circumradius_on_many_samples():
 def test_vertex_triple_lies_on_polygon():
     for order in (4, 15, 30):
         poly = build_polygon(square(), order)
-        sample = local_radius(order, INV_SQRT3)
-        v = fundamental_vertex(square(), order, INV_SQRT3)
+        ((_, _, a1, q1, a2, q2, _, _, _),) = curvature_runs(INV_SQRT3, order, order)
+        v = fundamental_vertices(square(), order, [INV_SQRT3])[0]
         idx = poly.vertices.index(v)
-        nb = sample.neighbors
-        assert poly.vertices[idx - 1] == (v[0] - nb.left.denominator, v[1] - nb.left.numerator)
-        assert poly.vertices[idx + 1] == (v[0] + nb.right.denominator, v[1] + nb.right.numerator)
+        assert poly.vertices[idx - 1] == (v[0] - q1, v[1] - a1)
+        assert poly.vertices[idx + 1] == (v[0] + q2, v[1] + a2)
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +134,7 @@ def test_scale_ladder_matches_direct_factor():
 def test_scale_ladder_crosscheck_runs():
     # the Mobius divisor identity holds at every 64th rung, not only at the top
     ladder = scale_ladder(256)
-    mu = moebius_sieve(256)
+    mu = moebius_array(256).tolist()
     for order in range(64, 257, 64):
         assert ladder[order] == Fraction(3 * _x_by_moebius(order, mu), 2)
     assert ladder[256] == square_scale_factor(256)
@@ -217,8 +213,8 @@ def test_limit_curve_radius_values():
 
 
 def test_limit_curve_radius_matches_osculating_circle():
-    lam, h = 0.5, 1e-4
-    estimate = float_circumradius(curve_C(lam - h), curve_C(lam), curve_C(lam + h))
+    lam, h, C = 0.5, 1e-4, LimitCurve("C")
+    estimate = float_circumradius(C.point(lam - h), C.point(lam), C.point(lam + h))
     assert abs(estimate - limit_curve_radius(lam)) < 1e-6
 
 
@@ -233,15 +229,6 @@ def test_band_sits_above_limit_curve_radius():
 # ---------------------------------------------------------------------------
 # Traces
 # ---------------------------------------------------------------------------
-
-
-def test_trace_consistent_with_local_radius():
-    trace = curvature_trace(INV_SQRT3, 50, 400)
-    assert len(trace) == 351
-    for sample in trace[::37]:
-        direct = local_radius(sample.order, INV_SQRT3)
-        assert direct.r_squared == sample.r_squared
-        assert direct.r_tilde == pytest.approx(sample.r_tilde, abs=1e-13)
 
 
 def test_trace_badly_approximable_lower_bound():
@@ -272,9 +259,9 @@ def test_trace_minimum_agrees_with_polygon_route(lam, order, left, right):
     above = min(Fraction(lam.floor_scaled(q) + 1, q) for q in range(1, order + 1))
     assert (sample.neighbors.left, sample.neighbors.right) == (below, above) == (left, right)
     # order-Q Farey fractions lie at least 1/Q^2 apart, so this slope cuts just before `below`
-    before = fundamental_vertex(square(), order, below - Fraction(1, 2 * order * order))
-    vertex = fundamental_vertex(square(), order, lam)
-    after = fundamental_vertex(square(), order, above)
+    before = fundamental_vertices(square(), order, [below - Fraction(1, 2 * order * order)])[0]
+    vertex = fundamental_vertices(square(), order, [lam])[0]
+    after = fundamental_vertices(square(), order, [above])[0]
     r_squared = circumradius_squared(before, vertex, after)
     assert sample.r_squared == r_squared
     assert sample.r_tilde == math.sqrt(r_squared) / float(scale_factor(square(), order))
@@ -344,9 +331,9 @@ def test_limsup_rejects_rational():
 
 def test_scaled_radius_matches_scaled_polygon_geometry():
     order = 30
-    sample = local_radius(order, INV_SQRT3)
+    sample = curvature_trace(INV_SQRT3, order, order)[0]
     poly = scale_polygon(build_polygon(square(), order))
-    v = fundamental_vertex(square(), order, INV_SQRT3)
+    v = fundamental_vertices(square(), order, [INV_SQRT3])[0]
     rf = float(poly.scale)
     target = ((v[0] + 0.5) / rf, (v[1] - rf) / rf)
     idx = min(
@@ -365,8 +352,7 @@ def test_scaled_radius_matches_scaled_polygon_geometry():
 
 
 def test_trace_csv_format():
-    trace = curvature_trace(INV_SQRT3, 4, 8)
-    lines = trace_csv(trace).splitlines()
+    lines = "".join(trace_lines(INV_SQRT3, 4, 8)).splitlines()
     assert lines[0] == "Q,q1,q2,r_squared_num,r_squared_den,r_tilde,predicted"
     assert len(lines) == 6
     first = lines[1].split(",")
@@ -392,7 +378,6 @@ def test_integer_rows_match_fraction_route(text, side, q_min):
     lam = parse_real(text)
     want = fraction_trace_csv(lam, q_min, 2000, side)
     assert "".join(trace_lines(lam, q_min, 2000, side)) == want
-    assert trace_csv(curvature_trace(lam, q_min, 2000, side)) == want
 
 
 ORACLE_SLOPES = TRACE_SLOPES + [("rat:1/2", "+", 2), ("rat:1/2", "-", 2)]
@@ -460,16 +445,29 @@ def test_trace_points_are_the_float_column_of_the_trace(text, side):
 
 
 def test_trace_svg_well_formed():
-    trace = curvature_trace(INV_SQRT3, 10, 200)
-    svg = points_svg([(s.order, s.r_tilde) for s in trace], _bounds_for(INV_SQRT3))
+    svg = points_svg(list(trace_points(INV_SQRT3, 10, 200)), _bounds_for(INV_SQRT3))
     root = ET.fromstring(svg)
     lines = root.findall("{http://www.w3.org/2000/svg}line")
     assert len(lines) == 3  # band floor, band ceiling, limit-curve radius
     assert root.find("{http://www.w3.org/2000/svg}path") is not None
 
 
+def test_periodic_slope_whose_stream_raises_still_gets_bounds_and_svg():
+    # the stream of cf:[0;1,(2,3)] raises past its 64th quotient, more than
+    # float() and a trace to order 200 read: the bounds read no quotient
+    def quotients():
+        yield from islice(parse_real("cf:[0;1,(2,3)]").quotients(), 64)
+        raise AssertionError("read past the 64th quotient")
+
+    lam = GeneratedCF("cf:[0;1,(2,3)]", quotients, periodic=True)
+    want = parse_real("cf:[0;1,(2,3)]")
+    assert _bounds_for(lam) == _bounds_for(want)
+    svg = points_svg(list(trace_points(lam, 2, 200)), _bounds_for(lam))
+    assert svg == points_svg(list(trace_points(want, 2, 200)), _bounds_for(want))
+
+
 def test_sample_accessors():
-    sample = local_radius(4, INV_SQRT3)
+    sample = curvature_trace(INV_SQRT3, 4, 4)[0]
     assert isinstance(sample, CurvatureSample)
     assert sample.r == pytest.approx(math.sqrt(1105 / 2), abs=1e-12)
     assert sample.r_tilde == pytest.approx(math.sqrt(1105 / 2) / 25.5, abs=1e-12)

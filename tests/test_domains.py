@@ -8,7 +8,6 @@ from scipy import integrate
 from jarnik.domains import (
     DomainSpec,
     ball,
-    contains,
     diamond,
     lattice_contains,
     moment_integrals,
@@ -19,7 +18,7 @@ from jarnik.domains import (
 from jarnik import domains
 from jarnik.domains import _ball_sum_within
 
-from oracles import ball_sum_within_tie_first, scale_factor_asymptote
+from oracles import ball_sum_within_tie_first, contains, scale_factor_asymptote
 
 ALL_SPECS = [
     square(),

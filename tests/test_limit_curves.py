@@ -10,10 +10,6 @@ from hypothesis import strategies as st
 from jarnik import limit_curves
 from jarnik.limit_curves import (
     LimitCurve,
-    curve_C,
-    curve_C1,
-    curve_Cdelta,
-    curve_Cp,
     curve_csv_chunks,
     curve_svg_chunks,
     parse_curve,
@@ -21,15 +17,18 @@ from jarnik.limit_curves import (
 )
 import oracles
 from oracles import (
+    CP_HALF_QUINTIC,
     curve_Cp_alternate_y,
     curve_Cp_exact,
     dihedral_images,
+    implicit_residual,
     lentz_reg_inc_beta,
     rotate_scale_C,
     scalar_arc_point,
 )
 
 GRID = [i / 1000 for i in range(1001)]
+C, C1 = LimitCurve("C"), LimitCurve("C1")
 
 
 # ---------------------------------------------------------------------------
@@ -92,86 +91,84 @@ def test_reg_inc_beta_monotone_in_z():
 
 
 def test_curve_C_examples():
-    assert curve_C(0) == (0.0, -1.0)
-    x, y = curve_C(1)
+    assert C.point(0) == (0.0, -1.0)
+    x, y = C.point(1)
     assert (x, y) == pytest.approx((2 / 3, -2 / 3), abs=1e-15)
-    x, y = curve_C(0.5)
+    x, y = C.point(0.5)
     assert abs(y - (0.75 * x * x - 1)) < 1e-15
 
 
 def test_curve_C1_examples():
-    assert curve_C1(0) == (0.0, -1.0)
-    assert curve_C1(1) == pytest.approx((0.75, -0.75), abs=1e-15)
-    x, y = curve_C1(0.37)
+    assert C1.point(0) == (0.0, -1.0)
+    assert C1.point(1) == pytest.approx((0.75, -0.75), abs=1e-15)
+    x, y = C1.point(0.37)
     assert abs(math.sqrt(1 - abs(x)) + math.sqrt(1 - abs(y)) - 1) < 1e-12
 
 
 def test_curve_C1_identity_on_grid():
     curve = LimitCurve("C1")
-    worst = max(abs(curve.implicit_residual(*curve.point(l))) for l in GRID)
+    worst = max(abs(implicit_residual(curve, *curve.point(l))) for l in GRID)
     assert worst < 1e-12
 
 
 def test_curve_Cdelta_reduces_to_C1_at_delta_1():
     for lam in GRID[::25]:
-        assert curve_Cdelta(1, lam) == pytest.approx(curve_C1(lam), abs=1e-14)
+        assert LimitCurve("Cdelta", 1).point(lam) == pytest.approx(C1.point(lam), abs=1e-14)
 
 
 def test_curve_Cdelta_tends_to_C():
     for lam in GRID[::50]:
-        got = curve_Cdelta(1e6, lam)
-        want = curve_C(lam)
+        got = LimitCurve("Cdelta", 1e6).point(lam)
+        want = C.point(lam)
         assert got == pytest.approx(want, abs=1e-5)
 
 
 def test_curve_Cdelta_arc_end():
-    x, y = curve_Cdelta(2, 1)
+    x, y = LimitCurve("Cdelta", 2).point(1)
     assert (x, y) == pytest.approx((5 / 7, -5 / 7), abs=1e-15)
 
 
 def test_curve_Cdelta_residual_on_grid():
     for d in (Fraction(1, 2), Fraction(1), Fraction(2), Fraction(5)):
         curve = LimitCurve("Cdelta", d)
-        worst = max(abs(curve.implicit_residual(*curve.point(l))) for l in GRID)
+        worst = max(abs(implicit_residual(curve, *curve.point(l))) for l in GRID)
         assert worst < 1e-12, d
 
 
 def test_curve_Cdelta_rejects_degenerate():
     with pytest.raises(ValueError):
-        curve_Cdelta(0, 0.5)
+        LimitCurve("Cdelta", 0).point(0.5)
     with pytest.raises(ValueError):
-        curve_Cdelta(-1, 0.5)
+        LimitCurve("Cdelta", -1).point(0.5)
 
 
 def test_curve_Cp_unit_circle():
     for lam in GRID[::20]:
-        x, y = curve_Cp(2, lam)
+        x, y = LimitCurve("Cp", 2).point(lam)
         denom = math.sqrt(1 + lam * lam)
         assert (x, y) == pytest.approx((lam / denom, -1 / denom), abs=1e-9)
 
 
 def test_curve_Cp_reduces_to_C1_at_p_1():
     for lam in GRID[::20]:
-        assert curve_Cp(1, lam) == pytest.approx(curve_C1(lam), abs=1e-12)
+        assert LimitCurve("Cp", 1).point(lam) == pytest.approx(C1.point(lam), abs=1e-12)
 
 
 def test_curve_Cp_half_quintic_residual():
     curve = LimitCurve("Cp", Fraction(1, 2))
-    worst = max(curve.implicit_residual(*curve.point(l)) for l in GRID)
+    worst = max(implicit_residual(curve, *curve.point(l)) for l in GRID)
     assert worst < 1e-6
 
 
 def test_curve_Cp_third_quintic_none():
-    assert LimitCurve("Cp", Fraction(1, 3)).implicit_residual(0.1, -0.9) is None
+    assert implicit_residual(LimitCurve("Cp", Fraction(1, 3)), 0.1, -0.9) is None
 
 
 def test_quintic_vanishes_exactly_on_rational_parametrization():
-    from jarnik.limit_curves import _CP_HALF_QUINTIC
-
     for i in range(11):
         t = Fraction(i, 10)
         x, y = curve_Cp_exact(2, t)
-        value = sum(c * x**i_ * y**j for (i_, j), c in _CP_HALF_QUINTIC.items())
+        value = sum(c * x**i_ * y**j for (i_, j), c in CP_HALF_QUINTIC.items())
         assert value == 0
 
 
@@ -180,7 +177,7 @@ def test_curve_Cp_exact_matches_float_path():
         for i in range(0, 11):
             t = Fraction(i, 10)
             xe, ye = curve_Cp_exact(m, t)
-            xf, yf = curve_Cp(1 / m, float(t) ** m)
+            xf, yf = LimitCurve("Cp", 1 / m).point(float(t) ** m)
             assert abs(float(xe) - xf) < 1e-12
             assert abs(float(ye) - yf) < 1e-12
 
@@ -188,7 +185,7 @@ def test_curve_Cp_exact_matches_float_path():
 def test_curve_Cp_alternate_y_agreement():
     for p in (0.5, 1.0, 1.5, 2.0, 3.0):
         for lam in GRID[::10]:
-            assert abs(curve_Cp(p, lam)[1] - curve_Cp_alternate_y(p, lam)) < 1e-9
+            assert abs(LimitCurve("Cp", p).point(lam)[1] - curve_Cp_alternate_y(p, lam)) < 1e-9
 
 
 def test_curve_Cp_alternate_y_examples():
@@ -199,9 +196,9 @@ def test_curve_Cp_alternate_y_examples():
 
 def test_curve_Cp_rejects_degenerate():
     with pytest.raises(ValueError):
-        curve_Cp(0, 0.5)
+        LimitCurve("Cp", 0).point(0.5)
     with pytest.raises(ValueError):
-        curve_Cp(-2, 0.5)
+        LimitCurve("Cp", -2).point(0.5)
 
 
 def test_arcs_start_at_south_pole_and_are_monotone():
@@ -223,15 +220,15 @@ def test_arcs_start_at_south_pole_and_are_monotone():
 
 def test_arc_parameter_validated():
     with pytest.raises(ValueError):
-        curve_C(1.001)
+        C.point(1.001)
     with pytest.raises(ValueError):
-        curve_Cp(2, -0.2)
+        LimitCurve("Cp", 2).point(-0.2)
 
 
 def test_endpoint_tangent_symmetric_at_diagonal():
     # the arc meets its mirror image across y = -x smoothly: dx = dy at lam=1
     h = 1e-6
-    for fn in (curve_C, curve_C1):
+    for fn in (C.point, C1.point):
         x1, y1 = fn(1 - h)
         x2, y2 = fn(1)
         dx, dy = (x2 - x1) / h, (y2 - y1) / h
@@ -246,7 +243,7 @@ def test_endpoint_tangent_symmetric_at_diagonal():
 
 def test_rotate_scale_C_onto_C1():
     c1 = LimitCurve("C1")
-    worst = max(abs(c1.implicit_residual(*rotate_scale_C(curve_C(l)))) for l in GRID)
+    worst = max(abs(implicit_residual(c1, *rotate_scale_C(C.point(l)))) for l in GRID)
     assert worst < 1e-12
 
 

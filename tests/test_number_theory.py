@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -9,26 +10,22 @@ from hypothesis import strategies as st
 from jarnik.number_theory import (
     E_MINUS_2,
     INV_SQRT3,
-    ContinuedFraction,
     GeneratedCF,
     QuadraticSurd,
     RationalReal,
-    cf_expand,
     convergent_walk,
-    convergents,
-    farey_neighbor_walk,
-    farey_neighbors,
     farey_fractions,
+    farey_neighbor_runs,
     farey_neighbors_sided,
-    farey_sequence,
     moebius_array,
-    moebius_sieve,
     parse_real,
     totient_array,
 )
 
 from oracles import (
+    farey_neighbors,
     farey_neighbors_stern_brocot,
+    farey_sequence,
     farey_walk,
     moebius_linear_sieve,
     partial_zeta_inverse,
@@ -74,7 +71,7 @@ def brute_force_farey(order):
 
 
 def test_moebius_known_values():
-    mu = moebius_sieve(30)
+    mu = moebius_array(30).tolist()
     assert mu[1] == 1
     assert mu[4] == 0  # 2^2 divides 4
     assert mu[30] == -1  # three distinct primes
@@ -84,12 +81,12 @@ def test_moebius_known_values():
 
 def test_moebius_rejects_zero():
     with pytest.raises(ValueError):
-        moebius_sieve(0)
+        moebius_array(0)
 
 
 def test_moebius_divisor_sum_identity_to_10000():
     limit = 10_000
-    mu = moebius_sieve(limit)
+    mu = moebius_array(limit).tolist()
     acc = [0] * (limit + 1)
     for d in range(1, limit + 1):
         m = mu[d]
@@ -129,8 +126,8 @@ def test_totient_sieve_prefix():
 def test_array_sieves_match_the_list_sieves():
     for limit in [*range(1, 501), 10**5]:
         assert totient_array(limit).tolist() == totient_list_sieve(limit), limit
-        assert moebius_sieve(limit) == moebius_linear_sieve(limit), limit
-    assert {type(v) for v in totient_array(30).tolist() + moebius_sieve(30)} == {int}
+        assert moebius_array(limit).tolist() == moebius_linear_sieve(limit), limit
+    assert {type(v) for v in totient_array(30).tolist() + moebius_array(30).tolist()} == {int}
     with pytest.raises(ValueError):
         totient_array(0)
 
@@ -198,43 +195,41 @@ def test_farey_adjacent_unimodular_all_orders_to_200():
 
 
 def test_cf_inv_sqrt3():
-    cf = cf_expand(INV_SQRT3, 12)
-    assert cf.kind == "periodic-quadratic"
-    assert cf.partial_quotients == (1, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1)
+    assert tuple(islice(INV_SQRT3.quotients(), 12)) == (1, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1)
 
 
 def test_cf_e_minus_2():
-    cf = cf_expand(E_MINUS_2, 12)
-    assert cf.kind == "pattern-generated"
-    assert cf.partial_quotients == (1, 2, 1, 1, 4, 1, 1, 6, 1, 1, 8, 1)
+    assert tuple(islice(E_MINUS_2.quotients(), 12)) == (1, 2, 1, 1, 4, 1, 1, 6, 1, 1, 8, 1)
 
 
 def test_cf_rational_terminates():
-    cf = cf_expand(Fraction(1, 2), 10)
-    assert cf.kind == "rational"
-    assert cf.partial_quotients == (2,)
-    assert cf.terminated
+    assert tuple(RationalReal(Fraction(1, 2)).quotients()) == (2,)
 
 
 def test_cf_rejects_out_of_range():
     with pytest.raises(ValueError):
-        cf_expand(Fraction(3, 2), 5)
+        farey_neighbor_runs(Fraction(3, 2), 1, 5, "+")
     with pytest.raises(ValueError):
-        cf_expand(QuadraticSurd(1, 2, 1), 5)  # 1 + sqrt(2) > 1
+        farey_neighbor_runs(QuadraticSurd(1, 2, 1), 1, 5)  # 1 + sqrt(2) > 1
+
+
+def convergent_fractions(lam, count=None):
+    """h_1/k_1, h_2/k_2, ... of lam's quotient stream, at most count of them."""
+    pairs = islice(convergent_walk(lam.quotients()), 1, None if count is None else count + 1)
+    return [Fraction(h, k) for h, k in pairs]
 
 
 def test_convergents_of_inv_sqrt3():
-    cf = cf_expand(INV_SQRT3, 10)
     want = [Fraction(*p) for p in ((0, 1), (1, 1), (1, 2), (3, 5), (4, 7), (11, 19), (15, 26))]
-    assert convergents(cf, 7) == want
+    assert convergent_fractions(INV_SQRT3, 7) == want
 
 
 def test_convergent_recurrence_seeds():
     # h_0 = 1, h_1 = 0, k_0 = 0, k_1 = 1 and the standard recurrence
-    cf = ContinuedFraction("pattern-generated", (3, 1, 4, 1, 5))
-    pairs = [(1, 0)] + cf.convergent_pairs()
+    quotients = (3, 1, 4, 1, 5)
+    pairs = list(convergent_walk(quotients))
     for n in range(1, len(pairs) - 1):
-        b = cf.partial_quotients[n - 1]
+        b = quotients[n - 1]
         assert pairs[n + 1] == (
             b * pairs[n][0] + pairs[n - 1][0],
             b * pairs[n][1] + pairs[n - 1][1],
@@ -245,8 +240,7 @@ def test_convergent_recurrence_seeds():
 
 def test_rational_reproduced_by_last_convergent():
     value = Fraction(355, 1130)
-    cf = cf_expand(value, 50)
-    assert convergents(cf)[-1] == value
+    assert convergent_fractions(RationalReal(value), 50)[-1] == value
 
 
 @settings(max_examples=100, deadline=None)
@@ -255,15 +249,14 @@ def test_rational_roundtrip_property(num, den):
     if num >= den:
         num, den = den, num + 1
     value = Fraction(num, den)
-    cf = cf_expand(value, 100)
-    assert cf.terminated
-    assert convergents(cf)[-1] == value
+    quotients = list(islice(RationalReal(value).quotients(), 100))
+    assert len(quotients) < 100  # the expansion terminates
+    assert convergent_fractions(RationalReal(value))[-1] == value
 
 
 def test_convergents_alternate_and_approximate():
     # |x - h_n/k_n| < 1/(k_n k_{n+1}) for n >= 2
-    cf = cf_expand(INV_SQRT3, 20)
-    pairs = cf.convergent_pairs()
+    pairs = list(islice(convergent_walk(INV_SQRT3.quotients()), 1, 21))
     for n in range(1, len(pairs) - 1):
         h, k = pairs[n]
         hn, kn = pairs[n + 1]
@@ -276,15 +269,14 @@ def test_convergents_alternate_and_approximate():
 
 
 def test_k_ratio_lower_bound_for_inv_sqrt3():
-    cf = cf_expand(INV_SQRT3, 41)
-    pairs = cf.convergent_pairs()
+    pairs = list(islice(convergent_walk(INV_SQRT3.quotients()), 1, 42))
     ratios = [k1 / k2 for (_, k1), (_, k2) in zip(pairs[1:], pairs[2:])]
     assert min(ratios[:40]) > 0.33
 
 
 def test_k_ratio_golden_limit_for_all_ones_tail():
     golden = parse_real("cf:[0;(1)]")
-    pairs = cf_expand(golden, 41).convergent_pairs()
+    pairs = list(islice(convergent_walk(golden.quotients()), 1, 42))
     ratio = pairs[-2][1] / pairs[-1][1]
     assert abs(ratio - (math.sqrt(5) - 1) / 2) < 1e-6
 
@@ -384,19 +376,19 @@ def test_farey_neighbors_corpus_vs_brute_force():
 def test_farey_neighbor_walk_matches_single_steps():
     for text in CORPUS:
         spec = parse_real(text)
-        walk = list(farey_neighbor_walk(spec, 3, 400))
-        assert [nb.order for nb in walk] == list(range(3, 401))
-        for nb in walk[::7] + walk[-1:]:
-            assert nb == farey_neighbors(spec, nb.order), (text, nb.order)
+        walk = [(q, *pair) for lo, hi, *pair in farey_neighbor_runs(spec, 3, 400) for q in range(lo, hi + 1)]
+        assert [q for q, *_ in walk] == list(range(3, 401))
+        for q, *pair in walk[::7] + walk[-1:]:
+            assert list(farey_neighbor_runs(spec, q, q)) == [(q, q, *pair)], (text, q)
 
 
 def test_farey_neighbor_walk_checks_arguments_before_iteration():
     with pytest.raises(ValueError, match="quotient stream requires a value in"):
-        farey_neighbor_walk(parse_real("surd:(1+sqrt(5))/2"), 1, 10)
+        farey_neighbor_runs(parse_real("surd:(1+sqrt(5))/2"), 1, 10)
     with pytest.raises(ValueError):
-        farey_neighbor_walk(RationalReal(Fraction(1, 2)), 1, 10)
+        farey_neighbor_runs(RationalReal(Fraction(1, 2)), 1, 10)
     with pytest.raises(ValueError):
-        farey_neighbor_walk(INV_SQRT3, 5, 4)
+        farey_neighbor_runs(INV_SQRT3, 5, 4)
 
 
 def test_convergent_walk_starts_at_one_over_zero():

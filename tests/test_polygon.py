@@ -8,24 +8,22 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from jarnik.domains import ball, contains, diamond, octagon, parse_domain, square
-from jarnik.number_theory import INV_SQRT3, farey_sequence
+from jarnik.domains import ball, diamond, octagon, parse_domain, square
+from jarnik.number_theory import INV_SQRT3
 from jarnik.polygon import (
     PrimitiveVector,
     ScaledPolygon,
     build_polygon,
-    fundamental_vertex,
     fundamental_vertices,
     polygon_csv_chunks,
     polygon_svg_chunks,
-    primitive_vectors,
     scale_polygon,
 )
 
 import jarnik.polygon as polygon_module
 from jarnik import textgrid
 import oracles
-from oracles import scale_factor, sort_ccw
+from oracles import contains, farey_sequence, scale_factor, sort_ccw
 
 V4_FUNDAMENTAL = [
     PrimitiveVector(1, 0),
@@ -49,24 +47,24 @@ P4_RUN = [
 
 
 def test_v4_has_48_vectors():
-    assert len(primitive_vectors(square(), 4)) == 48
+    assert len(build_polygon(square(), 4).edges()) == 48
 
 
 def test_v4_fundamental_slice_order():
-    vecs = [v for v in primitive_vectors(square(), 4) if 0 <= v.a <= v.q]
+    vecs = [v for v in build_polygon(square(), 4).edges() if 0 <= v.a <= v.q]
     assert sort_ccw(vecs) == V4_FUNDAMENTAL
 
 
 def test_fundamental_slopes_are_farey_fractions():
     # slopes a/q of the fundamental-arc vectors enumerate the Farey sequence
     for order in (3, 7, 20):
-        vecs = sort_ccw([v for v in primitive_vectors(square(), order) if 0 <= v.a <= v.q])
+        vecs = sort_ccw([v for v in build_polygon(square(), order).edges() if 0 <= v.a <= v.q])
         slopes = [Fraction(v.a, v.q) for v in vecs]
         assert slopes == farey_sequence(order)
 
 
 def test_primitive_vectors_diamond_vs_brute_force():
-    got = set(primitive_vectors(diamond(), 100))
+    got = set(build_polygon(diamond(), 100).edges())
     brute = set()
     for q in range(-100, 101):
         for a in range(-100, 101):
@@ -78,7 +76,7 @@ def test_primitive_vectors_diamond_vs_brute_force():
 def test_primitive_vectors_respect_membership():
     rng = random.Random(3)
     for spec in (octagon(2), ball(Fraction(3, 2))):
-        got = set(primitive_vectors(spec, 40))
+        got = set(build_polygon(spec, 40).edges())
         for _ in range(300):
             q, a = rng.randint(-40, 40), rng.randint(-40, 40)
             if (q or a) and math.gcd(q, a) == 1:
@@ -88,7 +86,7 @@ def test_primitive_vectors_respect_membership():
 
 def test_primitive_vectors_closed_under_dihedral_maps():
     for spec in (square(), diamond(), octagon(2), ball(3)):
-        vs = set(primitive_vectors(spec, 12))
+        vs = set(build_polygon(spec, 12).edges())
         for q, a in vs:
             assert PrimitiveVector(-q, a) in vs
             assert PrimitiveVector(a, q) in vs
@@ -159,7 +157,6 @@ def test_closure_and_convexity(spec, order):
     es = poly.edges()
     assert sum(e.q for e in es) == 0 and sum(e.a for e in es) == 0
     assert poly.is_convex()
-    assert Counter(es) == Counter(primitive_vectors(spec, order))
 
 
 @pytest.mark.parametrize("spec", [square(), diamond(), octagon(2), ball(2)])
@@ -200,13 +197,13 @@ def test_farey_walk_matches_enumeration_oracle(domain):
         poly = build_polygon(spec, order)
         oracle = oracles.polygon_from_vectors(spec, order, vectors)
         assert poly == oracle
-        assert Counter(primitive_vectors(spec, order)) == Counter(vectors)
+        assert Counter(poly.edges()) == Counter(vectors)
         ys = [y for _, y in oracle.vertices]
         r = Fraction(max(ys) - min(ys), 2)  # half the height
         assert scale_factor(spec, order) == r
         assert scale_polygon(poly).scale == r
         for lam in ORACLE_SLOPES:
-            assert fundamental_vertex(spec, order, lam) == oracles.vertex_from_vectors(vectors, lam)
+            assert fundamental_vertices(spec, order, [lam])[0] == oracles.vertex_from_vectors(vectors, lam)
 
 
 def _swap_two_ranks(monkeypatch):
@@ -430,24 +427,24 @@ def test_integer_export_calls_the_digit_kernel_once(monkeypatch):
 
 
 def test_fundamental_vertex_examples():
-    assert fundamental_vertex(square(), 4, INV_SQRT3) == (9, 3)
-    assert fundamental_vertex(square(), 4, 0) == (0, 0)
-    assert fundamental_vertex(ball(2), 17, 0) == (0, 0)
-    assert fundamental_vertex(square(), 4, 1) == (17, 9)
+    assert fundamental_vertices(square(), 4, [INV_SQRT3])[0] == (9, 3)
+    assert fundamental_vertices(square(), 4, [0])[0] == (0, 0)
+    assert fundamental_vertices(ball(2), 17, [0])[0] == (0, 0)
+    assert fundamental_vertices(square(), 4, [1])[0] == (17, 9)
 
 
 def test_fundamental_vertex_is_polygon_vertex():
     for spec in (square(), diamond(), octagon(2), ball(2)):
         for order in (4, 11, 30):
             poly = build_polygon(spec, order)
-            assert fundamental_vertex(spec, order, 1) in poly.vertices
-            assert fundamental_vertex(spec, order, Fraction(1, 3)) in poly.vertices
+            assert fundamental_vertices(spec, order, [1])[0] in poly.vertices
+            assert fundamental_vertices(spec, order, [Fraction(1, 3)])[0] in poly.vertices
 
 
 def test_fundamental_vertex_exact_at_farey_boundary():
     # slope exactly on a Farey fraction includes that edge
-    v_below = fundamental_vertex(square(), 4, Fraction(1, 2) - Fraction(1, 10**12))
-    v_at = fundamental_vertex(square(), 4, Fraction(1, 2))
+    v_below = fundamental_vertices(square(), 4, [Fraction(1, 2) - Fraction(1, 10**12)])[0]
+    v_at = fundamental_vertices(square(), 4, [Fraction(1, 2)])[0]
     assert v_at == (v_below[0] + 2, v_below[1] + 1)
 
 
@@ -503,7 +500,7 @@ def test_vertex_sum_normalized_error_at_500():
     bound = 8 * math.log(order) / order
     for i in range(1, 11):
         lam = Fraction(i, 10)
-        x, _ = fundamental_vertex(square(), order, lam)
+        x, _ = fundamental_vertices(square(), order, [lam])[0]
         err = abs(x * math.pi**2 / (2 * float(lam) * order**3) - 1)
         assert err <= bound, (lam, err, bound)
 
