@@ -12,7 +12,6 @@ from .curvature import (
     curvature_runs,
     limit_curve_radius,
     trace_lines,
-    trace_points,
 )
 from .domains import DomainSpec, MomentPair, ball, diamond, moment_integrals, octagon, parse_domain, square
 from .limit_curves import LimitCurve, parse_curve, reg_inc_beta
@@ -47,7 +46,6 @@ __all__ = [
     "farey_neighbors_sided",
     # local curvature
     "CurvatureBounds", "circumradius_squared", "curvature_runs", "limit_curve_radius", "trace_lines",
-    "trace_points",
 ]
 
 __version__ = "0.1.0"

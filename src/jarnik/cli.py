@@ -36,7 +36,8 @@ from . import analysis, curvature, domains, limit_curves, number_theory, polygon
 MAX_ORDER = 900
 # Largest `curvature --q-max`: the ladder's own bound.  The CSV is written a
 # block of 4096 orders at a time, so what grows with the order is the R(Q)
-# ladder, an int64 array; the SVG holds every point.
+# ladder, an int64 array; the SVG also holds r_tilde and the text of every
+# point.
 MAX_TRACE_ORDER = curvature.MAX_LADDER_ORDER
 # Largest `--samples` of `limit-curve` and `converge`: an arc is sampled as
 # one array.
@@ -217,11 +218,9 @@ def _cmd_curvature(args: argparse.Namespace) -> Iterator[str]:
         raise ValueError("--side applies only to rational slopes")
     if not 2 <= args.q_min <= args.q_max:
         raise ValueError("need 2 <= --q-min <= --q-max")
-    if args.format == "csv":
-        yield from curvature.trace_lines(lam, args.q_min, args.q_max, side=args.side)
-        return
-    points = list(curvature.trace_points(lam, args.q_min, args.q_max, side=args.side))
-    yield curvature.points_svg(points, None if lam.is_rational else curvature._bounds_for(lam))
+    yield from (curvature.trace_lines if args.format == "csv" else curvature.trace_svg_chunks)(
+        lam, args.q_min, args.q_max, side=args.side
+    )
 
 
 def _selftest_checks() -> list[tuple[str, bool, str]]:

@@ -19,7 +19,9 @@ columns r_tilde and predicted, its asymptote q1 q2 (q1+q2)/Q^3 pi^2/6
 the same IEEE operations in the same order as one order at a time.  The
 CSV text of a block is one byte grid (textgrid): the orders and the two
 float columns are written by numpy digit kernels, repr's exact text for
-the floats, and each run's integers are formatted once.
+the floats, and each run's integers are formatted once.  The SVG step
+plot keeps only the r_tilde column, as one float64 array, and writes its
+path from the {:.2f} texts of every x and y, a slice of steps at a time.
 """
 
 from __future__ import annotations
@@ -364,52 +366,35 @@ def trace_lines(
     return lines()
 
 
-def trace_points(
+def trace_svg_chunks(
     lam: RealSpec | Fraction, q_min: int, q_max: int, side: str | None = None
-) -> Iterator[tuple[int, float]]:
-    """(Q, r_tilde) for each order, the r_tilde column of _blocks, with its
-    checks done before this returns."""
-    blocks = _blocks(lam, q_min, q_max, side)
-    return (point for block in blocks for point in zip(range(block.lo, block.hi + 1), block.r_tilde.tolist()))
-
-
-def points_svg(points: Sequence[tuple[int, float]], bounds: CurvatureBounds | None = None) -> str:
-    """Step plot of the scaled radius against log Q, with the theoretical
-    band and the limit-curve radius drawn as horizontal rules."""
-    if not points:
-        raise ValueError("empty trace")
-    xs = [math.log10(order) for order, _ in points]
-    ys = [r_tilde for _, r_tilde in points]
-    x0, x1 = min(xs), max(xs)
-    top = max(ys + ([bounds.band_high] if bounds else [])) * 1.05
+) -> Iterator[str]:
+    """Step plot of the scaled radius against log10 Q as SVG, with the band
+    and the limit-curve radius of an irrational slope drawn as horizontal
+    rules.  The whole trace is taken from _blocks, as one float64 array of
+    r_tilde (the plot's top is its maximum), before the first chunk; every
+    x and y is formatted once ({:.2f}, textgrid.fixed_grid), and the path
+    is written textgrid._SLICE steps at a time as one byte grid."""
+    ys = np.concatenate([block.r_tilde for block in _blocks(lam, q_min, q_max, side)])
+    xs = np.fromiter(map(math.log10, range(q_min, q_max + 1)), np.float64, len(ys))
+    x0, x1 = float(xs.min()), float(xs.max())
+    bounds = None if _cut_point(lam, side)[0] is not None else _bounds_for(lam)
+    levels = (bounds.band_low, bounds.band_high, bounds.limit_radius) if bounds else ()
+    top = max((float(ys.max()), *levels)) * 1.05  # of the levels, the band's ceiling is the highest
     width, height = 640.0, 400.0
-
-    def px(x: float) -> float:
-        return (x - x0) / (x1 - x0 or 1.0) * width
-
-    def py(y: float) -> float:
-        return height - y / top * height
-
-    steps = [f"M {px(xs[0]):.2f} {py(ys[0]):.2f}"]
-    for i in range(1, len(xs)):
-        steps.append(f"L {px(xs[i]):.2f} {py(ys[i - 1]):.2f}")
-        steps.append(f"L {px(xs[i]):.2f} {py(ys[i]):.2f}")
-    rules = ""
-    if bounds is not None:
-        for level, dash in (
-            (bounds.band_low, "4 3"),
-            (bounds.band_high, "4 3"),
-            (bounds.limit_radius, "1 2"),
-        ):
-            y = py(level)
-            rules += (
-                f'  <line x1="0" y1="{y:.2f}" x2="{width}" y2="{y:.2f}" '
-                f'stroke="gray" stroke-dasharray="{dash}" stroke-width="1"/>\n'
-            )
-    return (
+    px = textgrid.fixed_grid((xs - x0) / (x1 - x0 or 1.0) * width, 2)
+    py = textgrid.fixed_grid(height - ys / top * height, 2)
+    yield (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width:.0f} {height:.0f}">\n'
-        f"{rules}"
-        f'  <path d="{" ".join(steps)}" fill="none" stroke="black" stroke-width="1"/>\n'
-        "</svg>\n"
     )
+    for level, dash in zip(levels, ("4 3", "4 3", "1 2")):
+        y = height - level / top * height
+        yield (f'  <line x1="0" y1="{y:.2f}" x2="{width}" y2="{y:.2f}" '
+               f'stroke="gray" stroke-dasharray="{dash}" stroke-width="1"/>\n')
+    yield f'  <path d="M {textgrid.lines([px[:1], " ", py[:1]])}'
+    for start in range(1, len(px), textgrid._SLICE):
+        end = min(start + textgrid._SLICE, len(px))
+        yield textgrid.lines([" L ", px[start:end], " ", py[start - 1 : end - 1],
+                              " L ", px[start:end], " ", py[start:end]])
+    yield '" fill="none" stroke="black" stroke-width="1"/>\n</svg>\n'

@@ -178,8 +178,6 @@ def dihedral_images(points: np.ndarray) -> np.ndarray:
 
 # CSV rows are written this many at a time, as curvature._BLOCK orders are.
 _CSV_BLOCK_ROWS = 4096
-# SVG rows of an image are written this many at a time.
-_SVG_BLOCK_ROWS = 1 << 16
 
 
 def curve_csv_chunks(curve: LimitCurve, samples: int) -> Iterator[str]:
@@ -199,7 +197,7 @@ def curve_csv_chunks(curve: LimitCurve, samples: int) -> Iterator[str]:
 
 def curve_svg_chunks(curve: LimitCurve, samples: int) -> Iterator[str]:
     """The curve's SVG, the fundamental arc and its eight dihedral images
-    as a single path, written _SVG_BLOCK_ROWS rows of an image at a time,
+    as a single path, written textgrid._SLICE rows of an image at a time,
     each one byte grid.
 
     Each arc coordinate's magnitude is formatted once; an image writes the
@@ -217,8 +215,8 @@ def curve_svg_chunks(curve: LimitCurve, samples: int) -> Iterator[str]:
     )
     for i, (swapped, (sx, sy)) in enumerate(zip(_DIHEDRAL_SWAPS, _DIHEDRAL_SIGNS.tolist())):
         cx, cy = (1, 0) if swapped else (0, 1)
-        for start in range(0, samples, _SVG_BLOCK_ROWS):
-            block = slice(start, start + _SVG_BLOCK_ROWS)
+        for start in range(0, samples, textgrid._SLICE):
+            block = slice(start, start + textgrid._SLICE)
             sign_x = (neg[block, cx, None] ^ (sx < 0)) * np.uint8(ord("-"))
             sign_y = (neg[block, cy, None] ^ (sy > 0)) * np.uint8(ord("-"))
             rows = textgrid.lines([" L ", sign_x, texts[cx][block], " ", sign_y, texts[cy][block]])

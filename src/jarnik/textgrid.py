@@ -62,16 +62,17 @@ def sliced_int_grid(shape: tuple[int, ...], top: int, values: Callable[[slice], 
     return grid
 
 
-def fixed_grid(v: np.ndarray) -> np.ndarray:
-    """The {:.6f} text of each finite float64 value of the 1-d array v as
-    one grid, formatted _SLICE values at a time, so that only one slice of
-    Python floats and strings is alive beside the grid."""
+def fixed_grid(v: np.ndarray, places: int = 6) -> np.ndarray:
+    """The {:.Nf} text, N = places, of each finite float64 value of the
+    1-d array v as one grid, formatted _SLICE values at a time, so that
+    only one slice of Python floats and strings is alive beside the grid."""
+    fmt = f"{{:.{places}f}}".format
     top = max(-v.min(initial=0.0), v.max(initial=0.0))
-    width = len(f"{top:.6f}") + bool(np.signbit(v).any())  # the largest magnitude's, and a sign
+    width = len(fmt(top)) + bool(np.signbit(v).any())  # the largest magnitude's, and a sign
     grid = np.empty((len(v), width), dtype=np.uint8)
     for start in range(0, len(v), _SLICE):
         rows = slice(start, start + _SLICE)
-        grid[rows] = str_grid(list(map("{:.6f}".format, v[rows].tolist())), width)
+        grid[rows] = str_grid(list(map(fmt, v[rows].tolist())), width)
     return grid
 
 
@@ -135,18 +136,27 @@ def _shortest(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     k, p, p1, p0, wl, wr10 = _table().take((bits >> 52 << 1) | (bits << 12 == 0), axis=1)
     v1, v0 = _halves(v)
     hi = v * p
-    lo = ((v1 * p1 - hi) + v1 * p0 + v0 * p1) + v0 * p0
-    down = np.floor(lo)
-    phi = lo - down
-    s = hi.astype(np.int64) + down.astype(np.int64)
+    lo = v1 * p1  # ((v1 p1 - hi) + v1 p0 + v0 p1) + v0 p0, each term into a buffer dead by then
+    lo -= hi
+    lo += np.multiply(v1, p0, out=v1)
+    lo += np.multiply(v0, p1, out=v1)
+    lo += np.multiply(v0, p0, out=v0)
+    down = np.floor(lo, out=v0)
+    phi = np.subtract(lo, down, out=lo)
+    s = hi.astype(np.int64)
+    s += down.astype(np.int64)
     tens = s // 10 * 10  # not s % 10, which numpy divides out in full
-    a, b, r = wl - phi, wr10 - phi, (s - tens).astype(np.float64)
-    margin = np.abs(a)
-    for gap in (a - r, b - 9, b - r, phi - 0.5):  # not np.minimum.reduce, which stacks them first
-        np.minimum(margin, np.abs(gap), out=margin)
+    a, b = np.subtract(wl, phi, out=wl), np.subtract(wr10, phi, out=wr10)
+    r = np.subtract(s, tens, out=p1)  # s - tens in int64, then as float64
+    margin, gap = np.abs(a), hi
+    for x, y in ((a, r), (b, 9.0), (b, r), (phi, 0.5)):  # not np.minimum.reduce, which stacks them first
+        np.abs(np.subtract(x, y, out=gap), out=gap)
+        np.minimum(margin, gap, out=margin)
     uin, win, upin, wpin = a > 0, b < 9, a > r, b < r
     up = (win & ~uin) | ((uin == win) & (phi > 0.5))
-    return np.where(upin ^ wpin, tens + 10 * wpin, s + up), k.astype(np.int64), margin > _SURE
+    s += up
+    tens += 10 * wpin
+    return np.where(upin ^ wpin, tens, s), k.astype(np.int64), margin > _SURE
 
 
 def _swar(x: np.ndarray) -> np.ndarray:

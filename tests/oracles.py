@@ -34,7 +34,9 @@ eight images of the sampled arc, or, for the parabolic family, against
 all four arcs.  A curve's SVG is written the way the package wrote it
 before its sign-and-swap template: each of the eight images formatted
 coordinate by coordinate, and its CSV one row at a time, joined at the
-end.
+end.  The curvature trace's step plot is written the way the package wrote
+it before it streamed: from a list of every (Q, r_tilde) point, each step
+formatted one at a time.
 
 The section of second routes holds quantities the package computes
 once: exact ball-family arcs for p = 1/m, a second closed form of the
@@ -72,7 +74,6 @@ from jarnik.curvature import (
     circumradius_squared,
     curvature_runs,
     trace_lines,
-    trace_points,
 )
 from jarnik.domains import DomainSpec, _iroot_floor, lattice_contains, moment_integrals, square
 from jarnik.limit_curves import LimitCurve, Point, beta_complete, log_beta, reg_inc_beta
@@ -472,6 +473,48 @@ def curve_svg(curve: LimitCurve, samples: int) -> str:
     )
 
 
+def points_svg(points: Sequence[tuple[int, float]], bounds: CurvatureBounds | None = None) -> str:
+    """Step plot of the scaled radius against log Q, with the theoretical
+    band and the limit-curve radius drawn as horizontal rules."""
+    if not points:
+        raise ValueError("empty trace")
+    xs = [math.log10(order) for order, _ in points]
+    ys = [r_tilde for _, r_tilde in points]
+    x0, x1 = min(xs), max(xs)
+    top = max(ys + ([bounds.band_high] if bounds else [])) * 1.05
+    width, height = 640.0, 400.0
+
+    def px(x: float) -> float:
+        return (x - x0) / (x1 - x0 or 1.0) * width
+
+    def py(y: float) -> float:
+        return height - y / top * height
+
+    steps = [f"M {px(xs[0]):.2f} {py(ys[0]):.2f}"]
+    for i in range(1, len(xs)):
+        steps.append(f"L {px(xs[i]):.2f} {py(ys[i - 1]):.2f}")
+        steps.append(f"L {px(xs[i]):.2f} {py(ys[i]):.2f}")
+    rules = ""
+    if bounds is not None:
+        for level, dash in (
+            (bounds.band_low, "4 3"),
+            (bounds.band_high, "4 3"),
+            (bounds.limit_radius, "1 2"),
+        ):
+            y = py(level)
+            rules += (
+                f'  <line x1="0" y1="{y:.2f}" x2="{width}" y2="{y:.2f}" '
+                f'stroke="gray" stroke-dasharray="{dash}" stroke-width="1"/>\n'
+            )
+    return (
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width:.0f} {height:.0f}">\n'
+        f"{rules}"
+        f'  <path d="{" ".join(steps)}" fill="none" stroke="black" stroke-width="1"/>\n'
+        "</svg>\n"
+    )
+
+
 def vertices_and_midpoints(xy: np.ndarray) -> np.ndarray:
     """Every vertex of an (n, 2) float cycle and every edge midpoint."""
     return np.concatenate([xy, 0.5 * (xy + np.roll(xy, 1, axis=0))])
@@ -698,7 +741,7 @@ def limsup_liminf_estimate(lam: RealSpec, q_max: int) -> tuple[float, float, Est
         raise ValueError("limit estimates are defined for irrational slopes")
     if q_max < 8:
         raise ValueError("window too small")
-    values = [r_tilde for _, r_tilde in trace_points(lam, max(2, q_max // 4), q_max)]
+    values = [sample.r_tilde for sample in curvature_trace(lam, max(2, q_max // 4), q_max)]
     bounds = _bounds_for(lam)
     exact = None
     if isinstance(lam, QuadraticSurd) or getattr(lam, "periodic", False):

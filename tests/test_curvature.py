@@ -11,9 +11,8 @@ from jarnik.curvature import (
     circumradius_squared,
     curvature_runs,
     limit_curve_radius,
-    points_svg,
     trace_lines,
-    trace_points,
+    trace_svg_chunks,
 )
 from jarnik import curvature
 from jarnik.curvature import _bounds_for, _x_by_moebius
@@ -28,6 +27,7 @@ from oracles import (
     farey_neighbor_scan,
     fraction_trace_csv,
     limsup_liminf_estimate,
+    points_svg,
     predicted_radius,
     run_trace_lines,
     scale_factor,
@@ -437,15 +437,8 @@ def test_neighbor_runs_cut_at_run_ends(text, side):
             assert [run[:6] for run in certified] == runs
 
 
-@pytest.mark.parametrize("text, side", [("const:inv-sqrt3", None), ("const:e-2", None), ("rat:2/5", "-")])
-def test_trace_points_are_the_float_column_of_the_trace(text, side):
-    lam = parse_real(text)
-    want = [(s.order, s.r_tilde) for s in curvature_trace(lam, 5, 1500, side)]
-    assert list(trace_points(lam, 5, 1500, side)) == want
-
-
 def test_trace_svg_well_formed():
-    svg = points_svg(list(trace_points(INV_SQRT3, 10, 200)), _bounds_for(INV_SQRT3))
+    svg = "".join(trace_svg_chunks(INV_SQRT3, 10, 200))
     root = ET.fromstring(svg)
     lines = root.findall("{http://www.w3.org/2000/svg}line")
     assert len(lines) == 3  # band floor, band ceiling, limit-curve radius
@@ -462,8 +455,21 @@ def test_periodic_slope_whose_stream_raises_still_gets_bounds_and_svg():
     lam = GeneratedCF("cf:[0;1,(2,3)]", quotients, periodic=True)
     want = parse_real("cf:[0;1,(2,3)]")
     assert _bounds_for(lam) == _bounds_for(want)
-    svg = points_svg(list(trace_points(lam, 2, 200)), _bounds_for(lam))
-    assert svg == points_svg(list(trace_points(want, 2, 200)), _bounds_for(want))
+    svg = "".join(trace_svg_chunks(lam, 2, 200))
+    assert svg == "".join(trace_svg_chunks(want, 2, 200))
+
+
+@pytest.mark.parametrize("text, side, q_min, q_max", [
+    ("const:inv-sqrt3", None, 10, 2000),  # the band and the limit radius: three rules
+    ("rat:1/2", "+", 10, 2000),  # a cut point: no rules
+    ("cf:[0;1,(2,3)]", None, 2, 70000),  # more than one slice of steps
+    ("const:e-2", None, 7, 7),  # one order: a lone M point
+])
+def test_trace_svg_chunks_are_the_point_list_svg(text, side, q_min, q_max):
+    lam = parse_real(text)
+    points = [(s.order, s.r_tilde) for s in curvature_trace(lam, q_min, q_max, side)]
+    want = points_svg(points, None if lam.is_rational else _bounds_for(lam))
+    assert "".join(trace_svg_chunks(lam, q_min, q_max, side)) == want
 
 
 def test_sample_accessors():

@@ -92,6 +92,14 @@ def test_fixed_grid_matches_format_across_slices(monkeypatch):
         assert textgrid.lines([grid, "\n"]) == "".join(f"{v:.6f}\n" for v in column)
 
 
+def test_fixed_grid_writes_two_places_as_format_does(monkeypatch):
+    # the curvature SVG's {:.2f}: halfway cases, -0.00 and a widening round-up
+    monkeypatch.setattr(textgrid, "_SLICE", 4)
+    values = [0.0, -0.0, 0.005, 0.015, -0.004, 9.995, 99.999, 399.999, 640.0, 1e-7, 123.4567891]
+    grid = textgrid.fixed_grid(np.array(values), 2)
+    assert textgrid.lines([grid, "\n"]) == "".join(f"{v:.2f}\n" for v in values)
+
+
 def test_every_kernel_exponent_and_its_neighbours_match_repr():
     # 64 random mantissas for each binary exponent 2^-23..2^58: every key of
     # the float64 kernel, and the first keys beyond it on both sides
