@@ -14,7 +14,7 @@ from .curvature import (
     trace_lines,
 )
 from .domains import DomainSpec, MomentPair, ball, diamond, moment_integrals, octagon, parse_domain, square
-from .limit_curves import LimitCurve, parse_curve, reg_inc_beta
+from .limit_curves import LimitCurve, parse_curve
 from .number_theory import (
     FareyNeighbors,
     QuadraticSurd,
@@ -40,7 +40,7 @@ __all__ = [
     "LatticePolygon", "PrimitiveVector", "ScaledPolygon", "build_polygon", "fundamental_vertices",
     "scale_polygon",
     # limit curves and convergence
-    "LimitCurve", "parse_curve", "reg_inc_beta", "ConvergenceRecord", "convergence_table", "expected_curve",
+    "LimitCurve", "parse_curve", "ConvergenceRecord", "convergence_table", "expected_curve",
     # exact slopes and their Farey neighbors
     "RealSpec", "RationalReal", "QuadraticSurd", "parse_real", "FareyNeighbors", "farey_neighbor_runs",
     "farey_neighbors_sided",

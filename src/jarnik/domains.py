@@ -17,8 +17,8 @@ comparison, for larger denominators by an escalating integer-root
 bracketing, so no point is ever classified by floating point.
 
 The wedge S(lam) = {(x,y) in S : x > 0, 0 < y <= lam x} has closed-form
-moment integrals, exact rationals for the polygonal regions and beta
-functions for the balls.
+moment integrals, exact rationals for the polygonal regions; a ball's are
+read from its limit curve's evaluator, `limit_curves.ball_wedge`.
 """
 
 from __future__ import annotations
@@ -28,7 +28,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
 
-from .limit_curves import inc_beta
+import numpy as np
+
+from .limit_curves import ball_wedge, beta_complete
 
 Rational = Union[int, Fraction]
 
@@ -210,23 +212,18 @@ class MomentPair:
 def moment_integrals(spec: DomainSpec, lam: Rational | float) -> MomentPair:
     """Closed-form wedge moments.
 
-    Polygonal regions give exact rationals for rational lam; balls are
-    evaluated in floating point through the incomplete beta function with
-    mu = lam^p/(1 + lam^p).
+    Polygonal regions give exact rationals for rational lam; a ball's are
+    B(1/p, 2/p)/(3p) times the normalised moments that its limit curve
+    reads (`limit_curves.ball_wedge`), in floating point.
     """
     if spec.slope is None:
         lamf = float(lam)
         if not 0.0 <= lamf <= 1.0:
             raise ValueError("wedge slope must lie in [0, 1]")
         p = float(spec.param)
-        if lamf == 0.0:
-            return MomentPair(0.0, 0.0)
-        t = lamf**p
-        mu = t / (1.0 + t)
-        pref = math.exp(-3.0 / p * math.log1p(t))  # (1 + lam^p)^(-3/p)
-        mx = inc_beta(mu, 1.0 / p, 1.0 + 2.0 / p) / (2.0 * p) - lamf * pref / 6.0
-        my = inc_beta(mu, 2.0 / p, 1.0 + 1.0 / p) / p - lamf * lamf * pref / 3.0
-        return MomentPair(mx, my)
+        u, w = ball_wedge(p, np.array([lamf]))
+        scale = beta_complete(1.0 / p, 2.0 / p) / (3.0 * p)
+        return MomentPair(scale * float(u[0]), scale * float(w[0]))
 
     lamq = Fraction(lam)
     if not 0 <= lamq <= 1:

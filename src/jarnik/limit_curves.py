@@ -14,13 +14,15 @@ parabola of C, the diamond identity, the p = 1/2 quintic) are residual
 checks in `tests/oracles.py`.
 
 `LimitCurve.points` evaluates an arc at a whole array of parameters with
-numpy; every other sampler reads it.  The incomplete beta functions come
-from `scipy.special.betainc`, imported on first use.  `curve_csv_chunks`
-writes the CSV 4096 rows at a time by the float digit kernel of
-`textgrid`, which gives repr's text; `curve_svg_chunks` formats each arc
-coordinate's magnitude once with {:.6f}, a slice at a time into one
-fixed-width grid, and writes each dihedral image from those texts and
-their signs, 2^16 rows at a time.
+numpy; every other sampler reads it.  The ball family's arc is its
+normalised wedge moment, and `ball_wedge` evaluates it once for both the
+arc and `domains.moment_integrals`: by `scipy.special.betainc`, imported
+on first use, and by the series' leading terms where lam^p underflows.
+`curve_csv_chunks` writes the CSV 4096 rows at a time by the float digit
+kernel of `textgrid`, which gives repr's text; `curve_svg_chunks`
+formats each arc coordinate's magnitude once with {:.6f}, a slice at a
+time into one fixed-width grid, and writes each dihedral image from
+those texts and their signs, 2^16 rows at a time.
 """
 
 from __future__ import annotations
@@ -38,35 +40,38 @@ Point = tuple[float, float]
 
 
 # ---------------------------------------------------------------------------
-# Beta kernel
+# The ball family
 # ---------------------------------------------------------------------------
 
 
-def log_beta(a: float, b: float) -> float:
-    if a <= 0 or b <= 0:
-        raise ValueError("beta parameters must be positive")
-    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-
-
 def beta_complete(a: float, b: float) -> float:
-    """Euler beta B(a, b)."""
-    return math.exp(log_beta(a, b))
+    """Euler beta B(a, b) of positive a and b."""
+    return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
 
 
-def reg_inc_beta(z: float, a: float, b: float) -> float:
-    """Regularized incomplete beta I_z(a, b), by scipy.special.betainc."""
-    if a <= 0 or b <= 0:
-        raise ValueError("beta parameters must be positive")
-    if not 0.0 <= z <= 1.0:
-        raise ValueError("argument of I_z must lie in [0, 1]")
+def ball_wedge(p: float, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The l^p ball's normalised wedge moments (u, w) at the slopes `lam`:
+    its wedge moments are B/(3p) (u, w), B = B(1/p, 2/p), and its arc is
+    (u, w - 1).  With t = lam^p, mu = t/(1 + t), pref = (1 + t)^(-3/p),
+    u = I_mu(1/p, 1 + 2/p) - p lam pref/(2B) and w = I_mu(2/p, 1 + 1/p)
+    - p lam^2 pref/B.  Where t underflows, betainc has too few bits of mu;
+    there the leading terms I_mu(a, b) ~ mu^a/(a B(a, b)), with
+    B(1/p, 1 + 2/p) = 2B/3 and B(2/p, 1 + 1/p) = B/3, give u = p lam/B
+    and w = p lam^2/(2B)."""
     from scipy.special import betainc  # imported here: `import jarnik` loads no scipy
 
-    return float(betainc(float(a), float(b), float(z)))
-
-
-def inc_beta(z: float, a: float, b: float) -> float:
-    """Unregularized incomplete beta B_z(a, b)."""
-    return reg_inc_beta(z, a, b) * beta_complete(a, b)
+    t = lam**p
+    mu = t / (1.0 + t)
+    pref = np.exp(-3.0 / p * np.log1p(t))  # (1 + lam^p)^(-3/p)
+    b_pp = beta_complete(1.0 / p, 2.0 / p)
+    u = betainc(1.0 / p, 1.0 + 2.0 / p, mu) - p * lam * pref / (2.0 * b_pp)
+    w = betainc(2.0 / p, 1.0 + 1.0 / p, mu) - p * lam * lam * pref / b_pp
+    # the leading terms, divided only where taken: p lam/B overflows
+    # elsewhere when B is subnormal (Cp:1/389)
+    tiny = t < 2.0**-1022
+    np.divide(p * lam, b_pp, out=u, where=tiny)
+    np.divide(p * lam * lam, 2.0 * b_pp, out=w, where=tiny)
+    return u, w
 
 
 # ---------------------------------------------------------------------------
@@ -107,15 +112,8 @@ class LimitCurve:
             x = lam * (2.0 * d + lam) * (d + 1.0) ** 2 / den
             y = d * lam * lam * (d + 1.0) ** 2 / den - 1.0
         else:
-            from scipy.special import betainc  # imported here: `import jarnik` loads no scipy
-
-            p = float(self.param)
-            t = lam**p
-            mu = t / (1.0 + t)
-            pref = np.exp(-3.0 / p * np.log1p(t))  # (1 + lam^p)^(-3/p)
-            b_pp = beta_complete(1.0 / p, 2.0 / p)
-            x = betainc(1.0 / p, 1.0 + 2.0 / p, mu) - p * lam * pref / (2.0 * b_pp)
-            y = betainc(2.0 / p, 1.0 + 1.0 / p, mu) - p * lam * lam * pref / b_pp - 1.0
+            u, w = ball_wedge(float(self.param), lam)
+            x, y = u, w - 1.0
         return np.column_stack((x, y))
 
     def point(self, lam: float) -> Point:

@@ -40,8 +40,9 @@ formatted one at a time.
 
 The section of second routes holds quantities the package computes
 once: exact ball-family arcs for p = 1/m, a second closed form of the
-ball arc's y, the map of C onto C1, the partial sums of mu(q)/q^2, the
-moment-route vertex ratios and the asymptote of R(Q).
+ball arc's y, the ball arc at 40 digits by mpmath, the map of C onto C1,
+the partial sums of mu(q)/q^2, the moment-route vertex ratios and the
+asymptote of R(Q).
 
 The last section holds views and checks that only the tests read, built
 on the package's own routes: the Farey sequence as Fractions from the
@@ -62,6 +63,7 @@ from itertools import accumulate, islice
 from typing import Sequence
 
 import numpy as np
+from scipy.special import betainc
 
 from jarnik import limit_curves
 from jarnik.analysis import _distance_to_C
@@ -76,7 +78,7 @@ from jarnik.curvature import (
     trace_lines,
 )
 from jarnik.domains import DomainSpec, _iroot_floor, lattice_contains, moment_integrals, square
-from jarnik.limit_curves import LimitCurve, Point, beta_complete, log_beta, reg_inc_beta
+from jarnik.limit_curves import LimitCurve, Point, beta_complete
 from jarnik.number_theory import (
     FareyNeighbors,
     QuadraticSurd,
@@ -390,6 +392,12 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
     raise ArithmeticError("incomplete beta continued fraction did not converge")
 
 
+def log_beta(a: float, b: float) -> float:
+    """log B(a, b) by lgamma: the continued fraction's front factor stays
+    finite where B(a, b) itself underflows."""
+    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+
+
 def lentz_reg_inc_beta(z: float, a: float, b: float) -> float:
     """Regularized incomplete beta I_z(a, b) by the continued fraction,
     applied directly below the split point (a+1)/(a+b+2) and through
@@ -564,7 +572,25 @@ def curve_Cp_alternate_y(p: float, lam: float) -> float:
     mu = t / (1.0 + t)
     pref = math.exp(-3.0 / p * math.log1p(t))
     b_pp = beta_complete(1.0 / p, 2.0 / p)
-    return -(reg_inc_beta(1.0 - mu, 1.0 / p, 1.0 + 2.0 / p) - p * lam * lam * pref / (2.0 * b_pp))
+    return -(float(betainc(1.0 / p, 1.0 + 2.0 / p, 1.0 - mu)) - p * lam * lam * pref / (2.0 * b_pp))
+
+
+def curve_Cp_mpmath(p: Fraction, lam: float) -> tuple[float, float]:
+    """One point of the ball-family arc from its definition, in 40-digit
+    mpmath arithmetic at the exact exponent and the float lam: no exponent
+    range limits t = lam^p, so it holds where lam^p underflows a float."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        p = mpmath.mpf(p.numerator) / p.denominator
+        lam = mpmath.mpf(lam)
+        t = lam**p
+        mu = t / (1 + t)
+        pref = (1 + t) ** (-3 / p)
+        b_pp = mpmath.beta(1 / p, 2 / p)
+        x = mpmath.betainc(1 / p, 1 + 2 / p, 0, mu, regularized=True) - p * lam * pref / (2 * b_pp)
+        y = mpmath.betainc(2 / p, 1 + 1 / p, 0, mu, regularized=True) - p * lam**2 * pref / b_pp - 1
+        return (float(x), float(y))
 
 
 def rotate_scale_C(point: Sequence[float]) -> Point:

@@ -8,18 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jarnik import limit_curves
+from jarnik.cli import run
 from jarnik.limit_curves import (
     LimitCurve,
     curve_csv_chunks,
     curve_svg_chunks,
     parse_curve,
-    reg_inc_beta,
 )
+from scipy.special import betainc
 import oracles
 from oracles import (
     CP_HALF_QUINTIC,
     curve_Cp_alternate_y,
     curve_Cp_exact,
+    curve_Cp_mpmath,
     dihedral_images,
     implicit_residual,
     lentz_reg_inc_beta,
@@ -32,20 +34,21 @@ C, C1 = LimitCurve("C"), LimitCurve("C1")
 
 
 # ---------------------------------------------------------------------------
-# Beta kernel
+# The regularized incomplete beta I_z(a, b), as the Cp arc calls it:
+# scipy.special.betainc(a, b, z)
 # ---------------------------------------------------------------------------
 
 
 def test_reg_inc_beta_endpoints():
-    assert reg_inc_beta(0.0, 2.5, 0.5) == 0.0
-    assert reg_inc_beta(1.0, 2.5, 0.5) == 1.0
-    assert reg_inc_beta(0.5, 1, 1) == pytest.approx(0.5, abs=1e-15)
+    assert betainc(2.5, 0.5, 0.0) == 0.0
+    assert betainc(2.5, 0.5, 1.0) == 1.0
+    assert betainc(1, 1, 0.5) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_reg_inc_beta_frozen_quadrature_value():
     # integral of t(1-t)^2 over [0, 0.3] equals 1161/40000 and B(2,3) = 1/12,
     # so I_0.3(2,3) = 0.3483 exactly
-    assert reg_inc_beta(0.3, 2, 3) == pytest.approx(0.3483, abs=1e-12)
+    assert betainc(2, 3, 0.3) == pytest.approx(0.3483, abs=1e-12)
 
 
 def test_reg_inc_beta_against_mpmath():
@@ -57,16 +60,7 @@ def test_reg_inc_beta_against_mpmath():
     ]
     for z, a, b in cases:
         want = float(mpmath.betainc(a, b, 0, z, regularized=True))
-        assert reg_inc_beta(z, a, b) == pytest.approx(want, abs=1e-12)
-
-
-def test_reg_inc_beta_validation():
-    with pytest.raises(ValueError):
-        reg_inc_beta(0.5, 0, 1)
-    with pytest.raises(ValueError):
-        reg_inc_beta(0.5, 1, -2)
-    with pytest.raises(ValueError):
-        reg_inc_beta(1.5, 1, 1)
+        assert betainc(a, b, z) == pytest.approx(want, abs=1e-12)
 
 
 @settings(max_examples=150, deadline=None)
@@ -76,12 +70,12 @@ def test_reg_inc_beta_validation():
     b=st.floats(0.05, 10.0),
 )
 def test_reg_inc_beta_reflection_identity(z, a, b):
-    total = reg_inc_beta(z, a, b) + reg_inc_beta(1.0 - z, b, a)
+    total = betainc(a, b, z) + betainc(b, a, 1.0 - z)
     assert abs(total - 1.0) < 1e-12
 
 
 def test_reg_inc_beta_monotone_in_z():
-    values = [reg_inc_beta(z, 0.5, 2.5) for z in GRID[::10]]
+    values = [betainc(0.5, 2.5, z) for z in GRID[::10]]
     assert all(v2 >= v1 for v1, v2 in zip(values, values[1:]))
 
 
@@ -305,12 +299,29 @@ def test_curve_svg_well_formed():
     assert path.get("d").count("M ") == 8  # one subpath per dihedral image
 
 
-# Cp:200's arc runs below x = 0 near lam = 0, so its images mix signs.
+# Cp:200's arc takes the leading terms of ball_wedge for lam below 2^-5.11.
 @pytest.mark.parametrize("curve", ["C", "C1", "Cdelta:2", "Cp:1/2", "Cp:3", "Cp:200"])
 @pytest.mark.parametrize("samples", [2, 3, 1001])
 def test_curve_svg_matches_the_per_image_oracle(curve, samples):
     c = parse_curve(curve)
     assert "".join(curve_svg_chunks(c, samples)) == oracles.curve_svg(c, samples)
+
+
+# signed zeros, negatives, and values that {:.6f} rounds to -0.000000,
+# 0.000000 or 1.000000: no arc of the four families has them all
+MIXED_SIGNS = np.array([-0.0, 0.0, -1e-9, 4e-7, -4e-7, -0.0833, 0.25, -1.0416, -0.9999996, 1.0])
+
+
+@pytest.mark.parametrize("samples", [2, 3, 1001])
+def test_curve_svg_matches_the_per_image_oracle_on_an_arc_that_mixes_signs(monkeypatch, samples):
+    def mixed(self, lams):
+        n = len(lams)
+        return np.column_stack((np.resize(MIXED_SIGNS, n), np.resize(MIXED_SIGNS[::-1], n)))
+
+    monkeypatch.setattr(LimitCurve, "points", mixed)
+    text = "".join(curve_svg_chunks(C, samples))
+    assert text == oracles.curve_svg(C, samples)
+    assert "-0.000000" in text and "--" not in text
 
 
 @pytest.mark.parametrize("curve", ["C", "C1", "Cdelta:2", "Cp:3"])
@@ -369,10 +380,43 @@ def test_points_reject_parameters_outside_unit_interval(curve):
             curve.point(bad)
 
 
+# ---------------------------------------------------------------------------
+# The Cp arc where lam^p underflows
+# ---------------------------------------------------------------------------
+
+MPMATH_EXPONENTS = [Fraction(1, 389), Fraction(1, 2), Fraction(5, 3), Fraction(3), Fraction(20),
+                    Fraction(54), Fraction(77), Fraction(120), Fraction(200), Fraction(10**5)]
+# lam = 0, the first step of the 256-, 2^14- and 2^20-sample grids, and 33 uniform slopes
+MPMATH_SLOPES = [0.0, 1 / 255, 1 / 16383, 1 / (2**20 - 1)] + [i / 32 for i in range(33)]
+
+
+@pytest.mark.parametrize("p", MPMATH_EXPONENTS, ids=str)
+def test_cp_arc_matches_mpmath(p):
+    got = LimitCurve("Cp", p).points(MPMATH_SLOPES)
+    want = np.array([curve_Cp_mpmath(p, lam) for lam in MPMATH_SLOPES])
+    assert np.abs(got - want).max() <= 4e-15
+
+
+def test_converge_to_cp_200_falls_with_the_order(capsys):
+    code = run(["converge", "--domain", "ball:200", "--curve", "Cp:200", "--q-list", "50,200,800"])
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    sup = [float(row[3]) for row in rows]
+    assert code == 0 and len(sup) == 3
+    assert sup[0] > sup[1] > sup[2]
+    assert all(float(row[3]) <= float(row[4]) for row in rows)
+
+
+def test_cp_100000_arc_runs_right_from_the_south_pole(capsys):
+    code = run(["limit-curve", "--curve", "Cp:100000", "--samples", "5"])
+    xs = [float(line.split(",")[1]) for line in capsys.readouterr().out.splitlines()[1:]]
+    assert code == 0 and xs[0] == 0.0
+    assert 0 < xs[1] < xs[2] < xs[3] < xs[4]
+
+
 def test_reg_inc_beta_agrees_with_continued_fraction_oracle():
     for a, b in ((0.5, 3.0), (1 / 3, 1 + 2 / 3), (2 / 3, 1 + 1 / 3), (0.6, 2.2), (4.0, 0.5)):
         for z in GRID[::50]:
-            assert abs(reg_inc_beta(z, a, b) - lentz_reg_inc_beta(z, a, b)) < 1e-14
+            assert abs(betainc(a, b, z) - lentz_reg_inc_beta(z, a, b)) < 1e-14
 
 
 def test_dihedral_images_match_oracle():
