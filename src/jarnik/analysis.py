@@ -39,6 +39,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import textgrid
 from .domains import DomainSpec
 from .limit_curves import LimitCurve, dihedral_images
 from .polygon import ScaledPolygon, build_polygon, scale_polygon
@@ -209,7 +210,11 @@ def curve_distance(
     if curve.family == "C":
 
         def parabolic(points: np.ndarray) -> tuple[float, float]:
-            bounds = _parabola_arc_distance(points[:, 0], points[:, 1])
+            # elementwise: a slice at a time bounds its temporaries, not its floats
+            bounds = np.empty(len(points))
+            for start in range(0, len(points), textgrid._SLICE):
+                part = slice(start, start + textgrid._SLICE)
+                bounds[part] = _parabola_arc_distance(points[part, 0], points[part, 1])
             return _confirmed_max(bounds, lambda i: _distance_to_C(points[i])), 0.0
 
         return parabolic

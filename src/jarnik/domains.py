@@ -17,8 +17,8 @@ comparison, for larger denominators by an escalating integer-root
 bracketing, so no point is ever classified by floating point.
 
 The wedge S(lam) = {(x,y) in S : x > 0, 0 < y <= lam x} has closed-form
-moment integrals, exact rationals for the polygonal regions; a ball's are
-read from its limit curve's evaluator, `limit_curves.ball_wedge`.
+moment integrals, read from its limit curve's evaluator in `limit_curves`:
+`polygon_wedge`, exact rationals for a polygonal region, or `ball_wedge`.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Union
 
 import numpy as np
 
-from .limit_curves import ball_wedge, beta_complete
+from .limit_curves import ball_wedge, beta_complete, polygon_wedge
 
 Rational = Union[int, Fraction]
 
@@ -210,11 +210,11 @@ class MomentPair:
 
 
 def moment_integrals(spec: DomainSpec, lam: Rational | float) -> MomentPair:
-    """Closed-form wedge moments.
-
-    Polygonal regions give exact rationals for rational lam; a ball's are
-    B(1/p, 2/p)/(3p) times the normalised moments that its limit curve
-    reads (`limit_curves.ball_wedge`), in floating point.
+    """Closed-form wedge moments, the normalised moments that the region's
+    limit curve reads, scaled: a polygonal region's are dn(3dn + dd)/
+    (6(dn + dd)^2) times `limit_curves.polygon_wedge`, exact rationals for
+    rational lam; a ball's are B(1/p, 2/p)/(3p) times
+    `limit_curves.ball_wedge`, in floating point.
     """
     if spec.slope is None:
         lamf = float(lam)
@@ -229,5 +229,5 @@ def moment_integrals(spec: DomainSpec, lam: Rational | float) -> MomentPair:
     if not 0 <= lamq <= 1:
         raise ValueError("wedge slope must lie in [0, 1]")
     dn, dd = spec.slope
-    den = 6 * (dn + dd * lamq) ** 2
-    return MomentPair(dn * lamq * (2 * dn + dd * lamq) / den, dn * dn * lamq * lamq / den)
+    scale = Fraction(dn * (3 * dn + dd), 6 * (dn + dd) ** 2)
+    return MomentPair(*(scale * m for m in polygon_wedge(dn, dd, lamq)))

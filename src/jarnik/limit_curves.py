@@ -14,9 +14,10 @@ parabola of C, the diamond identity, the p = 1/2 quintic) are residual
 checks in `tests/oracles.py`.
 
 `LimitCurve.points` evaluates an arc at a whole array of parameters with
-numpy; every other sampler reads it.  The ball family's arc is its
-normalised wedge moment, and `ball_wedge` evaluates it once for both the
-arc and `domains.moment_integrals`: by `scipy.special.betainc`, imported
+numpy; every other sampler reads it.  An arc is (u, w - 1), (u, w) its
+region's normalised wedge moments, which `domains.moment_integrals` reads
+too: `polygon_wedge` at the slopes (dn, dd) = (1, 0), (1, 1) and (d, 1) of
+C, C1 and Cdelta:d, and `ball_wedge` by `scipy.special.betainc`, imported
 on first use, and by the series' leading terms where lam^p underflows.
 `curve_csv_chunks` writes the CSV 4096 rows at a time by the float digit
 kernel of `textgrid`, which gives repr's text; `curve_svg_chunks`
@@ -40,8 +41,15 @@ Point = tuple[float, float]
 
 
 # ---------------------------------------------------------------------------
-# The ball family
+# The normalised wedge moments
 # ---------------------------------------------------------------------------
+
+
+def polygon_wedge(dn: int | float, dd: int, lam: Fraction | np.ndarray) -> tuple:
+    """The normalised wedge moments (u, w) of the region dn*u + dd*v <= dn at
+    the slopes `lam`: exact for a `Fraction` lam, float64 for an array."""
+    den = (dn + dd * lam) ** 2 * (3 * dn + dd)
+    return lam * (2 * dn + dd * lam) * (dn + dd) ** 2 / den, dn * lam * lam * (dn + dd) ** 2 / den
 
 
 def beta_complete(a: float, b: float) -> float:
@@ -101,20 +109,12 @@ class LimitCurve:
         lam = np.asarray(lams, dtype=float)
         if lam.ndim != 1 or not ((lam >= 0.0) & (lam <= 1.0)).all():
             raise ValueError("arc parameter must lie in [0, 1]")
-        if self.family == "C":
-            x, y = 2.0 * lam / 3.0, lam * lam / 3.0 - 1.0
-        elif self.family == "C1":
-            den = (1.0 + lam) ** 2
-            x, y = lam * (2.0 + lam) / den, -(2.0 * lam + 1.0) / den
-        elif self.family == "Cdelta":
-            d = float(self.param)
-            den = (d + lam) ** 2 * (3.0 * d + 1.0)
-            x = lam * (2.0 * d + lam) * (d + 1.0) ** 2 / den
-            y = d * lam * lam * (d + 1.0) ** 2 / den - 1.0
-        else:
+        if self.family == "Cp":
             u, w = ball_wedge(float(self.param), lam)
-            x, y = u, w - 1.0
-        return np.column_stack((x, y))
+        else:
+            slope = {"C": (1, 0), "C1": (1, 1)}.get(self.family) or (float(self.param), 1)
+            u, w = polygon_wedge(*slope, lam)
+        return np.column_stack((u, w - 1.0))
 
     def point(self, lam: float) -> Point:
         x, y = self.points([lam])[0].tolist()

@@ -195,12 +195,6 @@ class LatticePolygon(_OctantShape):
         steps = self.xy - np.roll(self.xy, 1, axis=0)
         return list(map(PrimitiveVector, *steps.T.tolist()))
 
-    def is_convex(self) -> bool:
-        es = self.edges()
-        return all(
-            e1.q * e2.a - e1.a * e2.q > 0 for e1, e2 in zip(es, es[1:] + es[:1])
-        )
-
 
 def build_polygon(spec: DomainSpec, order: int) -> LatticePolygon:
     return LatticePolygon(*_fundamental_arc(spec, order), order, spec)

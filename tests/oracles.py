@@ -47,11 +47,12 @@ asymptote of R(Q).
 The last section holds views and checks that only the tests read, built
 on the package's own routes: the Farey sequence as Fractions from the
 array kernel, the neighbours of a slope at one order from its run, the
-membership of a rational point, a curvature trace as one sample per order
-(the runs of `curvature_runs` with the floats read back from the text of
-`trace_lines`), the predicted radius, window estimates of the trace with
-the limsup of a periodic quotient stream, the vertex-sum lemma check, and
-the implicit residuals of the curves whose algebraic form is known.
+membership of a rational point, a polygon's convexity turn by turn, a
+curvature trace as one sample per order (the runs of `curvature_runs`
+with the floats read back from the text of `trace_lines`), the predicted
+radius, window estimates of the trace with the limsup of a periodic
+quotient stream, the vertex-sum lemma check, and the implicit residuals
+of the curves whose algebraic form is known.
 """
 
 from __future__ import annotations
@@ -702,6 +703,12 @@ def contains(spec: DomainSpec, x: Fraction | int, y: Fraction | int) -> bool:
     fx, fy = Fraction(x), Fraction(y)
     den = math.lcm(fx.denominator, fy.denominator)
     return lattice_contains(spec, int(fx * den), int(fy * den), den)
+
+
+def is_convex(poly: LatticePolygon) -> bool:
+    """Whether every turn between consecutive edges is strictly to the left."""
+    es = poly.edges()
+    return all(e1.q * e2.a - e1.a * e2.q > 0 for e1, e2 in zip(es, es[1:] + es[:1]))
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ from oracles import (
     farey_neighbors,
     farey_sequence,
     implicit_residual,
+    is_convex,
     limsup_liminf_estimate,
     scale_factor,
 )
@@ -256,7 +257,7 @@ def test_criterion_7_property_suites():
                     {(-v, u) for u, v in doubled},
                 )
             )
-            if not (closed and poly.is_convex() and symmetric):
+            if not (closed and is_convex(poly) and symmetric):
                 bad.append((str(spec), order))
     clauses.append(("polygon closure/convexity/symmetry", not bad, f"{bad}"))
 

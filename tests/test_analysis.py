@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from jarnik import analysis
+from jarnik import analysis, textgrid
 from jarnik.analysis import (
     ConvergenceRecord,
     _fold_octant,
@@ -109,6 +109,22 @@ def test_curve_distance_equals_the_full_image_oracle(domain, curve):
         probe, cycle = _probe_points(poly, curve), vertices_and_midpoints(poly.xy)
         for folded, oracle in pairs:
             assert folded(probe) == oracle(cycle), order
+
+
+def test_parabolic_distance_takes_its_probe_points_a_slice_at_a_time(monkeypatch):
+    # the bound pass over slices of 7 points: many slices and a ragged last one
+    monkeypatch.setattr(textgrid, "_SLICE", 7)
+    curve = LimitCurve("C")
+    for order in (3, 20, 45):
+        poly = scale_polygon(build_polygon(square(), order))
+        probe = _probe_points(poly, curve)
+        assert len(probe) % 7
+        assert curve_distance(curve)(probe) == curve_distance_oracle(curve)(vertices_and_midpoints(poly.xy))
+    # the farthest point in every slice position, the last slice's included
+    points = np.concatenate((np.random.default_rng(5).uniform(-0.05, 0.05, size=(31, 2)) + (0.0, -1.0), [[0.0, 0.0]]))
+    want = curve_distance(curve)(points[-1:])
+    for shift in range(len(points)):
+        assert curve_distance(curve)(np.roll(points, shift, axis=0)) == want
 
 
 @pytest.mark.parametrize("curve", FOLD_CURVES)

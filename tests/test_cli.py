@@ -339,12 +339,13 @@ def test_closed_stdout_exits_1_quietly():
     assert proc.wait(timeout=60) == 1 and err == b""
 
 
-# sha256 of the `limit-curve` CSV bytes at 1001 samples; C, C1 and Cdelta:2
+# sha256 of the `limit-curve` CSV bytes at 1001 samples; C and Cdelta:2
 # were recorded from the scalar arcs, Cp:2 and Cp:3 once scipy's betainc
-# evaluated the ball family
+# evaluated the ball family, and C1 once it was evaluated as the polygonal
+# wedge at slope (1, 1), the bytes of Cdelta:1
 GOLDEN_LIMIT_CURVE_SHA256 = {
     "C": "d386edf04e42bcd6fedffc97a13adced9ee49dc9fed4e51b82062d398a193c99",
-    "C1": "97556cf04005c49dfdccb23f39f474f3b13164d43f18db31683a87f2860fa259",
+    "C1": "e19e7f6a02932456cff6e14d885c1c198b7c512b3a2b3f77e2b00bdc27d98397",
     "Cdelta:2": "3503c2c084ecb60d6ad5233125bf1defadde554a235ad5f6b4ce766d0f305fb2",
     "Cp:2": "ab3b259ddde6444ea2840cc915a9a2548f2d45368a2c8eac42906fa269620492",
     "Cp:3": "9e4a3ae66d6b9802adbb9ebc2004a1e9ce55035c8a03a68f305b81ec9e6116d1",
