@@ -16,12 +16,10 @@ from .curvature import (
 from .domains import DomainSpec, MomentPair, ball, diamond, moment_integrals, octagon, parse_domain, square
 from .limit_curves import LimitCurve, parse_curve
 from .number_theory import (
-    FareyNeighbors,
     QuadraticSurd,
     RationalReal,
     RealSpec,
     farey_neighbor_runs,
-    farey_neighbors_sided,
     parse_real,
 )
 from .polygon import (
@@ -42,8 +40,7 @@ __all__ = [
     # limit curves and convergence
     "LimitCurve", "parse_curve", "ConvergenceRecord", "convergence_table", "expected_curve",
     # exact slopes and their Farey neighbors
-    "RealSpec", "RationalReal", "QuadraticSurd", "parse_real", "FareyNeighbors", "farey_neighbor_runs",
-    "farey_neighbors_sided",
+    "RealSpec", "RationalReal", "QuadraticSurd", "parse_real", "farey_neighbor_runs",
     # local curvature
     "CurvatureBounds", "circumradius_squared", "curvature_runs", "limit_curve_radius", "trace_lines",
 ]

@@ -8,10 +8,13 @@ radius
 
     r^2 = (a1^2 + q1^2)(a2^2 + q2^2)((a1+a2)^2 + (q1+q2)^2) / 4
 
-by unimodularity, and the scaled radius is r / R(Q).  Everything here is
-driven by the Farey/continued-fraction machinery: the neighbors stay the
-same over runs of orders, and a trace over a range of Q is evaluated a
-block of orders at a time.  The runs that fill a block are certified
+by unimodularity, and the scaled radius is r / R(Q); at a rational cut
+point one neighbor is the slope itself, on the side asked for.  Everything
+here is driven by the Farey/continued-fraction machinery: the neighbors
+of either kind of slope come from one convergent walk
+(number_theory.farey_neighbor_runs) and stay the same over runs of
+orders, and a trace over a range of Q is evaluated a block of orders at a
+time.  The runs that fill a block are certified
 together in int64 arrays, r^2 is taken once per run (in int64 where a
 bound shows that it fits, in Python ints otherwise), and the two float
 columns r_tilde and predicted, its asymptote q1 q2 (q1+q2)/Q^3 pi^2/6
@@ -153,8 +156,6 @@ def _cut_point(lam: RealSpec | Fraction, side: str | None) -> tuple[Fraction | N
         frac = lam.value if isinstance(lam, RationalReal) else Fraction(lam)
         if side is None:
             raise ValueError("rational slope is two-sided; pass side='+' or side='-'")
-        if not 0 <= frac <= 1:
-            raise ValueError("rational cut point must lie in [0, 1]")
         return frac, f"rat:{frac.numerator}/{frac.denominator}{side}", float(frac)
     if side is not None:
         raise ValueError("side applies only to rational slopes")

@@ -1,11 +1,11 @@
 """Exact integer number theory.
 
 Mobius and totient sieves, the Farey fractions of an order, the convergent
-walk of a quotient stream and the Farey neighbors of a slope in runs of
-orders read off it, plus exact specifications of real numbers (rationals,
-quadratic surds, pattern-generated continued fractions) so that ordering
-questions against fractions are decided with integer arithmetic only,
-never floating point.
+walk of a quotient stream and the Farey neighbors of a slope, irrational or
+a rational cut point, in runs of orders read off its convergents, plus
+exact specifications of real numbers (rationals, quadratic surds,
+pattern-generated continued fractions) so that ordering questions against
+fractions are decided with integer arithmetic only, never floating point.
 
 Conventions used throughout: a number x in (0,1) has the continued
 fraction x = [0; b_1, b_2, ...] with positive integer partial quotients,
@@ -23,7 +23,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import pairwise
+from itertools import chain, pairwise
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -95,23 +95,6 @@ def totient_array(limit: int, sieve: tuple[list[int], np.ndarray] | None = None)
 # ---------------------------------------------------------------------------
 # Farey sequences
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FareyNeighbors:
-    """Consecutive fractions of a Farey sequence bracketing some value."""
-
-    left: Fraction
-    right: Fraction
-    order: int
-
-    def __post_init__(self) -> None:
-        a1, q1 = self.left.numerator, self.left.denominator
-        a2, q2 = self.right.numerator, self.right.denominator
-        if a2 * q1 - a1 * q2 != 1:
-            raise ValueError(f"{self.left} and {self.right} are not unimodular")
-        if q1 > self.order or q2 > self.order:
-            raise ValueError("neighbor denominator exceeds the Farey order")
 
 
 def farey_fractions(
@@ -412,78 +395,61 @@ def farey_neighbor_runs(
     a1/q1 < a2/q2 are the consecutive Farey fractions around lam at every
     order in lo..hi.
 
-    An irrational lam is walked by its convergents: with j k_n + k_{n-1} <=
-    Q < (j+1) k_n + k_{n-1}, 1 <= j <= b_n, the bracketing denominators are
-    k_n and j k_n + k_{n-1}.  A rational cut point (a Fraction a/b) takes a
-    side and its sided neighbors at q_min; the free neighbor c/d then steps
-    by (a, b) each time the order admits d + b, as (c + a)/(d + b) is
-    unimodular too.  The arguments are checked before the walk is returned:
-    reading b_1 rejects a value outside (0, 1), and the sided neighbors a
-    cut point that order q_min cannot hold.
+    Every slope is walked by its convergents: with j k_n + k_{n-1} <= Q <
+    (j+1) k_n + k_{n-1}, 1 <= j <= b_n, the bracketing denominators are k_n
+    and j k_n + k_{n-1}.  A rational cut point (a Fraction a/b) takes a side
+    and the expansion [0; ..., b_m] or [0; ..., b_m - 1, 1] of a/b whose
+    next-to-last convergent P/K lies on that side, then one quotient that
+    puts the next convergent beyond q_max: a/b is the secondary of the one
+    run b..b + K - 1, paired with P/K, and the convergent of every run after
+    it, paired with (j a + P)/(j b + K).  The arguments are checked before
+    the walk is returned: reading b_1 rejects a value outside (0, 1), and a
+    cut point is refused off [0, 1], with b above q_min, or without a
+    neighbor on its side.
     """
     if not 1 <= q_min <= q_max:
         raise ValueError("need 1 <= q_min <= q_max")
-    if isinstance(lam, Fraction):
-        first = farey_neighbors_sided(lam, side, q_min)
-        c, d = (first.right if side == "+" else first.left).as_integer_ratio()
-        return _rational_runs(*lam.as_integer_ratio(), c, d, side, q_min, q_max)
-    if lam.is_rational:
-        raise ValueError("rational cut point; use farey_neighbors_sided")
-    pairs = convergent_walk(lam.quotients())
-    return _convergent_runs(pairs, (next(pairs), next(pairs), next(pairs)), q_min, q_max)
-
-
-def _convergent_runs(pairs: Iterator[tuple[int, int]], window: tuple, lo: int, q_max: int) -> Iterator[tuple]:
-    # window: the convergents n-1, n and n+1, with k_n + k_{n-1} <= lo < k_{n+1} + k_n
-    (hp, kp), (h, k), (hn, kn) = window
-    while lo <= q_max:
-        while kn + k <= lo:
-            (hp, kp), (h, k), (hn, kn) = (h, k), (hn, kn), next(pairs)
-        j = (lo - kp) // k
-        hi = min(q_max, (j + 1) * k + kp - 1, kn + k - 1)
-        # the secondary lies between h_{n-1}/k_{n-1} and h_n/k_n, so it is
-        # the left neighbor exactly when h_n/k_n is the larger of the two
-        if h * kp > hp * k:
-            yield lo, hi, j * h + hp, j * k + kp, h, k
-        else:
-            yield lo, hi, h, k, j * h + hp, j * k + kp
-        lo = hi + 1
-
-
-def _rational_runs(a: int, b: int, c: int, d: int, side: str, lo: int, q_max: int) -> Iterator[tuple]:
-    step = (lo - d) // b
-    c, d = c + step * a, d + step * b
-    while lo <= q_max:  # c/d is the free neighbor from order d until d + b enters
-        hi = q_max if d + b > q_max else d + b - 1
-        yield (lo, hi, a, b, c, d) if side == "+" else (lo, hi, c, d, a, b)
-        lo, c, d = hi + 1, c + a, d + b
-
-
-def farey_neighbors_sided(lam: Fraction, side: str, order: int) -> FareyNeighbors:
-    """Neighbor pair at a rational point: (lam, successor) or (predecessor, lam)."""
+    if not isinstance(lam, Fraction):
+        if lam.is_rational:
+            raise ValueError("rational cut point; pass it as a Fraction with a side")
+        quotients = lam.quotients()
+        return _convergent_runs(chain([next(quotients)], quotients), q_min, q_max)
     if side not in ("+", "-"):
         raise ValueError("side must be '+' or '-'")
     if not 0 <= lam <= 1:
         raise ValueError("rational cut point must lie in [0, 1]")
-    a, b = lam.numerator, lam.denominator
-    if b > order:
-        raise ValueError(f"denominator of {lam} exceeds Farey order {order}")
-    if side == "+":
-        if lam == 1:
-            raise ValueError("1/1 has no successor in [0, 1]")
-        if b == 1:  # lam = 0/1
-            return FareyNeighbors(lam, Fraction(1, order), order)
-        # successor c/d satisfies c*b - a*d = 1 with the largest d <= order
-        d = -pow(a, -1, b) % b
-        d += ((order - d) // b) * b
-        c = (a * d + 1) // b
-        return FareyNeighbors(lam, Fraction(c, d), order)
-    if lam == 0:
-        raise ValueError("0/1 has no predecessor in [0, 1]")
-    if b == 1:  # lam = 1/1
-        return FareyNeighbors(Fraction(order - 1, order), lam, order)
-    # predecessor c/d satisfies a*d - c*b = 1 with the largest d <= order
-    d = pow(a, -1, b) % b
-    d += ((order - d) // b) * b
-    c = (a * d - 1) // b
-    return FareyNeighbors(Fraction(c, d), lam, order)
+    a, b = lam.as_integer_ratio()
+    if b > q_min:
+        raise ValueError(f"denominator of {lam} exceeds Farey order {q_min}")
+    quotients = list(RationalReal(lam).quotients())
+    # with m quotients, h_m k_{m+1} - h_{m+1} k_m = (-1)^m: the next-to-last
+    # convergent h_m/k_m lies above a/b exactly when m is even, and
+    # b_m - 1, 1 in place of b_m moves it to the other side
+    if (len(quotients) % 2 == 0) != (side == "+"):
+        if quotients[-1:] in ([], [1]):  # 0/1 and 1/1 = [0; 1]
+            raise ValueError(f"{a}/{b} has no {'successor' if side == '+' else 'predecessor'} in [0, 1]")
+        quotients[-1:] = [quotients[-1] - 1, 1]
+    return _convergent_runs(quotients + [q_max], q_min, q_max)
+
+
+def _convergent_runs(quotients: Iterable[int], lo: int, q_max: int) -> Iterator[tuple]:
+    # level n, with the convergents n-1 and n and the quotient b_n, holds
+    # the orders k_n + k_{n-1} .. k_{n+1} + k_n - 1, one run per j
+    hp, kp, h, k = 1, 0, 0, 1
+    for b in quotients:
+        top = (b + 1) * k + kp - 1
+        if lo <= top:
+            last = top if top < q_max else q_max
+            j = (lo - kp) // k
+            hi, sh, sk = (j + 1) * k + kp - 1, j * h + hp, j * k + kp
+            # the secondaries lie between h_{n-1}/k_{n-1} and h_n/k_n, so
+            # they are the left neighbors exactly when h_n/k_n is the larger
+            left = h * kp > hp * k
+            while hi < last:
+                yield (lo, hi, sh, sk, h, k) if left else (lo, hi, h, k, sh, sk)
+                lo, hi, sh, sk = hi + 1, hi + k, sh + h, sk + k
+            yield (lo, last, sh, sk, h, k) if left else (lo, last, h, k, sh, sk)
+            if last == q_max:
+                return
+            lo = last + 1
+        hp, h, kp, k = h, b * h + hp, k, b * k + kp

@@ -46,8 +46,9 @@ asymptote of R(Q).
 
 The last section holds views and checks that only the tests read, built
 on the package's own routes: the Farey sequence as Fractions from the
-array kernel, the neighbours of a slope at one order from its run, the
-membership of a rational point, a polygon's convexity turn by turn, a
+array kernel, a neighbour pair that checks its own unimodularity, the
+neighbours of a slope at one order from its run, the membership of a
+rational point, a polygon's convexity turn by turn, a
 curvature trace as one sample per order (the runs of `curvature_runs`
 with the floats read back from the text of `trace_lines`), the predicted
 radius, window estimates of the trace with the limsup of a periodic
@@ -81,7 +82,6 @@ from jarnik.curvature import (
 from jarnik.domains import DomainSpec, _iroot_floor, lattice_contains, moment_integrals, square
 from jarnik.limit_curves import LimitCurve, Point, beta_complete
 from jarnik.number_theory import (
-    FareyNeighbors,
     QuadraticSurd,
     RationalReal,
     RealSpec,
@@ -254,7 +254,7 @@ def farey_neighbors_stern_brocot(lam: RealSpec, order: int) -> FareyNeighbors:
     if order < 1:
         raise ValueError("Farey order must be a positive integer")
     if lam.is_rational:
-        raise ValueError("rational cut point; use farey_neighbors_sided")
+        raise ValueError("rational cut point; walk it as a Fraction with a side")
     lo_n, lo_d, hi_n, hi_d = 0, 1, 1, 1
     while True:
         med_n, med_d = lo_n + hi_n, lo_d + hi_d
@@ -688,6 +688,23 @@ def farey_sequence(order: int) -> list[Fraction]:
     0/1 and the fractions of farey_fractions."""
     a, q = farey_fractions(order)
     return [Fraction(0)] + list(map(Fraction, a.tolist(), q.tolist()))
+
+
+@dataclass(frozen=True)
+class FareyNeighbors:
+    """Consecutive fractions of a Farey sequence bracketing some value."""
+
+    left: Fraction
+    right: Fraction
+    order: int
+
+    def __post_init__(self) -> None:
+        a1, q1 = self.left.numerator, self.left.denominator
+        a2, q2 = self.right.numerator, self.right.denominator
+        if a2 * q1 - a1 * q2 != 1:
+            raise ValueError(f"{self.left} and {self.right} are not unimodular")
+        if q1 > self.order or q2 > self.order:
+            raise ValueError("neighbor denominator exceeds the Farey order")
 
 
 def farey_neighbors(lam: RealSpec, order: int) -> FareyNeighbors:

@@ -539,7 +539,8 @@ def test_curvature_slope_outside_unit_interval(capsys):
     ("rat:2/5", "-", "2", "denominator of 2/5 exceeds Farey order 2"),
     ("rat:1/1", "+", "2", "1/1 has no successor in [0, 1]"),
     ("rat:0/1", "-", "5", "0/1 has no predecessor in [0, 1]"),
-], ids=["2/5-", "1/1+", "0/1-"])
+    ("rat:3/2", "+", "2", "rational cut point must lie in [0, 1]"),
+], ids=["2/5-", "1/1+", "0/1-", "3/2+"])
 def test_curvature_rational_slope_refused_before_ladder(capsys, monkeypatch, lam, side, q_min, message):
     def no_ladder(q_max):
         raise AssertionError(f"R(Q) ladder built up to {q_max}")

@@ -16,13 +16,13 @@ from jarnik.number_theory import (
     convergent_walk,
     farey_fractions,
     farey_neighbor_runs,
-    farey_neighbors_sided,
     moebius_array,
     parse_real,
     totient_array,
 )
 
 from oracles import (
+    farey_neighbor_scan,
     farey_neighbors,
     farey_neighbors_stern_brocot,
     farey_sequence,
@@ -396,13 +396,17 @@ def test_convergent_walk_starts_at_one_over_zero():
     assert pairs == [(1, 0), (0, 1), (1, 1), (1, 2), (3, 5), (4, 7), (11, 19)]
 
 
+def sided_neighbors(frac, side, order):
+    """The Farey neighbours of a cut point at one order, on one side: the
+    one run of farey_neighbor_runs over that order, as two Fractions."""
+    ((_, _, a1, q1, a2, q2),) = farey_neighbor_runs(frac, order, order, side)
+    return Fraction(a1, q1), Fraction(a2, q2)
+
+
 def test_farey_neighbors_sided_examples():
-    nb = farey_neighbors_sided(Fraction(1, 2), "+", 4)
-    assert (nb.left, nb.right) == (Fraction(1, 2), Fraction(2, 3))
-    nb = farey_neighbors_sided(Fraction(1, 2), "-", 4)
-    assert (nb.left, nb.right) == (Fraction(1, 3), Fraction(1, 2))
-    nb = farey_neighbors_sided(Fraction(0), "+", 1)
-    assert (nb.left, nb.right) == (Fraction(0), Fraction(1))
+    assert sided_neighbors(Fraction(1, 2), "+", 4) == (Fraction(1, 2), Fraction(2, 3))
+    assert sided_neighbors(Fraction(1, 2), "-", 4) == (Fraction(1, 3), Fraction(1, 2))
+    assert sided_neighbors(Fraction(0), "+", 1) == (Fraction(0), Fraction(1))
 
 
 def test_farey_neighbors_sided_vs_sequence():
@@ -410,22 +414,37 @@ def test_farey_neighbors_sided_vs_sequence():
         seq = farey_sequence(order)
         for i, frac in enumerate(seq):
             if i + 1 < len(seq):
-                nb = farey_neighbors_sided(frac, "+", order)
-                assert nb.right == seq[i + 1]
+                assert sided_neighbors(frac, "+", order)[1] == seq[i + 1]
             if i > 0:
-                nb = farey_neighbors_sided(frac, "-", order)
-                assert nb.left == seq[i - 1]
+                assert sided_neighbors(frac, "-", order)[0] == seq[i - 1]
 
 
 def test_farey_neighbors_sided_errors():
     with pytest.raises(ValueError):
-        farey_neighbors_sided(Fraction(1, 9), "+", 4)  # denominator too large
+        farey_neighbor_runs(Fraction(1, 9), 4, 4, "+")  # denominator too large
     with pytest.raises(ValueError):
-        farey_neighbors_sided(Fraction(0), "-", 4)
+        farey_neighbor_runs(Fraction(0), 4, 4, "-")
     with pytest.raises(ValueError):
-        farey_neighbors_sided(Fraction(1), "+", 4)
+        farey_neighbor_runs(Fraction(1), 4, 4, "+")
     with pytest.raises(ValueError):
-        farey_neighbors_sided(Fraction(1, 2), "^", 4)
+        farey_neighbor_runs(Fraction(1, 2), 4, 4, "^")
+
+
+def test_cut_point_runs_match_the_scan_for_small_denominators():
+    # every cut point a/b with b <= 40 on each side that has a neighbour,
+    # from the first order that holds it, the next, 2b + 3 and a fixed 57
+    q_max = 120
+    for b in range(1, 41):
+        for a in range(b + 1):
+            if math.gcd(a, b) != 1:
+                continue
+            frac = Fraction(a, b)
+            for side in "+-" if 0 < a < b else "+" if a == 0 else "-":
+                scan = list(farey_neighbor_scan(RationalReal(frac), b, q_max, side))
+                for q_min in (b, b + 1, 2 * b + 3, 57):
+                    walk = [(q, *pair) for lo, hi, *pair in farey_neighbor_runs(frac, q_min, q_max, side)
+                            for q in range(lo, hi + 1)]
+                    assert walk == scan[q_min - b :], (frac, side, q_min)
 
 
 @settings(max_examples=60, deadline=None)
