@@ -17,7 +17,6 @@ from .domains import DomainSpec, MomentPair, ball, diamond, moment_integrals, oc
 from .limit_curves import LimitCurve, parse_curve
 from .number_theory import (
     QuadraticSurd,
-    RationalReal,
     RealSpec,
     farey_neighbor_runs,
     parse_real,
@@ -40,7 +39,7 @@ __all__ = [
     # limit curves and convergence
     "LimitCurve", "parse_curve", "ConvergenceRecord", "convergence_table", "expected_curve",
     # exact slopes and their Farey neighbors
-    "RealSpec", "RationalReal", "QuadraticSurd", "parse_real", "farey_neighbor_runs",
+    "RealSpec", "QuadraticSurd", "parse_real", "farey_neighbor_runs",
     # local curvature
     "CurvatureBounds", "circumradius_squared", "curvature_runs", "limit_curve_radius", "trace_lines",
 ]

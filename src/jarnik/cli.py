@@ -212,12 +212,6 @@ def _cmd_converge(args: argparse.Namespace) -> Iterator[str]:
 
 def _cmd_curvature(args: argparse.Namespace) -> Iterator[str]:
     lam = number_theory.parse_real(args.lam)
-    if lam.is_rational and args.side is None:
-        raise ValueError("rational slope needs --side '+' or '-'")
-    if not lam.is_rational and args.side is not None:
-        raise ValueError("--side applies only to rational slopes")
-    if not 2 <= args.q_min <= args.q_max:
-        raise ValueError("need 2 <= --q-min <= --q-max")
     yield from (curvature.trace_lines if args.format == "csv" else curvature.trace_svg_chunks)(
         lam, args.q_min, args.q_max, side=args.side
     )

@@ -39,7 +39,6 @@ import numpy as np
 
 from . import textgrid
 from .number_theory import (
-    RationalReal,
     RealSpec,
     _small_primes_and_cofactors,
     farey_neighbor_runs,
@@ -149,19 +148,6 @@ def _bounds_for(lam: RealSpec) -> CurvatureBounds:
     )
 
 
-def _cut_point(lam: RealSpec | Fraction, side: str | None) -> tuple[Fraction | None, str, float]:
-    """(the rational cut point or None, the CSV label, the float slope),
-    with the side checked against the kind of slope."""
-    if isinstance(lam, Fraction) or lam.is_rational:
-        frac = lam.value if isinstance(lam, RationalReal) else Fraction(lam)
-        if side is None:
-            raise ValueError("rational slope is two-sided; pass side='+' or side='-'")
-        return frac, f"rat:{frac.numerator}/{frac.denominator}{side}", float(frac)
-    if side is not None:
-        raise ValueError("side applies only to rational slopes")
-    return None, str(lam), float(lam)
-
-
 # Most orders in one block of a trace: the runs that fill a block are
 # certified together, and its r_tilde and predicted columns computed, as
 # numpy arrays of at most this length, so a trace streams in bounded memory.
@@ -263,17 +249,21 @@ def _squared_radii(a1, q1, a2, q2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _blocks(lam: RealSpec | Fraction, q_min: int, q_max: int, side: str | None) -> Iterator[_Block]:
     """The trace over [q_min, q_max] as _Blocks of at most _BLOCK orders.
 
-    The slope, then the ladder, are checked before this returns: a refused
-    slope builds no ladder, and a failed check yields no block.  The runs
-    of farey_neighbor_runs are certified (_certified_columns) before any block
+    The side against the kind of slope, the orders, the slope, then the
+    ladder, are checked before this returns: a refused slope builds no
+    ladder, and a failed check yields no block.  The runs of
+    farey_neighbor_runs are certified (_certified_columns) before any block
     that holds them is yielded.
     """
+    cut = lam.as_integer_ratio() if isinstance(lam, Fraction) else None  # a rational cut point
+    if (cut is None) != (side is None):
+        raise ValueError("a rational slope needs a side, '+' or '-' (--side)" if side is None
+                         else "a side (--side) applies only to a rational slope")
     if not 2 <= q_min <= q_max:
-        raise ValueError("need 2 <= q_min <= q_max")
-    frac, _, lam_value = _cut_point(lam, side)
-    runs = farey_neighbor_runs(lam if frac is None else frac, q_min, q_max, side)
-    cut = None if frac is None else frac.as_integer_ratio()
-    shape = (1.0 + lam_value * lam_value) ** 1.5  # the factor of the predicted radius
+        raise ValueError("need 2 <= q_min <= q_max (--q-min, --q-max)")
+    runs = farey_neighbor_runs(lam, q_min, q_max, side)
+    value = float(lam)
+    shape = (1.0 + value * value) ** 1.5  # the factor of the predicted radius
     return _evaluated(runs, lam, side, cut, _x_ladder(q_max), q_min, q_max, shape)
 
 
@@ -379,7 +369,7 @@ def trace_svg_chunks(
     ys = np.concatenate([block.r_tilde for block in _blocks(lam, q_min, q_max, side)])
     xs = np.fromiter(map(math.log10, range(q_min, q_max + 1)), np.float64, len(ys))
     x0, x1 = float(xs.min()), float(xs.max())
-    bounds = None if _cut_point(lam, side)[0] is not None else _bounds_for(lam)
+    bounds = None if isinstance(lam, Fraction) else _bounds_for(lam)
     levels = (bounds.band_low, bounds.band_high, bounds.limit_radius) if bounds else ()
     top = max((float(ys.max()), *levels)) * 1.05  # of the levels, the band's ceiling is the highest
     width, height = 640.0, 400.0

@@ -3,9 +3,11 @@
 Mobius and totient sieves, the Farey fractions of an order, the convergent
 walk of a quotient stream and the Farey neighbors of a slope, irrational or
 a rational cut point, in runs of orders read off its convergents, plus
-exact specifications of real numbers (rationals, quadratic surds,
+exact specifications of irrational numbers (quadratic surds,
 pattern-generated continued fractions) so that ordering questions against
 fractions are decided with integer arithmetic only, never floating point.
+A slope is one of two types: a rational one is a Fraction, ordered as
+Fractions are, and an irrational one is a RealSpec, ordered by its cmp.
 
 Conventions used throughout: a number x in (0,1) has the continued
 fraction x = [0; b_1, b_2, ...] with positive integer partial quotients,
@@ -139,13 +141,14 @@ def farey_fractions(
 
 
 class RealSpec:
-    """A real number given exactly, supporting integer-only comparisons.
+    """An irrational number given exactly, supporting integer-only
+    comparisons: cmp() against fractions and a stream of continued
+    fraction partial quotients.
 
-    Subclasses implement cmp() against rationals and, for irrationals, a
-    stream of continued fraction partial quotients.
+    Every RealSpec is irrational, so cmp() never returns 0 and the stream
+    never ends: QuadraticSurd refuses a square radicand, and the streams of
+    GeneratedCF are infinite.  A rational number is a Fraction instead.
     """
-
-    is_rational = False
 
     def cmp(self, frac: Fraction) -> int:
         """Sign of (self - frac): -1, 0 or +1, decided exactly."""
@@ -157,45 +160,6 @@ class RealSpec:
 
     def __float__(self) -> float:
         raise NotImplementedError
-
-    def floor_scaled(self, q: int) -> int:
-        """floor(self * q) for a positive integer q, exact."""
-        if q < 1:
-            raise ValueError("scale must be a positive integer")
-        a = int(float(self) * q)  # seed, then correct with exact comparisons
-        while a > 0 and self.cmp(Fraction(a, q)) < 0:
-            a -= 1
-        while self.cmp(Fraction(a + 1, q)) >= 0:
-            a += 1
-        return a
-
-
-@dataclass(frozen=True)
-class RationalReal(RealSpec):
-    value: Fraction
-
-    is_rational = True
-
-    def cmp(self, frac: Fraction) -> int:
-        d = self.value - frac
-        return (d > 0) - (d < 0)
-
-    def quotients(self) -> Iterator[int]:
-        # Euclid on value in (0,1); terminates, final quotient >= 2 except for 0/1
-        num, den = self.value.numerator, self.value.denominator
-        while num:
-            b, rem = divmod(den, num)
-            yield b
-            num, den = rem, num
-
-    def floor_scaled(self, q: int) -> int:
-        return (self.value.numerator * q) // self.value.denominator
-
-    def __float__(self) -> float:
-        return float(self.value)
-
-    def __str__(self) -> str:
-        return f"rat:{self.value.numerator}/{self.value.denominator}"
 
 
 def _floor_quadratic(p: int, d: int, q: int) -> int:
@@ -249,9 +213,6 @@ class QuadraticSurd(RealSpec):
             q = (d - p * p) // q
             b0 = _floor_quadratic(p, d, q)
             yield b0
-
-    def floor_scaled(self, q: int) -> int:
-        return _floor_quadratic(self.p * q, self.d * q * q, self.q)
 
     def __float__(self) -> float:
         return (self.p + math.sqrt(self.d)) / self.q
@@ -318,8 +279,9 @@ _CF_LITERAL = re.compile(r"^cf:\[0;([0-9,]*)(?:\(([0-9,]+)\))?\]$")
 _SURD = re.compile(r"^surd:\((-?\d+)\+sqrt\((\d+)\)\)/(-?\d+)$")
 
 
-def parse_real(text: str) -> RealSpec:
-    """Parse the exact-number grammar.
+def parse_real(text: str) -> RealSpec | Fraction:
+    """Parse the exact-number grammar: a Fraction for ``rat:`` and a finite
+    ``cf:`` literal, a RealSpec for every other form.
 
     Accepted forms: ``rat:a/b``, ``surd:(P+sqrt(D))/Q``, ``const:e-2``,
     ``const:inv-sqrt3``, and ``cf:[0;b1,b2,...,(p1,p2,...)]`` where the
@@ -338,10 +300,9 @@ def parse_real(text: str) -> RealSpec:
     if text.startswith("rat:"):
         num, _, den = text[4:].partition("/")
         try:
-            value = Fraction(integer(num), integer(den)) if den else Fraction(integer(num))
+            return Fraction(integer(num), integer(den)) if den else Fraction(integer(num))
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {text!r}") from None
-        return RationalReal(value)
     if text == "const:e-2":
         return E_MINUS_2
     if text == "const:inv-sqrt3":
@@ -362,7 +323,7 @@ def parse_real(text: str) -> RealSpec:
         value = Fraction(0)
         for b in reversed(head):
             value = Fraction(1, b + value)
-        return RationalReal(value)
+        return value
     raise ValueError(f"unsupported real specification: {text!r}")
 
 
@@ -410,8 +371,6 @@ def farey_neighbor_runs(
     if not 1 <= q_min <= q_max:
         raise ValueError("need 1 <= q_min <= q_max")
     if not isinstance(lam, Fraction):
-        if lam.is_rational:
-            raise ValueError("rational cut point; pass it as a Fraction with a side")
         quotients = lam.quotients()
         return _convergent_runs(chain([next(quotients)], quotients), q_min, q_max)
     if side not in ("+", "-"):
@@ -421,7 +380,10 @@ def farey_neighbor_runs(
     a, b = lam.as_integer_ratio()
     if b > q_min:
         raise ValueError(f"denominator of {lam} exceeds Farey order {q_min}")
-    quotients = list(RationalReal(lam).quotients())
+    quotients, num, den = [], a, b
+    while num:  # Euclid: a/b = [0; b_1, ..., b_m], b_m >= 2 unless a/b is 0/1 or 1/1
+        quotients.append(den // num)
+        num, den = den % num, num
     # with m quotients, h_m k_{m+1} - h_{m+1} k_m = (-1)^m: the next-to-last
     # convergent h_m/k_m lies above a/b exactly when m is even, and
     # b_m - 1, 1 in place of b_m moves it to the other side

@@ -52,7 +52,7 @@ import numpy as np
 
 from . import textgrid
 from .domains import DomainSpec, lattice_contains
-from .number_theory import RationalReal, RealSpec, farey_fractions
+from .number_theory import RealSpec, farey_fractions
 
 
 class PrimitiveVector(NamedTuple):
@@ -206,13 +206,18 @@ def fundamental_vertices(
     """The vertex reached by summing the fundamental-arc edges (0 < a <= q)
     with slope at most lam, as exact integers, at each slope of lams: one
     arc, its prefix sums and a bisection per slope."""
-    lams = [lam if isinstance(lam, RealSpec) else RationalReal(Fraction(lam)) for lam in lams]
     poly = build_polygon(spec, order)
     octant = poly.octant.tolist()
     arc = list(zip(poly.q.tolist(), poly.a.tolist()))
-    # the arc rises in slope: cut it before the first edge with a > floor(lam q)
-    cuts = (bisect_left(arc, True, key=lambda e: e[1] > lam.floor_scaled(e[0])) for lam in lams)
-    return [tuple(octant[k]) for k in cuts]
+
+    def steeper(lam):  # the exact test a/q > lam of an edge (q, a)
+        if isinstance(lam, RealSpec):
+            return lambda e: lam.cmp(Fraction(e[1], e[0])) < 0
+        lam = Fraction(lam)
+        return lambda e: Fraction(e[1], e[0]) > lam
+
+    # the arc rises in slope: cut it before its first edge steeper than lam
+    return [tuple(octant[bisect_left(arc, True, key=steeper(lam))]) for lam in lams]
 
 
 @dataclass(frozen=True, eq=False)

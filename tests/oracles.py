@@ -73,7 +73,6 @@ from jarnik.curvature import (
     _SQUARE_COEFF,
     CurvatureBounds,
     _bounds_for,
-    _cut_point,
     _x_ladder,
     circumradius_squared,
     curvature_runs,
@@ -83,7 +82,6 @@ from jarnik.domains import DomainSpec, _iroot_floor, lattice_contains, moment_in
 from jarnik.limit_curves import LimitCurve, Point, beta_complete
 from jarnik.number_theory import (
     QuadraticSurd,
-    RationalReal,
     RealSpec,
     convergent_walk,
     farey_fractions,
@@ -180,8 +178,7 @@ def vertex_from_vectors(
     vectors: Sequence[PrimitiveVector], lam: RealSpec | Fraction | int
 ) -> tuple[int, int]:
     """Sum of the vectors with positive coordinates and slope at most lam."""
-    spec = lam if isinstance(lam, RealSpec) else RationalReal(Fraction(lam))
-    chosen = [v for v in vectors if v.q > 0 and v.a > 0 and spec.cmp(Fraction(v.a, v.q)) >= 0]
+    chosen = [v for v in vectors if v.q > 0 and v.a > 0 and slope_cmp(lam, Fraction(v.a, v.q)) >= 0]
     return (sum(v.q for v in chosen), sum(v.a for v in chosen))
 
 
@@ -233,19 +230,45 @@ def moebius_linear_sieve(limit: int) -> list[int]:
     return mu
 
 
-def farey_neighbor_scan(lam: RealSpec, q_min: int, q_max: int, side: str | None = None):
+def slope_cmp(lam: RealSpec | Fraction | int, frac: Fraction) -> int:
+    """Sign of (lam - frac) for a slope of either kind, exact."""
+    if isinstance(lam, RealSpec):
+        return lam.cmp(frac)
+    return (lam > frac) - (lam < frac)
+
+
+def floor_scaled(lam: RealSpec | Fraction, q: int) -> int:
+    """floor(lam q) for q >= 1, exact: a float seed corrected by slope_cmp."""
+    a = int(float(lam) * q)
+    while a > 0 and slope_cmp(lam, Fraction(a, q)) < 0:
+        a -= 1
+    while slope_cmp(lam, Fraction(a + 1, q)) >= 0:
+        a += 1
+    return a
+
+
+def rational_quotients(value: Fraction) -> list[int]:
+    """b_1, ..., b_m of value = [0; b_1, ..., b_m] in [0, 1], by Euclid."""
+    quotients, num, den = [], value.numerator, value.denominator
+    while num:
+        quotients.append(den // num)
+        num, den = den % num, num
+    return quotients
+
+
+def farey_neighbor_scan(lam: RealSpec | Fraction, q_min: int, q_max: int, side: str | None = None):
     """(Q, a1, q1, a2, q2) for Q = q_min..q_max: the largest fraction below
     lam and the smallest above it with denominator at most Q, as a running
     max and min over every denominator.  A rational cut point with a side
     takes lam itself as the neighbour on that side."""
     below, above = Fraction(-1), Fraction(2)
     for q in range(1, q_max + 1):
-        a = lam.floor_scaled(q)
-        below = max(below, Fraction(a if lam.cmp(Fraction(a, q)) > 0 else a - 1, q))
+        a = floor_scaled(lam, q)
+        below = max(below, Fraction(a if slope_cmp(lam, Fraction(a, q)) > 0 else a - 1, q))
         above = min(above, Fraction(a + 1, q))
         if q >= q_min:
-            left = lam.value if side == "+" else below
-            right = lam.value if side == "-" else above
+            left = lam if side == "+" else below
+            right = lam if side == "-" else above
             yield q, left.numerator, left.denominator, right.numerator, right.denominator
 
 
@@ -253,7 +276,7 @@ def farey_neighbors_stern_brocot(lam: RealSpec, order: int) -> FareyNeighbors:
     """Same query as farey_neighbors, by mediant descent from (0/1, 1/1)."""
     if order < 1:
         raise ValueError("Farey order must be a positive integer")
-    if lam.is_rational:
+    if not isinstance(lam, RealSpec):
         raise ValueError("rational cut point; walk it as a Fraction with a side")
     lo_n, lo_d, hi_n, hi_d = 0, 1, 1, 1
     while True:
@@ -273,7 +296,7 @@ def square_scale_factor(order: int) -> Fraction:
     return Fraction(3 * sum(q * phi[q] for q in range(1, order + 1)), 2)
 
 
-def fraction_trace_csv(lam: RealSpec, q_min: int, q_max: int, side: str | None = None) -> str:
+def fraction_trace_csv(lam: RealSpec | Fraction, q_min: int, q_max: int, side: str | None = None) -> str:
     """The `curvature` CSV by Fractions: per order, the neighbours by
     farey_neighbor_scan, r^2 as the circumradius of the vertex triple, and
     R(Q) from a running sum of the totients."""
@@ -295,7 +318,7 @@ def scale_ladder(q_max: int) -> list[Fraction]:
     return [Fraction(3 * x, 2) for x in _x_ladder(q_max).tolist()]
 
 
-def run_trace_lines(lam: RealSpec, q_min: int, q_max: int, side: str | None = None) -> str:
+def run_trace_lines(lam: RealSpec | Fraction, q_min: int, q_max: int, side: str | None = None) -> str:
     """The `curvature` CSV a run at a time, in Python ints and floats: per
     run of farey_neighbor_runs, ",q1,q2,num,den," and sqrt(num / den) once,
     then per order root / (3 X / 2) and p / Q^3 * pi^2/6 * (1 + lam^2)^1.5,
@@ -305,7 +328,7 @@ def run_trace_lines(lam: RealSpec, q_min: int, q_max: int, side: str | None = No
     shape = (1.0 + lam_value * lam_value) ** 1.5
     coeff = math.pi**2 / 6.0
     lines = ["Q,q1,q2,r_squared_num,r_squared_den,r_tilde,predicted\n"]
-    for lo, hi, a1, q1, a2, q2 in farey_neighbor_runs(lam.value if side else lam, q_min, q_max, side):
+    for lo, hi, a1, q1, a2, q2 in farey_neighbor_runs(lam, q_min, q_max, side):
         num = (a1 * a1 + q1 * q1) * (a2 * a2 + q2 * q2) * ((a1 + a2) ** 2 + (q1 + q2) ** 2)
         num, den = num // math.gcd(num, 4), 4 // math.gcd(num, 4)
         mid, root, p = f",{q1},{q2},{num},{den},", math.sqrt(num / den), q1 * q2 * (q1 + q2)
@@ -758,7 +781,7 @@ def curvature_trace(
     back from the repr text of its trace_lines row."""
     rows = "".join(trace_lines(lam, q_min, q_max, side)).splitlines()[1:]
     floats = iter([tuple(map(float, row.split(",")[5:])) for row in rows])
-    label = _cut_point(lam, side)[1]
+    label = f"rat:{lam.numerator}/{lam.denominator}{side}" if isinstance(lam, Fraction) else str(lam)
     samples = []
     for lo, hi, a1, q1, a2, q2, num, den, _ in curvature_runs(lam, q_min, q_max, side):
         neighbors = FareyNeighbors(Fraction(a1, q1), Fraction(a2, q2), lo)
@@ -787,7 +810,7 @@ def limsup_liminf_estimate(lam: RealSpec, q_max: int) -> tuple[float, float, Est
     k_{n-1}/k_n over the (eventual) quotient cycle as the minimum of the
     last 80 ratios up to n = 242.
     """
-    if lam.is_rational:
+    if not isinstance(lam, RealSpec):
         raise ValueError("limit estimates are defined for irrational slopes")
     if q_max < 8:
         raise ValueError("window too small")

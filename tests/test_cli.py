@@ -497,6 +497,19 @@ def test_curvature_golden_bytes(capsys, lam, side):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_CURVATURE_SHA256[lam, side]
 
 
+@pytest.mark.parametrize("side", ["+", "-"])
+def test_one_cut_point_one_trace(capsys, side):
+    # 2/5 written in lowest terms, unreduced, and as its two finite
+    # continued fraction expansions is one Fraction, so one trace
+    outs = set()
+    for lam in ("rat:2/5", "rat:4/10", "cf:[0;2,2]", "cf:[0;2,1,1]"):
+        code, out, err = run_capture(capsys, ["curvature", "--lambda", lam, "--side", side,
+                                              "--q-min", "5", "--q-max", "3000"])
+        assert code == 0 and err == "", lam
+        outs.add(out)
+    assert len(outs) == 1
+
+
 # sha256 of the `curvature --format svg` bytes over Q = 10..2000
 GOLDEN_CURVATURE_SVG_SHA256 = {
     ("const:inv-sqrt3", None): "18d9bc951c7a9f033a0512ffdde5da56f77c28b81294953d9191520228fb18aa",
@@ -540,17 +553,16 @@ def test_curvature_slope_outside_unit_interval(capsys):
     ("rat:1/1", "+", "2", "1/1 has no successor in [0, 1]"),
     ("rat:0/1", "-", "5", "0/1 has no predecessor in [0, 1]"),
     ("rat:3/2", "+", "2", "rational cut point must lie in [0, 1]"),
-], ids=["2/5-", "1/1+", "0/1-", "3/2+"])
+    ("rat:1/2", None, "2", "a rational slope needs a side, '+' or '-' (--side)"),
+    ("const:e-2", "+", "2", "a side (--side) applies only to a rational slope"),
+], ids=["2/5-", "1/1+", "0/1-", "3/2+", "1/2-no-side", "e-2+"])
 def test_curvature_rational_slope_refused_before_ladder(capsys, monkeypatch, lam, side, q_min, message):
     def no_ladder(q_max):
         raise AssertionError(f"R(Q) ladder built up to {q_max}")
 
     monkeypatch.setattr(curvature, "_x_ladder", no_ladder)
-    code, out, err = run_capture(
-        capsys,
-        ["curvature", "--lambda", lam, "--side", side, "--q-min", q_min,
-         "--q-max", str(MAX_TRACE_ORDER)],
-    )
+    argv = ["curvature", "--lambda", lam, "--q-min", q_min, "--q-max", str(MAX_TRACE_ORDER)]
+    code, out, err = run_capture(capsys, argv + (["--side", side] if side else []))
     assert code == 2 and out == ""
     assert err == f"jarnik: argument error: {message}\n"
 

@@ -25,6 +25,7 @@ from oracles import (
     CurvatureSample,
     curvature_trace,
     farey_neighbor_scan,
+    floor_scaled,
     fraction_trace_csv,
     limsup_liminf_estimate,
     points_svg,
@@ -255,8 +256,8 @@ def test_trace_minimum_agrees_with_polygon_route(lam, order, left, right):
     # walk or the totient ladder: edge slopes by scanning every denominator,
     # the vertex triple by fundamental_vertex, R(Q) by the polygon route
     (sample,) = curvature_trace(lam, order, order)
-    below = max(Fraction(lam.floor_scaled(q), q) for q in range(1, order + 1))
-    above = min(Fraction(lam.floor_scaled(q) + 1, q) for q in range(1, order + 1))
+    below = max(Fraction(floor_scaled(lam, q), q) for q in range(1, order + 1))
+    above = min(Fraction(floor_scaled(lam, q) + 1, q) for q in range(1, order + 1))
     assert (sample.neighbors.left, sample.neighbors.right) == (below, above) == (left, right)
     # order-Q Farey fractions lie at least 1/Q^2 apart, so this slope cuts just before `below`
     before = fundamental_vertices(square(), order, [below - Fraction(1, 2 * order * order)])[0]
@@ -323,10 +324,8 @@ def test_liminf_estimate_decreases_for_e_minus_2():
 
 
 def test_limsup_rejects_rational():
-    from jarnik.number_theory import RationalReal
-
     with pytest.raises(ValueError):
-        limsup_liminf_estimate(RationalReal(Fraction(1, 2)), 1000)
+        limsup_liminf_estimate(Fraction(1, 2), 1000)
 
 
 def test_scaled_radius_matches_scaled_polygon_geometry():
@@ -402,14 +401,10 @@ def test_block_columns_match_the_run_at_a_time_trace(text, side, q_min, ranges):
         assert "".join(trace_lines(lam, lo, hi, side)) == run_trace_lines(lam, lo, hi, side), (lo, hi)
 
 
-def _walked(lam):
-    return lam.value if lam.is_rational else lam
-
-
 @pytest.mark.parametrize("text, side, q_min", TRACE_SLOPES)
 def test_neighbor_runs_expand_to_the_scanned_neighbors(text, side, q_min):
     lam = parse_real(text)
-    runs = list(farey_neighbor_runs(_walked(lam), q_min, 2000, side))
+    runs = list(farey_neighbor_runs(lam, q_min, 2000, side))
     rows = [(q, *pair) for lo, hi, *pair in runs for q in range(lo, hi + 1)]
     assert rows == list(farey_neighbor_scan(lam, q_min, 2000, side))
     # each run is maximal: the next one holds another pair
@@ -423,7 +418,7 @@ def test_neighbor_runs_expand_to_the_scanned_neighbors(text, side, q_min):
 ])
 def test_neighbor_runs_cut_at_run_ends(text, side):
     # q_min and q_max on a run end, one before it and one after it
-    lam = _walked(parse_real(text))
+    lam = parse_real(text)
     wide = list(farey_neighbor_runs(lam, 10, 600, side))
     pairs = {q: pair for lo, hi, *pair in wide for q in range(lo, hi + 1)}
     for end in [hi for _, hi, *_ in wide[1:-1]][-3:]:
@@ -433,7 +428,7 @@ def test_neighbor_runs_cut_at_run_ends(text, side):
             assert all(run[1] + 1 == after[0] for run, after in pairwise(runs))
             assert [(q, *pair) for lo, hi, *pair in runs for q in range(lo, hi + 1)] == [
                 (q, *pairs[q]) for q in range(q_min, q_max + 1)]
-            certified = curvature_runs(parse_real(text), q_min, q_max, side)
+            certified = curvature_runs(lam, q_min, q_max, side)
             assert [run[:6] for run in certified] == runs
 
 
@@ -468,7 +463,7 @@ def test_periodic_slope_whose_stream_raises_still_gets_bounds_and_svg():
 def test_trace_svg_chunks_are_the_point_list_svg(text, side, q_min, q_max):
     lam = parse_real(text)
     points = [(s.order, s.r_tilde) for s in curvature_trace(lam, q_min, q_max, side)]
-    want = points_svg(points, None if lam.is_rational else _bounds_for(lam))
+    want = points_svg(points, None if isinstance(lam, Fraction) else _bounds_for(lam))
     assert "".join(trace_svg_chunks(lam, q_min, q_max, side)) == want
 
 

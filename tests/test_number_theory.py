@@ -12,7 +12,6 @@ from jarnik.number_theory import (
     INV_SQRT3,
     GeneratedCF,
     QuadraticSurd,
-    RationalReal,
     convergent_walk,
     farey_fractions,
     farey_neighbor_runs,
@@ -29,6 +28,7 @@ from oracles import (
     farey_walk,
     moebius_linear_sieve,
     partial_zeta_inverse,
+    rational_quotients,
     totient_list_sieve,
 )
 
@@ -203,7 +203,8 @@ def test_cf_e_minus_2():
 
 
 def test_cf_rational_terminates():
-    assert tuple(RationalReal(Fraction(1, 2)).quotients()) == (2,)
+    assert rational_quotients(Fraction(1, 2)) == [2]
+    assert parse_real("cf:[0;2]") == Fraction(1, 2)
 
 
 def test_cf_rejects_out_of_range():
@@ -214,8 +215,10 @@ def test_cf_rejects_out_of_range():
 
 
 def convergent_fractions(lam, count=None):
-    """h_1/k_1, h_2/k_2, ... of lam's quotient stream, at most count of them."""
-    pairs = islice(convergent_walk(lam.quotients()), 1, None if count is None else count + 1)
+    """h_1/k_1, h_2/k_2, ... of lam's quotient stream, or of a Fraction's
+    Euclid quotients, at most count of them."""
+    quotients = rational_quotients(lam) if isinstance(lam, Fraction) else lam.quotients()
+    pairs = islice(convergent_walk(quotients), 1, None if count is None else count + 1)
     return [Fraction(h, k) for h, k in pairs]
 
 
@@ -240,7 +243,7 @@ def test_convergent_recurrence_seeds():
 
 def test_rational_reproduced_by_last_convergent():
     value = Fraction(355, 1130)
-    assert convergent_fractions(RationalReal(value), 50)[-1] == value
+    assert convergent_fractions(value, 50)[-1] == value
 
 
 @settings(max_examples=100, deadline=None)
@@ -249,9 +252,10 @@ def test_rational_roundtrip_property(num, den):
     if num >= den:
         num, den = den, num + 1
     value = Fraction(num, den)
-    quotients = list(islice(RationalReal(value).quotients(), 100))
-    assert len(quotients) < 100  # the expansion terminates
-    assert convergent_fractions(RationalReal(value))[-1] == value
+    quotients = rational_quotients(value)
+    assert convergent_fractions(value)[-1] == value
+    # a finite cf: literal folds its quotients back into the Fraction
+    assert parse_real(f"cf:[0;{','.join(map(str, quotients))}]") == value
 
 
 def test_convergents_alternate_and_approximate():
@@ -299,14 +303,12 @@ def test_surd_rejects_square_radicand():
         QuadraticSurd(0, 9, 5)
 
 
-def test_floor_scaled_against_isqrt():
+def test_inv_sqrt3_cmp_against_isqrt():
+    # a = floor(q / sqrt(3)) = isqrt(q^2 // 3): a/q lies below, (a+1)/q above
     for q in range(1, 500):
-        assert INV_SQRT3.floor_scaled(q) == math.isqrt(q * q // 3)
-
-
-def test_floor_scaled_rational():
-    spec = RationalReal(Fraction(2, 7))
-    assert [spec.floor_scaled(q) for q in range(1, 9)] == [0, 0, 0, 1, 1, 1, 2, 2]
+        a = math.isqrt(q * q // 3)
+        assert INV_SQRT3.cmp(Fraction(a, q)) == 1
+        assert INV_SQRT3.cmp(Fraction(a + 1, q)) == -1
 
 
 def test_generated_cf_cmp_against_float():
@@ -317,13 +319,13 @@ def test_generated_cf_cmp_against_float():
 
 
 def test_parse_real_grammar():
-    assert parse_real("rat:3/7") == RationalReal(Fraction(3, 7))
+    assert parse_real("rat:3/7") == Fraction(3, 7)
     assert parse_real("const:inv-sqrt3") is INV_SQRT3
     assert parse_real("const:e-2") is E_MINUS_2
     surd = parse_real("surd:(-1+sqrt(5))/2")
     assert isinstance(surd, QuadraticSurd) and float(surd) == pytest.approx((math.sqrt(5) - 1) / 2)
     lit = parse_real("cf:[0;1,2,3]")
-    assert isinstance(lit, RationalReal)  # finite literal is rational
+    assert isinstance(lit, Fraction) and lit == Fraction(7, 10)  # a finite literal is a Fraction
     per = parse_real("cf:[0;(1,2)]")
     assert isinstance(per, GeneratedCF) and per.periodic
     with pytest.raises(ValueError):
@@ -349,7 +351,7 @@ def test_farey_neighbors_order_1():
 
 def test_farey_neighbors_rejects_rational():
     with pytest.raises(ValueError):
-        farey_neighbors(RationalReal(Fraction(1, 2)), 10)
+        farey_neighbors(Fraction(1, 2), 10)
 
 
 def test_farey_neighbors_corpus_vs_brute_force():
@@ -386,7 +388,7 @@ def test_farey_neighbor_walk_checks_arguments_before_iteration():
     with pytest.raises(ValueError, match="quotient stream requires a value in"):
         farey_neighbor_runs(parse_real("surd:(1+sqrt(5))/2"), 1, 10)
     with pytest.raises(ValueError):
-        farey_neighbor_runs(RationalReal(Fraction(1, 2)), 1, 10)
+        farey_neighbor_runs(Fraction(1, 2), 1, 10)  # a cut point needs a side
     with pytest.raises(ValueError):
         farey_neighbor_runs(INV_SQRT3, 5, 4)
 
@@ -440,7 +442,7 @@ def test_cut_point_runs_match_the_scan_for_small_denominators():
                 continue
             frac = Fraction(a, b)
             for side in "+-" if 0 < a < b else "+" if a == 0 else "-":
-                scan = list(farey_neighbor_scan(RationalReal(frac), b, q_max, side))
+                scan = list(farey_neighbor_scan(frac, b, q_max, side))
                 for q_min in (b, b + 1, 2 * b + 3, 57):
                     walk = [(q, *pair) for lo, hi, *pair in farey_neighbor_runs(frac, q_min, q_max, side)
                             for q in range(lo, hi + 1)]
