@@ -40,7 +40,7 @@ import numpy as np
 from . import textgrid
 from .number_theory import (
     RealSpec,
-    _small_primes_and_cofactors,
+    _split_primes,
     farey_neighbor_runs,
     moebius_array,
     totient_array,
@@ -103,15 +103,16 @@ def _x_by_moebius(order: int, mu) -> int:
 
 def _x_ladder(q_max: int) -> np.ndarray:
     """X(Q,1) for Q = 0..q_max as an int64 array, the running sum of
-    Q phi(Q), the vectors entering at denominator Q.  Before this returns,
+    Q phi(Q), the vectors entering at denominator Q, computed in place in
+    the totient array.  One sieve of Eratosthenes gives the primes of both
+    the totient and the Mobius sieve.  Before this returns,
     X(q_max,1) is checked through the independent Mobius divisor identity:
     every phi(q) enters it with weight q, so a wrong value anywhere shows
     there."""
     if not 1 <= q_max <= MAX_LADDER_ORDER:
         raise ValueError(f"ladder top {q_max} is outside 1..{MAX_LADDER_ORDER} (MAX_LADDER_ORDER)")
-    sieve = _small_primes_and_cofactors(q_max)  # one sieve for both
+    sieve = _split_primes(q_max)
     mu, xs = moebius_array(q_max, sieve), totient_array(q_max, sieve)
-    del sieve  # its cofactors, as large as xs, are not needed past here
     xs *= np.arange(q_max + 1, dtype=np.int64)
     xs.cumsum(out=xs)
     x, check = int(xs[-1]), _x_by_moebius(q_max, mu)

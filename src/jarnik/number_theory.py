@@ -1,6 +1,8 @@
 """Exact integer number theory.
 
-Mobius and totient sieves, the Farey fractions of an order, the convergent
+Mobius and totient sieves over the primes of one sieve of Eratosthenes,
+those above the square root of the limit taken a slice of their multiples
+at a time, the Farey fractions of an order, the convergent
 walk of a quotient stream and the Farey neighbors of a slope, irrational or
 a rational cut point, in runs of orders read off its convergents, plus
 exact specifications of irrational numbers (quadratic surds,
@@ -36,61 +38,84 @@ import numpy as np
 # ---------------------------------------------------------------------------
 
 
-def _small_primes_and_cofactors(limit: int) -> tuple[list[int], np.ndarray]:
-    """The primes p <= sqrt(limit), and for n = 0..limit what is left of n
-    once every such p is divided out: 1 or one prime above sqrt(limit)."""
+def _split_primes(limit: int) -> tuple[list[int], np.ndarray]:
+    """The primes p <= sqrt(limit) as a list and the primes in
+    (sqrt(limit), limit] as an int64 array, from one boolean sieve of
+    Eratosthenes."""
     if limit < 1:
         raise ValueError("sieve limit must be a positive integer")
-    rest = np.arange(limit + 1, dtype=np.int64)
+    is_prime = np.ones(limit + 1, dtype=bool)
+    is_prime[:2] = False
+    root = math.isqrt(limit)
     primes = []
-    for p in range(2, math.isqrt(limit) + 1):
-        if rest[p] == p:  # no smaller prime divides p
+    for p in range(2, root + 1):
+        if is_prime[p]:
             primes.append(p)
-            power = p
-            while power <= limit:
-                rest[power::power] //= p
-                power *= p
-    return primes, rest
+            is_prime[p * p :: p] = False
+    return primes, np.flatnonzero(is_prime[root + 1 :]).astype(np.int64, copy=False) + (root + 1)
+
+
+# Most multiples in one slice of the sieves' large-prime pass, which bounds
+# its fancy-indexed temporaries at 128 KiB each; slices of 2^16 raise the
+# peak RSS of the ladder at its cap by about 3.6 MB.
+_MULTIPLES_SLICE = 1 << 14
+
+
+def _large_prime_multiples(limit: int, large: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(P, m P) over every multiple m P <= limit of the primes P in `large`,
+    all above sqrt(limit), as int64 arrays of at most _MULTIPLES_SLICE
+    entries each.  An order has at most one prime factor above sqrt(limit),
+    so these multiples are distinct.  Row P holds m = 1..limit // P, laid
+    out as in farey_fractions; a slice takes the part of each row that falls
+    in its window of the global count."""
+    counts = limit // large
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    total = int(counts.sum())
+    for lo in range(0, total, _MULTIPLES_SLICE):
+        hi = min(lo + _MULTIPLES_SLICE, total)
+        rows = slice(int(np.searchsorted(ends, lo, side="right")), int(np.searchsorted(starts, hi)))
+        taken = np.minimum(ends[rows], hi) - np.maximum(starts[rows], lo)
+        big = np.repeat(large[rows], taken)
+        # m runs from 1 within each row: the global count less the row's start
+        m = np.arange(lo + 1, hi + 1, dtype=np.int64) - np.repeat(starts[rows], taken)
+        yield big, big * m
 
 
 def moebius_array(limit: int, sieve: tuple[list[int], np.ndarray] | None = None) -> np.ndarray:
     """mu(0..limit) as an int8 array (mu[0] = 0).
 
     mu(1) = 1; mu(n) = 0 when a prime square divides n; otherwise
-    (-1)^(number of prime factors).  `sieve` is
-    _small_primes_and_cofactors(limit) where the caller has it already.
+    (-1)^(number of prime factors).  Each prime p <= sqrt(limit) negates
+    its multiples and zeroes those of p^2, then each prime above
+    sqrt(limit), whose square exceeds limit, negates its multiples.
+    `sieve` is _split_primes(limit) where the caller has it already.
     """
-    primes, rest = sieve or _small_primes_and_cofactors(limit)
+    primes, large = sieve or _split_primes(limit)
     mu = np.ones(limit + 1, dtype=np.int8)
     mu[0] = 0
     for p in primes:
         mu[p::p] *= -1
         mu[p * p :: p * p] = 0
-    mu[rest > 1] *= -1
+    for _, idx in _large_prime_multiples(limit, large):
+        mu[idx] *= -1
     return mu
-
-
-# Orders per slice of the totient sieve's cofactor pass, which bounds its
-# fancy-indexed temporaries.
-_COFACTOR_SLICE = 1 << 16
 
 
 def totient_array(limit: int, sieve: tuple[list[int], np.ndarray] | None = None) -> np.ndarray:
     """phi(0..limit) as an int64 array (phi[0] = 0).
 
     Each prime p <= sqrt(limit) takes phi(n) -= phi(n)/p on its multiples,
-    then the one prime cofactor above sqrt(limit) that n may have, which
-    still divides phi(n) at that point, is taken out the same way, a slice
-    of orders at a time.  `sieve` is as for moebius_array.
+    then each prime P above sqrt(limit), which still divides phi(n) at that
+    point, takes phi(n) = phi(n)/P (P-1) on its multiples, a slice of them
+    at a time.  `sieve` is as for moebius_array.
     """
-    primes, rest = sieve or _small_primes_and_cofactors(limit)
+    primes, large = sieve or _split_primes(limit)
     phi = np.arange(limit + 1, dtype=np.int64)
     for p in primes:
         phi[p::p] -= phi[p::p] // p
-    for start in range(0, limit + 1, _COFACTOR_SLICE):
-        part, cofactor = phi[start : start + _COFACTOR_SLICE], rest[start : start + _COFACTOR_SLICE]
-        big = cofactor > 1
-        part[big] -= part[big] // cofactor[big]
+    for big, idx in _large_prime_multiples(limit, large):
+        phi[idx] = phi[idx] // big * (big - 1)
     return phi
 
 

@@ -571,8 +571,8 @@ def test_curvature_rational_slope_refused_before_ladder(capsys, monkeypatch, lam
 def test_curvature_wrong_totient_fails_before_any_output(capsys, monkeypatch, tmp_path, to_file):
     sieve = curvature.totient_array
 
-    def perturbed(limit, primes_and_cofactors=None):
-        phi = sieve(limit, primes_and_cofactors)
+    def perturbed(limit, split_primes=None):
+        phi = sieve(limit, split_primes)
         phi[97] += 1
         return phi
 

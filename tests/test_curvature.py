@@ -173,12 +173,26 @@ def test_ladder_refuses_a_top_beyond_its_int64_bound(monkeypatch):
     assert 6 * curvature.MAX_LADDER_ORDER**3 < 2**63
 
 
+def test_ladder_at_the_cap_stays_within_20_mb():
+    # the totient array, turned into the ladder in place, and the Mobius
+    # check's running sum of the same length hold 16 MiB of it; a second
+    # int64 array of the ladder's length, or an unsliced large-prime pass,
+    # goes past 20 MiB
+    tracemalloc.start()
+    try:
+        curvature._x_ladder(curvature.MAX_LADDER_ORDER)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * 2**20
+
+
 def test_scale_ladder_guard_catches_a_wrong_totient(monkeypatch):
     # one wrong phi(q) far below the top still changes X(q_max, 1)
     sieve = curvature.totient_array
 
-    def perturbed(limit, primes_and_cofactors=None):
-        phi = sieve(limit, primes_and_cofactors)
+    def perturbed(limit, split_primes=None):
+        phi = sieve(limit, split_primes)
         phi[97] += 1
         return phi
 

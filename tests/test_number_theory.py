@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jarnik import number_theory
 from jarnik.number_theory import (
     E_MINUS_2,
     INV_SQRT3,
@@ -123,8 +124,13 @@ def test_totient_sieve_prefix():
     assert phi[1:13] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
 
 
-def test_array_sieves_match_the_list_sieves():
-    for limit in [*range(1, 501), 10**5]:
+@pytest.mark.parametrize("multiples_slice", [number_theory._MULTIPLES_SLICE, 7], ids=["default", "7"])
+def test_array_sieves_match_the_list_sieves(monkeypatch, multiples_slice):
+    # the large-prime pass a slice of multiples at a time, also in slices
+    # that cut the rows of its primes; 528..530 and 960..962 straddle 23^2
+    # and 31^2, where a prime moves from the small primes to the large ones
+    monkeypatch.setattr(number_theory, "_MULTIPLES_SLICE", multiples_slice)
+    for limit in [*range(1, 501), 528, 529, 530, 960, 961, 962, 5000, 10**5]:
         assert totient_array(limit).tolist() == totient_list_sieve(limit), limit
         assert moebius_array(limit).tolist() == moebius_linear_sieve(limit), limit
     assert {type(v) for v in totient_array(30).tolist() + moebius_array(30).tolist()} == {int}
