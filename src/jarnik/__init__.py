@@ -6,14 +6,8 @@ name in it is reached by a command of `jarnik.cli` or by its selftest.
 """
 
 from .analysis import ConvergenceRecord, convergence_table, expected_curve
-from .curvature import (
-    CurvatureBounds,
-    circumradius_squared,
-    curvature_runs,
-    limit_curve_radius,
-    trace_lines,
-)
-from .domains import DomainSpec, MomentPair, ball, diamond, moment_integrals, octagon, parse_domain, square
+from .curvature import CurvatureBounds, limit_curve_radius, trace_lines
+from .domains import DomainSpec, ball, diamond, octagon, parse_domain, square
 from .limit_curves import LimitCurve, parse_curve
 from .number_theory import (
     QuadraticSurd,
@@ -21,27 +15,19 @@ from .number_theory import (
     farey_neighbor_runs,
     parse_real,
 )
-from .polygon import (
-    LatticePolygon,
-    PrimitiveVector,
-    ScaledPolygon,
-    build_polygon,
-    fundamental_vertices,
-    scale_polygon,
-)
+from .polygon import LatticePolygon, PrimitiveVector, ScaledPolygon, build_polygon, scale_polygon
 
 __all__ = [
     # regions
-    "DomainSpec", "MomentPair", "ball", "diamond", "moment_integrals", "octagon", "parse_domain", "square",
+    "DomainSpec", "ball", "diamond", "octagon", "parse_domain", "square",
     # polygons
-    "LatticePolygon", "PrimitiveVector", "ScaledPolygon", "build_polygon", "fundamental_vertices",
-    "scale_polygon",
+    "LatticePolygon", "PrimitiveVector", "ScaledPolygon", "build_polygon", "scale_polygon",
     # limit curves and convergence
     "LimitCurve", "parse_curve", "ConvergenceRecord", "convergence_table", "expected_curve",
     # exact slopes and their Farey neighbors
     "RealSpec", "QuadraticSurd", "parse_real", "farey_neighbor_runs",
     # local curvature
-    "CurvatureBounds", "circumradius_squared", "curvature_runs", "limit_curve_radius", "trace_lines",
+    "CurvatureBounds", "limit_curve_radius", "trace_lines",
 ]
 
 __version__ = "0.1.0"

@@ -231,19 +231,26 @@ def _selftest_checks() -> list[tuple[str, bool, str]]:
     want = ((0, 0), (4, 1), (7, 2), (9, 3), (12, 5), (16, 8), (17, 9))
     record("order-4 polygon fundamental arc vertices", head == want, f"got {head}")
 
-    (vertex,) = polygon.fundamental_vertices(domains.square(), 4, [number_theory.INV_SQRT3])
-    record("fundamental vertex (9, 3) at slope 1/sqrt(3)", vertex == (9, 3), f"got {vertex}")
+    # the vertex where the arc passes slope 1/sqrt(3): the end of the arc
+    # edge (q1, a1) that the Farey-neighbour walk gives at order 4
+    ((_, _, a1, q1, _, _),) = number_theory.farey_neighbor_runs(number_theory.INV_SQRT3, 4, 4)
+    arc = zip(p4.q.tolist(), p4.a.tolist())
+    ends = [tuple(v) for edge, v in zip(arc, p4.octant[1:].tolist()) if edge == (q1, a1)]
+    record("fundamental vertex (9, 3) at slope 1/sqrt(3)", ends == [(9, 3)], f"got {ends}")
 
-    r2 = curvature.circumradius_squared((7, 2), (9, 3), (12, 5))
-    record("circumradius^2 1105/2", r2 == Fraction(1105, 2), f"got {r2}")
-    r2b = curvature.circumradius_squared((4, 1), (7, 2), (9, 3))
-    record("circumradius^2 725/2", r2b == Fraction(725, 2), f"got {r2b}")
+    def order_4_row(lam, side=None) -> list[str]:  # Q,q1,q2,num,den,r_tilde,predicted
+        return "".join(curvature.trace_lines(lam, 4, 4, side)).splitlines()[1].split(",")
 
-    ((_, _, a1, q1, a2, q2, num, den, (x,)),) = curvature.curvature_runs(number_theory.INV_SQRT3, 4, 4)
-    r2_row = curvature.circumradius_squared((0, 0), (q1, a1), (q1 + q2, a1 + a2))
-    ladder = Fraction(3 * x, 2)
-    record("integer row of 1/sqrt(3) at order 4: r^2 = num/den of its neighbors, R(4) = 51/2",
-           r2_row == Fraction(num, den) and ladder == Fraction(51, 2), f"got {r2_row}, {num}/{den}, {ladder}")
+    row = order_4_row(number_theory.INV_SQRT3)
+    record("r^2 1105/2 at the vertex (9, 3): the order-4 row of 1/sqrt(3)",
+           row[:5] == ["4", "2", "3", "1105", "2"], f"got {','.join(row[:5])}")
+    row_b = order_4_row(Fraction(1, 3), "+")
+    record("r^2 725/2 at the vertex (7, 2): the order-4 row of 1/3, side +",
+           row_b[:5] == ["4", "3", "2", "725", "2"], f"got {','.join(row_b[:5])}")
+    r_tilde = repr(math.sqrt(int(row[3]) / int(row[4])) / float(p4.scale))
+    record("integer row of 1/sqrt(3) at order 4: r_tilde = sqrt(num/den)/R(4), R(4) = 51/2",
+           p4.scale == Fraction(51, 2) and row[5] == r_tilde,
+           f"got R(4) = {p4.scale}, r_tilde {row[5]}, not {r_tilde}")
 
     a, q = number_theory.farey_fractions(4)
     farey4 = list(zip(a.tolist(), q.tolist()))
@@ -270,12 +277,10 @@ def _selftest_checks() -> list[tuple[str, bool, str]]:
     circ = abs(cx * cx + cy * cy - 1)
     record("ball(2) limit curve is the unit circle", circ < 1e-9, f"residual {circ:.2e}")
 
-    moments = domains.moment_integrals(domains.diamond(), 1)
-    record(
-        "diamond wedge moments (1/8, 1/24)",
-        (moments.mx, moments.my) == (Fraction(1, 8), Fraction(1, 24)),
-        f"got {moments}",
-    )
+    # the C1 arc at lambda = 1, (u, w - 1) of the diamond's wedge moments
+    u, w = limit_curves.polygon_wedge(*domains.diamond().slope, Fraction(1))
+    record("C1 arc end point (3/4, -3/4)", (u, w - 1) == (Fraction(3, 4), Fraction(-3, 4)),
+           f"got ({u}, {w - 1})")
     return checks
 
 

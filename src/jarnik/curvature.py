@@ -8,8 +8,11 @@ radius
 
     r^2 = (a1^2 + q1^2)(a2^2 + q2^2)((a1+a2)^2 + (q1+q2)^2) / 4
 
-by unimodularity, and the scaled radius is r / R(Q); at a rational cut
-point one neighbor is the slope itself, on the side asked for.  Everything
+by unimodularity, in lowest terms the trace's num/den columns, and the
+scaled radius is r / R(Q) with R(Q) = 3 X(Q,1)/2 from the ladder; at a
+rational cut point one neighbor is the slope itself, on the side asked
+for.  Only the trace's rows carry these values: the tests check them
+against a `Fraction` circumradius of three vertices.  Everything
 here is driven by the Farey/continued-fraction machinery: the neighbors
 of either kind of slope come from one convergent walk
 (number_theory.farey_neighbor_runs) and stay the same over runs of
@@ -33,7 +36,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -47,22 +50,6 @@ from .number_theory import (
 )
 
 _SQUARE_COEFF = math.pi**2 / 6.0
-
-
-def circumradius_squared(
-    p0: Sequence[int], p1: Sequence[int], p2: Sequence[int]
-) -> Fraction:
-    """Exact squared circumradius of three lattice points.
-
-    Raises ValueError on collinear input (infinite radius).
-    """
-    x1, y1 = p1[0] - p0[0], p1[1] - p0[1]
-    x2, y2 = p2[0] - p1[0], p2[1] - p1[1]
-    cross = y2 * x1 - y1 * x2
-    if cross == 0:
-        raise ValueError("collinear points have no circumscribed circle")
-    num = (y1 * y1 + x1 * x1) * (y2 * y2 + x2 * x2) * ((y1 + y2) ** 2 + (x1 + x2) ** 2)
-    return Fraction(num, 4 * cross * cross)
 
 
 def limit_curve_radius(lam: float) -> float:
@@ -176,12 +163,6 @@ class _Block(NamedTuple):
     xs: np.ndarray
     r_tilde: np.ndarray
     predicted: np.ndarray
-
-    def runs(self) -> Iterator[tuple[int, ...]]:
-        """(lo, hi, a1, q1, a2, q2, num, den) of each run in the block."""
-        his = (self.lo - 1 + np.cumsum(self.counts)).tolist()
-        cols = (self.a1, self.q1, self.a2, self.q2, self.num, self.den)
-        return zip([self.lo] + [hi + 1 for hi in his[:-1]], his, *(c.tolist() for c in cols))
 
 
 def _refuse(run: tuple) -> None:
@@ -305,21 +286,6 @@ def _evaluated(runs, lam, side, cut, xs: np.ndarray, q_min: int, q_max: int, sha
     extra = next(runs, None)
     if extra is not None:  # no run may start past q_max
         _certified_columns([extra], q_max + 1, q_max, lam, side, cut)
-
-
-def curvature_runs(
-    lam: RealSpec | Fraction, q_min: int, q_max: int, side: str | None = None
-) -> Iterator[tuple]:
-    """(lo, hi, a1, q1, a2, q2, num, den, xs) for the runs of
-    farey_neighbor_runs over [q_min, q_max], cut at the edges of blocks of
-    _BLOCK orders: the neighbors a1/q1 < a2/q2 of the slope at every order
-    in lo..hi, r^2 = num/den of their vertex in lowest terms, and xs the
-    X(Q,1) of those orders as ints, R(Q) = 3 X(Q,1)/2.  The checks of
-    _blocks are done before this returns.
-    """
-    blocks = _blocks(lam, q_min, q_max, side)
-    return ((*run, block.xs[run[0] - block.lo : run[1] + 1 - block.lo].tolist())
-            for block in blocks for run in block.runs())
 
 
 # ---------------------------------------------------------------------------

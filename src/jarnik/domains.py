@@ -1,4 +1,4 @@
-"""The admissible symmetric regions and their wedge moment integrals.
+"""The admissible symmetric regions and their exact lattice membership.
 
 Every region is closed, star-shaped about the origin and carries the
 eight-fold dihedral symmetry of the unit square, so membership only
@@ -16,9 +16,11 @@ ball exponents whose reduced denominator is 1, 2 or 3 by a polynomial
 comparison, for larger denominators by an escalating integer-root
 bracketing, so no point is ever classified by floating point.
 
-The wedge S(lam) = {(x,y) in S : x > 0, 0 < y <= lam x} has closed-form
-moment integrals, read from its limit curve's evaluator in `limit_curves`:
-`polygon_wedge`, exact rationals for a polygonal region, or `ball_wedge`.
+The normalised moments of the wedge S(lam) = {(x,y) in S : x > 0,
+0 < y <= lam x}, which a region's limit curve is made of, live with the
+curves in `limit_curves`: `polygon_wedge`, exact rationals for a
+polygonal region, and `ball_wedge`.  The moment integrals themselves,
+those moments scaled, are a test oracle (`tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -27,10 +29,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
-
-import numpy as np
-
-from .limit_curves import ball_wedge, beta_complete, polygon_wedge
 
 Rational = Union[int, Fraction]
 
@@ -194,40 +192,3 @@ def lattice_contains(spec: DomainSpec, q: int, a: int, order: int) -> bool:
         return _ball_sum_within(u**pn, v**pn, order**pn, pd)
     except ArithmeticError as exc:
         raise ArithmeticError(f"{exc}: point ({q}, {a}) of region {spec} at order {order}") from exc
-
-
-# ---------------------------------------------------------------------------
-# Moment integrals over the wedge S(lam)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MomentPair:
-    """Integrals of x and of y over the wedge S(lam)."""
-
-    mx: Fraction | float
-    my: Fraction | float
-
-
-def moment_integrals(spec: DomainSpec, lam: Rational | float) -> MomentPair:
-    """Closed-form wedge moments, the normalised moments that the region's
-    limit curve reads, scaled: a polygonal region's are dn(3dn + dd)/
-    (6(dn + dd)^2) times `limit_curves.polygon_wedge`, exact rationals for
-    rational lam; a ball's are B(1/p, 2/p)/(3p) times
-    `limit_curves.ball_wedge`, in floating point.
-    """
-    if spec.slope is None:
-        lamf = float(lam)
-        if not 0.0 <= lamf <= 1.0:
-            raise ValueError("wedge slope must lie in [0, 1]")
-        p = float(spec.param)
-        u, w = ball_wedge(p, np.array([lamf]))
-        scale = beta_complete(1.0 / p, 2.0 / p) / (3.0 * p)
-        return MomentPair(scale * float(u[0]), scale * float(w[0]))
-
-    lamq = Fraction(lam)
-    if not 0 <= lamq <= 1:
-        raise ValueError("wedge slope must lie in [0, 1]")
-    dn, dd = spec.slope
-    scale = Fraction(dn * (3 * dn + dd), 6 * (dn + dd) ** 2)
-    return MomentPair(*(scale * m for m in polygon_wedge(dn, dd, lamq)))

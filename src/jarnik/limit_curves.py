@@ -15,10 +15,12 @@ checks in `tests/oracles.py`.
 
 `LimitCurve.points` evaluates an arc at a whole array of parameters with
 numpy; every other sampler reads it.  An arc is (u, w - 1), (u, w) its
-region's normalised wedge moments, which `domains.moment_integrals` reads
-too: `polygon_wedge` at the slopes (dn, dd) = (1, 0), (1, 1) and (d, 1) of
-C, C1 and Cdelta:d, and `ball_wedge` by `scipy.special.betainc`, imported
-on first use, and by the series' leading terms where lam^p underflows.
+region's normalised wedge moments: `polygon_wedge` at the slopes
+(dn, dd) = (1, 0), (1, 1) and (d, 1) of C, C1 and Cdelta:d, and
+`ball_wedge` by `scipy.special.betainc`, imported on first use, and by
+the series' leading terms where lam^p underflows.  `parse_curve` reads a
+family and its parameter, and `LimitCurve` refuses a parameter that is
+not positive.
 `curve_csv_chunks` writes the CSV 4096 rows at a time by the float digit
 kernel of `textgrid`, which gives repr's text; `curve_svg_chunks`
 formats each arc coordinate's magnitude once with {:.6f}, a slice at a
@@ -133,18 +135,12 @@ def parse_curve(text: str) -> LimitCurve:
         return LimitCurve(text)
     name, sep, raw = text.partition(":")
     if sep and name in ("Cdelta", "Cp"):
-        return LimitCurve(name, _parse_positive(raw))
+        try:
+            value = Fraction(raw)  # handles both decimals and a/b
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in curve parameter {raw!r}") from None
+        return LimitCurve(name, value)
     raise ValueError(f"unsupported curve specification: {text!r}")
-
-
-def _parse_positive(raw: str) -> Fraction:
-    try:
-        value = Fraction(raw)  # handles both decimals and a/b
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in curve parameter {raw!r}") from None
-    if value <= 0:
-        raise ValueError("curve parameter must be positive")
-    return value
 
 
 # ---------------------------------------------------------------------------

@@ -42,17 +42,16 @@ columns.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from . import textgrid
 from .domains import DomainSpec, lattice_contains
-from .number_theory import RealSpec, farey_fractions
+from .number_theory import farey_fractions
 
 
 class PrimitiveVector(NamedTuple):
@@ -198,26 +197,6 @@ class LatticePolygon(_OctantShape):
 
 def build_polygon(spec: DomainSpec, order: int) -> LatticePolygon:
     return LatticePolygon(*_fundamental_arc(spec, order), order, spec)
-
-
-def fundamental_vertices(
-    spec: DomainSpec, order: int, lams: Iterable[RealSpec | Fraction | int | float]
-) -> list[tuple[int, int]]:
-    """The vertex reached by summing the fundamental-arc edges (0 < a <= q)
-    with slope at most lam, as exact integers, at each slope of lams: one
-    arc, its prefix sums and a bisection per slope."""
-    poly = build_polygon(spec, order)
-    octant = poly.octant.tolist()
-    arc = list(zip(poly.q.tolist(), poly.a.tolist()))
-
-    def steeper(lam):  # the exact test a/q > lam of an edge (q, a)
-        if isinstance(lam, RealSpec):
-            return lambda e: lam.cmp(Fraction(e[1], e[0])) < 0
-        lam = Fraction(lam)
-        return lambda e: Fraction(e[1], e[0]) > lam
-
-    # the arc rises in slope: cut it before its first edge steeper than lam
-    return [tuple(octant[bisect_left(arc, True, key=steeper(lam))]) for lam in lams]
 
 
 @dataclass(frozen=True, eq=False)

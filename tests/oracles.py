@@ -45,10 +45,16 @@ the partial sums of mu(q)/q^2, the moment-route vertex ratios and the
 asymptote of R(Q).
 
 The last section holds views and checks that only the tests read, built
-on the package's own routes: the Farey sequence as Fractions from the
-array kernel, a neighbour pair that checks its own unimodularity, the
-neighbours of a slope at one order from its run, the membership of a
-rational point, a polygon's convexity turn by turn, a
+on the package's own routes.  Four of them the package kept for its
+selftest until that read the commands' own routes: the vertex reached at
+each of many slopes, by bisection into the prefix sums of one arc; the
+exact `Fraction` circumradius of three lattice points; the runs of a
+trace with their neighbours, r^2 and X(Q,1) as exact integers, read from
+its blocks; and a region's wedge moment integrals, its limit curve's
+normalised moments scaled.  The others are the Farey sequence as
+Fractions from the array kernel, a neighbour pair that checks its own
+unimodularity, the neighbours of a slope at one order from its run, the
+membership of a rational point, a polygon's convexity turn by turn, a
 curvature trace as one sample per order (the runs of `curvature_runs`
 with the floats read back from the text of `trace_lines`), the predicted
 radius, window estimates of the trace with the limsup of a periodic
@@ -59,10 +65,11 @@ of the curves whose algebraic form is known.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy.special import betainc
@@ -72,14 +79,13 @@ from jarnik.analysis import _distance_to_C
 from jarnik.curvature import (
     _SQUARE_COEFF,
     CurvatureBounds,
+    _blocks,
     _bounds_for,
     _x_ladder,
-    circumradius_squared,
-    curvature_runs,
     trace_lines,
 )
-from jarnik.domains import DomainSpec, _iroot_floor, lattice_contains, moment_integrals, square
-from jarnik.limit_curves import LimitCurve, Point, beta_complete
+from jarnik.domains import DomainSpec, _iroot_floor, lattice_contains, square
+from jarnik.limit_curves import LimitCurve, Point, ball_wedge, beta_complete, polygon_wedge
 from jarnik.number_theory import (
     QuadraticSurd,
     RealSpec,
@@ -87,7 +93,7 @@ from jarnik.number_theory import (
     farey_fractions,
     farey_neighbor_runs,
 )
-from jarnik.polygon import LatticePolygon, PrimitiveVector, _fundamental_arc, build_polygon, fundamental_vertices
+from jarnik.polygon import LatticePolygon, PrimitiveVector, _fundamental_arc, build_polygon
 
 
 def primitive_vectors(spec: DomainSpec, order: int) -> list[PrimitiveVector]:
@@ -704,6 +710,97 @@ def scale_factor_asymptote(spec: DomainSpec) -> float:
 # ---------------------------------------------------------------------------
 # Views and checks that only the tests read
 # ---------------------------------------------------------------------------
+
+
+def fundamental_vertices(
+    spec: DomainSpec, order: int, lams: Iterable[RealSpec | Fraction | int | float]
+) -> list[tuple[int, int]]:
+    """The vertex reached by summing the fundamental-arc edges (0 < a <= q)
+    with slope at most lam, as exact integers, at each slope of lams: one
+    arc, its prefix sums and a bisection per slope."""
+    poly = build_polygon(spec, order)
+    octant = poly.octant.tolist()
+    arc = list(zip(poly.q.tolist(), poly.a.tolist()))
+
+    def steeper(lam):  # the exact test a/q > lam of an edge (q, a)
+        if isinstance(lam, RealSpec):
+            return lambda e: lam.cmp(Fraction(e[1], e[0])) < 0
+        lam = Fraction(lam)
+        return lambda e: Fraction(e[1], e[0]) > lam
+
+    # the arc rises in slope: cut it before its first edge steeper than lam
+    return [tuple(octant[bisect_left(arc, True, key=steeper(lam))]) for lam in lams]
+
+
+def circumradius_squared(
+    p0: Sequence[int], p1: Sequence[int], p2: Sequence[int]
+) -> Fraction:
+    """Exact squared circumradius of three lattice points.
+
+    Raises ValueError on collinear input (infinite radius).
+    """
+    x1, y1 = p1[0] - p0[0], p1[1] - p0[1]
+    x2, y2 = p2[0] - p1[0], p2[1] - p1[1]
+    cross = y2 * x1 - y1 * x2
+    if cross == 0:
+        raise ValueError("collinear points have no circumscribed circle")
+    num = (y1 * y1 + x1 * x1) * (y2 * y2 + x2 * x2) * ((y1 + y2) ** 2 + (x1 + x2) ** 2)
+    return Fraction(num, 4 * cross * cross)
+
+
+def _block_runs(block) -> Iterator[tuple[int, ...]]:
+    """(lo, hi, a1, q1, a2, q2, num, den) of each run in a trace block, a
+    `curvature._Block`."""
+    his = (block.lo - 1 + np.cumsum(block.counts)).tolist()
+    cols = (block.a1, block.q1, block.a2, block.q2, block.num, block.den)
+    return zip([block.lo] + [hi + 1 for hi in his[:-1]], his, *(c.tolist() for c in cols))
+
+
+def curvature_runs(
+    lam: RealSpec | Fraction, q_min: int, q_max: int, side: str | None = None
+) -> Iterator[tuple]:
+    """(lo, hi, a1, q1, a2, q2, num, den, xs) for the runs of
+    farey_neighbor_runs over [q_min, q_max], cut at the edges of blocks of
+    curvature._BLOCK orders: the neighbors a1/q1 < a2/q2 of the slope at
+    every order in lo..hi, r^2 = num/den of their vertex in lowest terms,
+    and xs the X(Q,1) of those orders as ints, R(Q) = 3 X(Q,1)/2.  The
+    checks of curvature._blocks are done before this returns.
+    """
+    blocks = _blocks(lam, q_min, q_max, side)
+    return ((*run, block.xs[run[0] - block.lo : run[1] + 1 - block.lo].tolist())
+            for block in blocks for run in _block_runs(block))
+
+
+@dataclass(frozen=True)
+class MomentPair:
+    """Integrals of x and of y over the wedge S(lam)."""
+
+    mx: Fraction | float
+    my: Fraction | float
+
+
+def moment_integrals(spec: DomainSpec, lam: Fraction | int | float) -> MomentPair:
+    """Closed-form wedge moments, the normalised moments that the region's
+    limit curve reads, scaled: a polygonal region's are dn(3dn + dd)/
+    (6(dn + dd)^2) times `limit_curves.polygon_wedge`, exact rationals for
+    rational lam; a ball's are B(1/p, 2/p)/(3p) times
+    `limit_curves.ball_wedge`, in floating point.
+    """
+    if spec.slope is None:
+        lamf = float(lam)
+        if not 0.0 <= lamf <= 1.0:
+            raise ValueError("wedge slope must lie in [0, 1]")
+        p = float(spec.param)
+        u, w = ball_wedge(p, np.array([lamf]))
+        scale = beta_complete(1.0 / p, 2.0 / p) / (3.0 * p)
+        return MomentPair(scale * float(u[0]), scale * float(w[0]))
+
+    lamq = Fraction(lam)
+    if not 0 <= lamq <= 1:
+        raise ValueError("wedge slope must lie in [0, 1]")
+    dn, dd = spec.slope
+    scale = Fraction(dn * (3 * dn + dd), 6 * (dn + dd) ** 2)
+    return MomentPair(*(scale * m for m in polygon_wedge(dn, dd, lamq)))
 
 
 def farey_sequence(order: int) -> list[Fraction]:

@@ -16,20 +16,22 @@ from scipy import integrate
 from scipy.special import betainc
 
 from jarnik.analysis import convergence_table
-from jarnik.curvature import circumradius_squared
-from jarnik.domains import ball, diamond, moment_integrals, octagon, square
+from jarnik.domains import ball, diamond, octagon, square
 from jarnik.limit_curves import LimitCurve
 from jarnik.number_theory import E_MINUS_2, INV_SQRT3, convergent_walk, moebius_array, parse_real
-from jarnik.polygon import build_polygon, fundamental_vertices
+from jarnik.polygon import build_polygon
 
 from oracles import (
+    circumradius_squared,
     curvature_trace,
     curve_Cp_alternate_y,
     farey_neighbors,
     farey_sequence,
+    fundamental_vertices,
     implicit_residual,
     is_convex,
     limsup_liminf_estimate,
+    moment_integrals,
     scale_factor,
 )
 from test_number_theory import CORPUS

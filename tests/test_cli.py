@@ -14,6 +14,7 @@ from jarnik.cli import (
     MAX_ORDER,
     MAX_SAMPLES,
     MAX_TRACE_ORDER,
+    _selftest_checks,
     build_parser,
     run,
 )
@@ -815,6 +816,21 @@ def test_selftest_passes_and_is_deterministic(capsys):
     assert "FAIL" not in first
     code, second, _ = run_capture(capsys, ["selftest"])
     assert first == second
+
+
+def test_selftest_reads_r_squared_from_the_trace_rows(monkeypatch):
+    # the 1105/2 check reads the order-4 row of the trace the curvature
+    # command writes, so a wrong numerator in that row fails it
+    real = curvature.trace_lines
+
+    def moved(*args, **kwargs):
+        return (chunk.replace("4,2,3,1105,2,", "4,2,3,1106,2,") for chunk in real(*args, **kwargs))
+
+    monkeypatch.setattr(curvature, "trace_lines", moved)
+    rows = "".join(curvature.trace_lines(number_theory.INV_SQRT3, 4, 4)).splitlines()
+    assert rows[1].startswith("4,2,3,1106,2,")
+    failing = [name for name, ok, _ in _selftest_checks() if not ok]
+    assert any("1105/2" in name for name in failing), failing
 
 
 def test_parser_is_built_on_the_first_run_and_never_at_import():

@@ -8,8 +8,6 @@ from itertools import islice, pairwise
 import pytest
 
 from jarnik.curvature import (
-    circumradius_squared,
-    curvature_runs,
     limit_curve_radius,
     trace_lines,
     trace_svg_chunks,
@@ -19,14 +17,17 @@ from jarnik.curvature import _bounds_for, _x_by_moebius
 from jarnik.domains import square
 from jarnik.limit_curves import LimitCurve
 from jarnik.number_theory import E_MINUS_2, INV_SQRT3, GeneratedCF, farey_neighbor_runs, moebius_array, parse_real
-from jarnik.polygon import build_polygon, fundamental_vertices, scale_polygon
+from jarnik.polygon import build_polygon, scale_polygon
 
 from oracles import (
     CurvatureSample,
+    circumradius_squared,
+    curvature_runs,
     curvature_trace,
     farey_neighbor_scan,
     floor_scaled,
     fraction_trace_csv,
+    fundamental_vertices,
     limsup_liminf_estimate,
     points_svg,
     predicted_radius,

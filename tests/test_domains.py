@@ -10,7 +10,6 @@ from jarnik.domains import (
     ball,
     diamond,
     lattice_contains,
-    moment_integrals,
     octagon,
     parse_domain,
     square,
@@ -18,7 +17,7 @@ from jarnik.domains import (
 from jarnik import domains
 from jarnik.domains import _ball_sum_within
 
-from oracles import ball_sum_within_tie_first, contains, scale_factor_asymptote
+from oracles import ball_sum_within_tie_first, contains, moment_integrals, scale_factor_asymptote
 
 ALL_SPECS = [
     square(),

@@ -14,7 +14,6 @@ from jarnik.polygon import (
     PrimitiveVector,
     ScaledPolygon,
     build_polygon,
-    fundamental_vertices,
     polygon_csv_chunks,
     polygon_svg_chunks,
     scale_polygon,
@@ -23,7 +22,7 @@ from jarnik.polygon import (
 import jarnik.polygon as polygon_module
 from jarnik import textgrid
 import oracles
-from oracles import contains, farey_sequence, is_convex, scale_factor, sort_ccw
+from oracles import contains, farey_sequence, fundamental_vertices, is_convex, scale_factor, sort_ccw
 
 V4_FUNDAMENTAL = [
     PrimitiveVector(1, 0),
