@@ -5,8 +5,8 @@ Four families, each given by its fundamental arc over lam in [0, 1]:
     C        (2 lam/3, lam^2/3 - 1), an arc of y = 3x^2/4 - 1
     C1       (lam(2+lam)/(1+lam)^2, -(2 lam+1)/(1+lam)^2)
     Cdelta   the octagon family, arcs of tilted parabolas
-    Cp       the l^p-ball family, built from regularized incomplete
-             beta functions with mu = lam^p/(1 + lam^p)
+    Cp       the l^p-ball family, hypergeometric (p > 1/2) or incomplete
+             beta functions (p <= 1/2) of mu = lam^p/(1 + lam^p)
 
 The full curve is the orbit of the fundamental arc under the dihedral
 group of order eight.  The algebraic forms known for some arcs (the
@@ -17,10 +17,10 @@ checks in `tests/oracles.py`.
 numpy; every other sampler reads it.  An arc is (u, w - 1), (u, w) its
 region's normalised wedge moments: `polygon_wedge` at the slopes
 (dn, dd) = (1, 0), (1, 1) and (d, 1) of C, C1 and Cdelta:d, and
-`ball_wedge` by `scipy.special.betainc`, imported on first use, and by
-the series' leading terms where lam^p underflows.  `parse_curve` reads a
-family and its parameter, and `LimitCurve` refuses a parameter that is
-not positive.
+`ball_wedge` by `scipy.special`, imported on first use: `hyp2f1` for
+p > 1/2 and `betainc` for p <= 1/2, where the series loses digits.
+`parse_curve` reads a family and its parameter, and `LimitCurve`
+refuses a parameter that is not positive.
 `curve_csv_chunks` writes the CSV 4096 rows at a time by the float digit
 kernel of `textgrid`, which gives repr's text; `curve_svg_chunks`
 formats each arc coordinate's magnitude once with {:.6f}, a slice at a
@@ -60,28 +60,28 @@ def beta_complete(a: float, b: float) -> float:
 
 
 def ball_wedge(p: float, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The l^p ball's normalised wedge moments (u, w) at the slopes `lam`:
-    its wedge moments are B/(3p) (u, w), B = B(1/p, 2/p), and its arc is
-    (u, w - 1).  With t = lam^p, mu = t/(1 + t), pref = (1 + t)^(-3/p),
-    u = I_mu(1/p, 1 + 2/p) - p lam pref/(2B) and w = I_mu(2/p, 1 + 1/p)
-    - p lam^2 pref/B.  Where t underflows, betainc has too few bits of mu;
-    there the leading terms I_mu(a, b) ~ mu^a/(a B(a, b)), with
-    B(1/p, 1 + 2/p) = 2B/3 and B(2/p, 1 + 1/p) = B/3, give u = p lam/B
-    and w = p lam^2/(2B)."""
-    from scipy.special import betainc  # imported here: `import jarnik` loads no scipy
+    """The l^p ball's normalised wedge moments (u, w) at the slopes `lam`;
+    its arc is (u, w - 1).  With t = lam^p, mu = t/(1 + t), pref =
+    (1 + t)^(-3/p) and F(c) = 2F1(3/p, 1; c; mu), they are lam pref
+    F(1 + 1/p)/N and (lam^2/2) pref F(1 + 2/p)/N, N the sum of the two
+    numerators at lam = 1 (mu = 1/2).  For p > 1/2 they come from scipy's
+    hyp2f1; where t underflows, that is the n = 0 terms lam/N and
+    lam^2/(2N).  For p <= 1/2 the series' first term ratio 3mu/(1 + p) is
+    at least 1 at mu = 1/2 and hyp2f1 loses digits, so by DLMF 8.17.8
+    they are I_mu(1/p, 1 + 2/p) - p lam pref/(2B) and I_mu(2/p, 1 + 1/p)
+    - p lam^2 pref/B, B = B(1/p, 2/p), by betainc: t >= 2^-537 if lam > 0."""
+    from scipy.special import betainc, hyp2f1  # imported here: `import jarnik` loads no scipy
 
     t = lam**p
     mu = t / (1.0 + t)
     pref = np.exp(-3.0 / p * np.log1p(t))  # (1 + lam^p)^(-3/p)
+    if p > 0.5:
+        a, c_u, c_w = 3.0 / p, 1.0 + 1.0 / p, 1.0 + 2.0 / p
+        n = 2.0**-a * (hyp2f1(a, 1.0, c_u, 0.5) + 0.5 * hyp2f1(a, 1.0, c_w, 0.5))
+        return lam * pref * hyp2f1(a, 1.0, c_u, mu) / n, lam * lam / 2.0 * pref * hyp2f1(a, 1.0, c_w, mu) / n
     b_pp = beta_complete(1.0 / p, 2.0 / p)
-    u = betainc(1.0 / p, 1.0 + 2.0 / p, mu) - p * lam * pref / (2.0 * b_pp)
-    w = betainc(2.0 / p, 1.0 + 1.0 / p, mu) - p * lam * lam * pref / b_pp
-    # the leading terms, divided only where taken: p lam/B overflows
-    # elsewhere when B is subnormal (Cp:1/389)
-    tiny = t < 2.0**-1022
-    np.divide(p * lam, b_pp, out=u, where=tiny)
-    np.divide(p * lam * lam, 2.0 * b_pp, out=w, where=tiny)
-    return u, w
+    return (betainc(1.0 / p, 1.0 + 2.0 / p, mu) - p * lam * pref / (2.0 * b_pp),
+            betainc(2.0 / p, 1.0 + 1.0 / p, mu) - p * lam * lam * pref / b_pp)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from jarnik.cli import (
     build_parser,
     run,
 )
+from oracles import curve_Cp_mpmath
 
 
 def run_capture(capsys, argv):
@@ -341,15 +342,15 @@ def test_closed_stdout_exits_1_quietly():
 
 
 # sha256 of the `limit-curve` CSV bytes at 1001 samples; C and Cdelta:2
-# were recorded from the scalar arcs, Cp:2 and Cp:3 once scipy's betainc
-# evaluated the ball family, and C1 once it was evaluated as the polygonal
-# wedge at slope (1, 1), the bytes of Cdelta:1
+# were recorded from the scalar arcs, Cp:2 and Cp:3 once scipy's hyp2f1
+# evaluated the ball family for p > 1/2 (scipy 1.17.1), and C1 once it was
+# evaluated as the polygonal wedge at slope (1, 1), the bytes of Cdelta:1
 GOLDEN_LIMIT_CURVE_SHA256 = {
     "C": "d386edf04e42bcd6fedffc97a13adced9ee49dc9fed4e51b82062d398a193c99",
     "C1": "e19e7f6a02932456cff6e14d885c1c198b7c512b3a2b3f77e2b00bdc27d98397",
     "Cdelta:2": "3503c2c084ecb60d6ad5233125bf1defadde554a235ad5f6b4ce766d0f305fb2",
-    "Cp:2": "ab3b259ddde6444ea2840cc915a9a2548f2d45368a2c8eac42906fa269620492",
-    "Cp:3": "9e4a3ae66d6b9802adbb9ebc2004a1e9ce55035c8a03a68f305b81ec9e6116d1",
+    "Cp:2": "3f071d845d5291564bf480d24f83f446376cafee5158024dc08cdf63e95e9ae0",
+    "Cp:3": "a4829b9bf1b80c5a264a1074bd51dbf78008c046b07153c5f3df96b429fd3a71",
     "Cdelta:1/3": "2b3c7193d4f8bd350652a79969779f23eb2a05076066def7f65150d082ece3ac",
 }
 
@@ -359,6 +360,18 @@ def test_limit_curve_golden_bytes(capsys, curve):
     code, out, _ = run_capture(capsys, ["limit-curve", "--curve", curve, "--samples", "1001"])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_LIMIT_CURVE_SHA256[curve]
+
+
+@pytest.mark.parametrize("curve", ["Cp:2", "Cp:3"])
+def test_limit_curve_cp_golden_rows_lie_near_the_mpmath_arc(capsys, curve):
+    # why the Cp goldens hold these bytes: every row is within 8e-16 of the
+    # 40-digit arc (betainc's rows were up to 1.11e-15 off)
+    code, out, _ = run_capture(capsys, ["limit-curve", "--curve", curve, "--samples", "1001"])
+    rows = np.array([line.split(",") for line in out.splitlines()[1:]], dtype=float)
+    p = Fraction(curve.partition(":")[2])
+    want = np.array([curve_Cp_mpmath(p, lam) for lam in rows[:, 0].tolist()])
+    assert code == 0 and rows.shape == (1001, 3)
+    assert np.abs(rows[:, 1:] - want).max() <= 8e-16
 
 
 def test_limit_curve_svg_golden_bytes_at_the_sample_cap(capsys):

@@ -300,7 +300,8 @@ def test_curve_svg_well_formed():
     assert path.get("d").count("M ") == 8  # one subpath per dihedral image
 
 
-# Cp:200's arc takes the leading terms of ball_wedge for lam below 2^-5.11.
+# Cp:200's lam^p underflows below lam = 2^-5.11, where ball_wedge's hyp2f1
+# series is its n = 0 term.
 @pytest.mark.parametrize("curve", ["C", "C1", "Cdelta:2", "Cp:1/2", "Cp:3", "Cp:200"])
 @pytest.mark.parametrize("samples", [2, 3, 1001])
 def test_curve_svg_matches_the_per_image_oracle(curve, samples):
@@ -382,10 +383,12 @@ def test_points_reject_parameters_outside_unit_interval(curve):
 
 
 # ---------------------------------------------------------------------------
-# The Cp arc where lam^p underflows
+# The Cp arc against the 40-digit oracle, where lam^p underflows too
 # ---------------------------------------------------------------------------
 
-MPMATH_EXPONENTS = [Fraction(1, 389), Fraction(1, 2), Fraction(5, 3), Fraction(3), Fraction(20),
+# betainc serves p <= 1/2 and hyp2f1 p > 1/2: exponents on both sides of the cut
+MPMATH_EXPONENTS = [Fraction(1, 389), Fraction(1, 3), Fraction(1, 2), Fraction(51, 100), Fraction(2, 3),
+                    Fraction(1), Fraction(3, 2), Fraction(5, 3), Fraction(3), Fraction(20),
                     Fraction(54), Fraction(77), Fraction(120), Fraction(200), Fraction(10**5)]
 # lam = 0, the first step of the 256-, 2^14- and 2^20-sample grids, and 33 uniform slopes
 MPMATH_SLOPES = [0.0, 1 / 255, 1 / 16383, 1 / (2**20 - 1)] + [i / 32 for i in range(33)]
