@@ -71,8 +71,10 @@ def _fold_octant(points: np.ndarray) -> np.ndarray:
     """Each (x, y) in place to (min(|x|, |y|), -max(|x|, |y|)), its image in
     the octant 0 <= x <= -y."""
     np.abs(points, out=points)
-    points.sort(axis=1)
-    np.negative(points[:, 1], out=points[:, 1])
+    x, y = points[:, 0], points[:, 1]
+    high = np.maximum(x, y)
+    np.minimum(x, y, out=x)
+    np.negative(high, out=y)
     return points
 
 

@@ -15,17 +15,20 @@ for.  Only the trace's rows carry these values: the tests check them
 against a `Fraction` circumradius of three vertices.  Everything
 here is driven by the Farey/continued-fraction machinery: the neighbors
 of either kind of slope come from one convergent walk
-(number_theory.farey_neighbor_runs) and stay the same over runs of
-orders, and a trace over a range of Q is evaluated a block of orders at a
-time.  The runs that fill a block are certified
-together in int64 arrays, r^2 is taken once per run (in int64 where a
-bound shows that it fits, in Python ints otherwise), and the two float
-columns r_tilde and predicted, its asymptote q1 q2 (q1+q2)/Q^3 pi^2/6
-(1+lam^2)^(3/2), are numpy expressions over the block, with
-the same IEEE operations in the same order as one order at a time.  The
-CSV text of a block is one byte grid (textgrid): the orders and the two
+(number_theory.farey_neighbor_families) and stay the same over runs of
+orders, and the runs of one partial quotient form a family, an arithmetic
+progression of runs.  A trace over a range of Q is evaluated a block of
+orders at a time.  Each family is certified by its first and last runs,
+in Python ints, and the families that fill a block are expanded into
+int64 columns of runs together; r^2 is taken for each run (in int64
+where a bound shows that it fits, in Python ints otherwise), and the two
+float columns r_tilde and predicted, its asymptote q1 q2 (q1+q2)/Q^3
+pi^2/6 (1+lam^2)^(3/2), are numpy expressions over the block, with the
+same IEEE operations in the same order as one order at a time.  The CSV
+text of a block is one byte grid (textgrid): the orders and the two
 float columns are written by numpy digit kernels, repr's exact text for
-the floats, and each run's integers are formatted once.  The SVG step
+the floats, and each run's integers are formatted once, each field at
+its own width.  The SVG step
 plot keeps only the r_tilde column, as one float64 array, and writes its
 path from the {:.2f} texts of every x and y, a slice of steps at a time.
 """
@@ -35,7 +38,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice
+from functools import cache
+from itertools import islice
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -44,7 +48,8 @@ from . import textgrid
 from .number_theory import (
     RealSpec,
     _split_primes,
-    farey_neighbor_runs,
+    family_runs,
+    farey_neighbor_families,
     moebius_array,
     totient_array,
 )
@@ -171,39 +176,66 @@ def _refuse(run: tuple) -> None:
         f"{a1}/{q1}, {a2}/{q2} are not the Farey neighbors of the slope for orders {lo}..{hi}")
 
 
-def _certified_columns(rows: list[tuple], lo_next: int, q_max: int, lam, side, cut) -> tuple[np.ndarray, ...]:
-    """The runs (lo, hi, a1, q1, a2, q2) of `rows` as int64 columns hi, a1,
-    q1, a2, q2, certified together; the first run that fails raises.
+def _family_end(family) -> int:
+    """The last order of a family's last run."""
+    lo, hi, count = family[0], family[1], family[6]
+    return hi + (count - 1) * (hi - lo + 1)
 
-    A unimodular pair with max(q1, q2) <= lo and q1 + q2 > hi is
-    consecutive in F_Q for every Q in lo..hi; it must bracket an irrational
-    slope (by lam.cmp) or hold a cut point on its side, and the runs must
-    tile the orders from lo_next on, up to q_max.  0 <= a1, a2 <= lo is
-    tested too, so that int64 decides the rest exactly: with
-    q1 + q2 > hi >= max(q1, q2) every value of a passing pair is in 0..lo
-    and no product wraps, unless q1 + q2 itself wraps, which takes two
-    negative denominators; then a2/q2 <= 0 is below an irrational slope in
-    (0, 1), and a cut point fixes one denominator as positive.
+
+def _certified_families(rows: list[tuple], lo_next: int, q_max: int, lam, side, cut) -> np.ndarray:
+    """The families (lo, hi, a1, q1, a2, q2, count, da1, dq1, da2, dq2) of
+    `rows` as one (len(rows), 11) int64 array, certified in Python ints;
+    the first run that fails raises.
+
+    A run (lo, hi, a1, q1, a2, q2) passes when its pair is unimodular with
+    max(q1, q2) <= lo and q1 + q2 > hi, and so consecutive in F_Q for every
+    Q in lo..hi, when 0 <= a1, a2 <= lo, and when it brackets an irrational
+    slope (by lam.cmp) or holds a cut point on its side; the runs must tile
+    the orders from lo_next on, up to q_max.  The runs of a family tile its
+    orders, and every condition on them but unimodularity is linear in the
+    run i, or monotone, as a fraction (a + i da)/(q + i dq) with
+    q + i dq > 0 is, so its first and last runs decide it.  So does
+    a2 q1 - a1 q2 once they pass, as its i^2 coefficient da2 dq1 - da1 dq2
+    is then 0.  At a cut point one pair is fixed.  At an irrational slope
+    the last pair nests in the Farey interval of the first, n = count - 1:
+    (a1 + n da1, q1 + n dq1) = i1 (a1, q1) + j1 (a2, q2) and (a2 + n da2,
+    q2 + n dq2) = i2 (a1, q1) + j2 (a2, q2), i1 j2 - i2 j1 = 1, and
+    n^2 (da2 dq1 - da1 dq2) = 2 - i1 - j2.  Integral steps make j1 and i2
+    multiples of n, so i1 > 1 or j2 > 1 makes a last denominator at least
+    (n + 1) q1 + n q2 or n q1 + (n + 1) q2, beyond the last run's first
+    order lo + n (hi - lo + 1) < q1 + q2 + n min(q1, q2).  A family that
+    fails is walked a run at a time to its first failing run, and a family
+    of no run is refused by its first.  Every value of a certified family
+    is at most q_max in magnitude, and the step of a family of one run is
+    kept as 0.
     """
-    try:
-        lo, hi, a1, q1, a2, q2 = np.fromiter(chain.from_iterable(rows), np.int64, 6 * len(rows)).reshape(-1, 6).T
-    except OverflowError:  # a value beyond int64 fails: find its run, after the runs before it
-        k = next(i for i, run in enumerate(rows) if max(map(abs, run)) > _INT64_MAX)
-        if k:
-            _certified_columns(rows[:k], lo_next, q_max, lam, side, cut)
-        _refuse(rows[k])
-    ok = ((lo == np.concatenate(([lo_next], hi[:-1] + 1))) & (lo <= hi) & (hi <= q_max)
-          & (np.minimum(a1, a2) >= 0) & (np.maximum(a1, a2) <= lo) & (np.maximum(q1, q2) <= lo)
-          & (a2 * q1 - a1 * q2 == 1) & (q1 + q2 > hi))
-    if cut is not None:
-        ok &= (a1 == cut[0]) & (q1 == cut[1]) if side == "+" else (a2 == cut[0]) & (q2 == cut[1])
-    first = int(np.argmin(ok)) if not ok.all() else len(rows)
-    if cut is None:  # the bracket, for the runs before the first failure
-        first = next((i for i, (_, _, n1, d1, n2, d2) in enumerate(rows[:first])
-                      if not lam.cmp(Fraction(n1, d1)) > 0 > lam.cmp(Fraction(n2, d2))), first)
-    if first < len(rows):
-        _refuse(rows[first])
-    return hi, a1, q1, a2, q2
+    sign = cache(lambda n, d: lam.cmp(Fraction(n, d)))  # neighboring runs share a fraction
+
+    def passes(run, start):
+        lo, hi, a1, q1, a2, q2 = run
+        if not (lo == start <= hi <= q_max and min(a1, a2) >= 0 and max(a1, a2, q1, q2) <= lo
+                and a2 * q1 - a1 * q2 == 1 and q1 + q2 > hi):
+            return False
+        if cut is None:
+            return sign(a1, q1) > 0 > sign(a2, q2)
+        return (a1, q1) == cut if side == "+" else (a2, q2) == cut
+
+    certified = []
+    for family in rows:
+        lo, hi, a1, q1, a2, q2, count, da1, dq1, da2, dq2 = family
+        length, span = hi - lo + 1, count - 1
+        first = (lo, hi, a1, q1, a2, q2)
+        last = (lo + span * length, hi + span * length, a1 + span * da1, q1 + span * dq1,
+                a2 + span * da2, q2 + span * dq2)
+        if not (count >= 1 and passes(first, lo_next) and (count == 1 or passes(last, last[0]))):
+            for run in family_runs(family):
+                if not passes(run, lo_next):
+                    _refuse(run)
+                lo_next = run[1] + 1
+            _refuse(first)
+        certified.append((*first, count, *(family[7:] if count > 1 else (0, 0, 0, 0))))
+        lo_next = last[1] + 1
+    return np.array(certified, dtype=np.int64).reshape(-1, 11)
 
 
 def _squared_radii(a1, q1, a2, q2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -215,7 +247,8 @@ def _squared_radii(a1, q1, a2, q2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     and, with 2^v the power of 2 in a factor, gcd(num, 4) =
     min(4, gcd(f1, 4) gcd(f2, 4) gcd(f3, 4)).  The product is an int64
     array where the largest factors show that it fits, and Python ints
-    otherwise.  As den is 1, 2 or 4, num / den rounds once either way.
+    otherwise.  As den is 1, 2 or 4, num / den rounds once either way: as
+    int division or as float(num), rounded once, over a power of 2.
     """
     f1, f2, f3 = a1 * a1 + q1 * q1, a2 * a2 + q2 * q2, (a1 + a2) ** 2 + (q1 + q2) ** 2
     g = np.minimum(np.gcd(f1, 4) * np.gcd(f2, 4) * np.gcd(f3, 4), 4)
@@ -223,9 +256,9 @@ def _squared_radii(a1, q1, a2, q2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if int(f1.max()) * int(f2.max()) * int(f3.max()) <= _INT64_MAX:
         num = f1 * f2 * f3 // g
         return num, den, np.sqrt(num / den)
-    nums = [x * y * z // k for x, y, z, k in zip(f1.tolist(), f2.tolist(), f3.tolist(), g.tolist())]
-    roots = [math.sqrt(n / d) for n, d in zip(nums, den.tolist())]
-    return np.array(nums, dtype=object), den, np.array(roots)
+    nums = np.array([x * y * z // k for x, y, z, k in zip(f1.tolist(), f2.tolist(), f3.tolist(), g.tolist())],
+                    dtype=object)
+    return nums, den, np.sqrt(nums.astype(np.float64) / den)
 
 
 def _blocks(lam: RealSpec | Fraction, q_min: int, q_max: int, side: str | None) -> Iterator[_Block]:
@@ -233,9 +266,9 @@ def _blocks(lam: RealSpec | Fraction, q_min: int, q_max: int, side: str | None) 
 
     The side against the kind of slope, the orders, the slope, then the
     ladder, are checked before this returns: a refused slope builds no
-    ladder, and a failed check yields no block.  The runs of
-    farey_neighbor_runs are certified (_certified_columns) before any block
-    that holds them is yielded.
+    ladder, and a failed check yields no block.  The families of
+    farey_neighbor_families are certified (_certified_families) before any
+    block that holds a run of them is yielded.
     """
     cut = lam.as_integer_ratio() if isinstance(lam, Fraction) else None  # a rational cut point
     if (cut is None) != (side is None):
@@ -243,35 +276,51 @@ def _blocks(lam: RealSpec | Fraction, q_min: int, q_max: int, side: str | None) 
                          else "a side (--side) applies only to a rational slope")
     if not 2 <= q_min <= q_max:
         raise ValueError("need 2 <= q_min <= q_max (--q-min, --q-max)")
-    runs = farey_neighbor_runs(lam, q_min, q_max, side)
+    families = farey_neighbor_families(lam, q_min, q_max, side)
     value = float(lam)
     shape = (1.0 + value * value) ** 1.5  # the factor of the predicted radius
-    return _evaluated(runs, lam, side, cut, _x_ladder(q_max), q_min, q_max, shape)
+    return _evaluated(families, lam, side, cut, _x_ladder(q_max), q_min, q_max, shape)
 
 
-def _evaluated(runs, lam, side, cut, xs: np.ndarray, q_min: int, q_max: int, shape: float) -> Iterator[_Block]:
-    held = ()  # the columns of a certified run that goes on past the last block
-    lo_next = q_min  # the first order that no certified run covers yet
+def _evaluated(families, lam, side, cut, xs: np.ndarray, q_min: int, q_max: int, shape: float) -> Iterator[_Block]:
+    held = np.empty((0, 11), dtype=np.int64)  # the rest of a certified family that goes on past the last block
+    lo_next = q_min  # the first order that no certified family covers yet
     for lo in range(q_min, q_max + 1, _BLOCK):
         hi = min(lo + _BLOCK - 1, q_max)
         rows, start = [], lo_next
         if lo_next <= hi:
-            for run in islice(runs, _BLOCK):  # a run covers one order or more
-                rows.append(run)
-                if run[1] >= hi:
+            for family in islice(families, _BLOCK):  # a family covers one order or more
+                rows.append(family)
+                if _family_end(family) >= hi:
                     break
-        cols = held
+        fams = held
         if rows:
-            lo_next = rows[-1][1] + 1
-            his, a1, q1, a2, q2 = _certified_columns(rows, start, q_max, lam, side, cut)
-            new = (his, a1, q1, a2, q2, q1 * q2 * (q1 + q2), *_squared_radii(a1, q1, a2, q2))
-            cols = tuple(map(np.concatenate, zip(held, new))) if held else new
+            new = _certified_families(rows, start, q_max, lam, side, cut)
+            lo_next = _family_end(rows[-1]) + 1
+            fams = np.concatenate((held, new)) if len(held) else new
         if lo_next <= hi:
             raise ArithmeticError(f"the neighbor runs stop at order {lo_next - 1}, before {q_max}")
-        his, a1, q1, a2, q2, p, num, den, root = cols
-        counts = np.diff(np.minimum(his, hi), prepend=lo - 1)
+        # the runs that start by hi, expanded together: run i of a family
+        # holds the orders lo + i length .. hi + i length
+        length = fams[:, 1] - fams[:, 0] + 1
+        taken = np.minimum(fams[:, 6], (hi - fams[:, 0]) // length + 1)
+        ends = np.cumsum(taken)
+        i = np.arange(ends[-1], dtype=np.int64) - np.repeat(ends - taken, taken)
+        members = np.repeat(fams, taken, axis=0)
+        his = members[:, 1] + i * (members[:, 1] - members[:, 0] + 1)
+        a1, q1, a2, q2 = (members[:, 2:6] + i[:, None] * members[:, 7:]).T
+        done = int(taken[-1]) - int(his[-1] > hi)  # the runs of the last family that end by hi
+        held = fams[:0]
+        if done < fams[-1, 6]:  # the rest goes on past hi
+            held = fams[-1:].copy()
+            held[0, :2] += done * length[-1]
+            held[0, 2:6] += done * held[0, 7:]
+            held[0, 6] -= done
+        num, den, root = _squared_radii(a1, q1, a2, q2)
+        cum = np.minimum(his, hi)
+        counts = cum - np.concatenate(([lo - 1], cum[:-1]))
         x = xs[lo : hi + 1]
-        p = np.repeat(p, counts)
+        p = np.repeat(q1 * q2 * (q1 + q2), counts)
         # p / Q^3 as Python's int division rounds it: the quotient of two
         # float64 values is correctly rounded, and both are exact while
         # Q^3 < 2^53, as p = q1 q2 (q1 + q2) is even and at most 2 Q^3
@@ -282,10 +331,9 @@ def _evaluated(runs, lam, side, cut, xs: np.ndarray, q_min: int, q_max: int, sha
         # 3 X(Q,1) < 2^63, and int64 -> float64 rounds once as int / int does
         yield _Block(lo, hi, counts, a1, q1, a2, q2, num, den, x,
                      np.repeat(root, counts) / (3 * x / 2), ratio * _SQUARE_COEFF * shape)
-        held = tuple(c[-1:] for c in cols) if his[-1] > hi else ()
-    extra = next(runs, None)
+    extra = next(families, None)
     if extra is not None:  # no run may start past q_max
-        _certified_columns([extra], q_max + 1, q_max, lam, side, cut)
+        _certified_families([extra], q_max + 1, q_max, lam, side, cut)
 
 
 # ---------------------------------------------------------------------------
@@ -303,20 +351,19 @@ def trace_lines(
     order after a header, a block at a time from
     _blocks, with its checks done before this returns.  Each block is one
     byte grid (textgrid): the Q column, the text "q1,q2,num,den," of each
-    run in the block repeated over its orders, and r_tilde and predicted
-    as repr writes them."""
+    run in the block, each field at its own width, repeated over its
+    orders, and r_tilde and predicted as repr writes them."""
     blocks = _blocks(lam, q_min, q_max, side)
 
     def lines():
         yield _CSV_HEADER
         for block in blocks:
-            ints = np.stack((block.q1, block.q2, block.num, block.den), axis=1)
-            if ints.dtype == object:  # numerators beyond int64, each run formatted once
-                runs = textgrid.str_grid([f"{q1},{q2},{num},{den}," for q1, q2, num, den in ints.tolist()])
-            else:
-                runs = textgrid.int_grid(ints, 1)
-                runs[:, :, -1] = ord(",")
-                runs = runs.reshape(len(ints), -1)
+            fields = (block.q1, block.q2, block.num, block.den)
+            if block.num.dtype == object:  # numerators beyond int64, each run formatted once
+                runs = textgrid.str_grid([f"{q1},{q2},{num},{den}," for q1, q2, num, den in
+                                          zip(*(field.tolist() for field in fields))])
+            else:  # each field at its own width
+                runs = textgrid.joined([part for field in fields for part in (textgrid.int_grid(field), ",")])
             floats = textgrid.float_grid(np.stack((block.r_tilde, block.predicted), axis=1))
             yield textgrid.lines([textgrid.int_grid(np.arange(block.lo, block.hi + 1)), ",",
                                   np.repeat(runs, block.counts, axis=0), floats[:, 0], ",", floats[:, 1], "\n"])

@@ -4,7 +4,9 @@ Mobius and totient sieves over the primes of one sieve of Eratosthenes,
 those above the square root of the limit taken a slice of their multiples
 at a time, the Farey fractions of an order, the convergent
 walk of a quotient stream and the Farey neighbors of a slope, irrational or
-a rational cut point, in runs of orders read off its convergents, plus
+a rational cut point, in runs of orders read off its convergents: the runs
+of one partial quotient form a family, the secondary convergents, an
+arithmetic progression of pairs beside one fixed convergent.  Plus
 exact specifications of irrational numbers (quadratic surds,
 pattern-generated continued fractions) so that ordering questions against
 fractions are decided with integer arithmetic only, never floating point.
@@ -374,30 +376,37 @@ def convergent_walk(quotients: Iterable[int]) -> Iterator[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 
 
-def farey_neighbor_runs(
+def farey_neighbor_families(
     lam: RealSpec | Fraction, q_min: int, q_max: int, side: str | None = None
 ) -> Iterator[tuple[int, ...]]:
-    """(lo, hi, a1, q1, a2, q2), in runs that tile the orders q_min..q_max:
-    a1/q1 < a2/q2 are the consecutive Farey fractions around lam at every
-    order in lo..hi.
+    """(lo, hi, a1, q1, a2, q2, count, da1, dq1, da2, dq2), in families of
+    runs that tile the orders q_min..q_max: run i = 0..count-1 of a family
+    holds the orders lo + i L .. hi + i L, L = hi - lo + 1, and the pairs
+    (a1 + i da1)/(q1 + i dq1) < (a2 + i da2)/(q2 + i dq2), the consecutive
+    Farey fractions around lam at each of its orders.
 
     Every slope is walked by its convergents: with j k_n + k_{n-1} <= Q <
     (j+1) k_n + k_{n-1}, 1 <= j <= b_n, the bracketing denominators are k_n
-    and j k_n + k_{n-1}.  A rational cut point (a Fraction a/b) takes a side
-    and the expansion [0; ..., b_m] or [0; ..., b_m - 1, 1] of a/b whose
+    and j k_n + k_{n-1}, so the runs of level n form one family, k_n orders
+    a run, the secondaries (j h_n + h_{n-1})/(j k_n + k_{n-1}) beside the
+    fixed convergent h_n/k_n: the step is (h_n, k_n, 0, 0) where the
+    secondaries are the left neighbors and (0, 0, h_n, k_n) where they are
+    the right ones.  A run that q_min or q_max cuts short is a family of
+    its own.  A rational cut point (a Fraction a/b) takes a side and the
+    expansion [0; ..., b_m] or [0; ..., b_m - 1, 1] of a/b whose
     next-to-last convergent P/K lies on that side, then one quotient that
     puts the next convergent beyond q_max: a/b is the secondary of the one
-    run b..b + K - 1, paired with P/K, and the convergent of every run after
-    it, paired with (j a + P)/(j b + K).  The arguments are checked before
-    the walk is returned: reading b_1 rejects a value outside (0, 1), and a
-    cut point is refused off [0, 1], with b above q_min, or without a
-    neighbor on its side.
+    run b..b + K - 1, paired with P/K, and the convergent of the family
+    after it, paired with (j a + P)/(j b + K), b orders a run.  The
+    arguments are checked before the walk is returned: reading b_1 rejects
+    a value outside (0, 1), and a cut point is refused off [0, 1], with b
+    above q_min, or without a neighbor on its side.
     """
     if not 1 <= q_min <= q_max:
         raise ValueError("need 1 <= q_min <= q_max")
     if not isinstance(lam, Fraction):
         quotients = lam.quotients()
-        return _convergent_runs(chain([next(quotients)], quotients), q_min, q_max)
+        return _convergent_families(chain([next(quotients)], quotients), q_min, q_max)
     if side not in ("+", "-"):
         raise ValueError("side must be '+' or '-'")
     if not 0 <= lam <= 1:
@@ -416,26 +425,53 @@ def farey_neighbor_runs(
         if quotients[-1:] in ([], [1]):  # 0/1 and 1/1 = [0; 1]
             raise ValueError(f"{a}/{b} has no {'successor' if side == '+' else 'predecessor'} in [0, 1]")
         quotients[-1:] = [quotients[-1] - 1, 1]
-    return _convergent_runs(quotients + [q_max], q_min, q_max)
+    return _convergent_families(quotients + [q_max], q_min, q_max)
 
 
-def _convergent_runs(quotients: Iterable[int], lo: int, q_max: int) -> Iterator[tuple]:
+def farey_neighbor_runs(
+    lam: RealSpec | Fraction, q_min: int, q_max: int, side: str | None = None
+) -> Iterator[tuple[int, ...]]:
+    """(lo, hi, a1, q1, a2, q2), in runs that tile the orders q_min..q_max:
+    a1/q1 < a2/q2 are the consecutive Farey fractions around lam at every
+    order in lo..hi.  These are the families of farey_neighbor_families
+    expanded run by run, with its checks done before this returns."""
+    return chain.from_iterable(map(family_runs, farey_neighbor_families(lam, q_min, q_max, side)))
+
+
+def family_runs(family: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """The runs (lo, hi, a1, q1, a2, q2) of a family of
+    farey_neighbor_families, first to last."""
+    lo, hi, a1, q1, a2, q2, count, da1, dq1, da2, dq2 = family
+    length = hi - lo + 1
+    for i in range(count):
+        yield lo + i * length, hi + i * length, a1 + i * da1, q1 + i * dq1, a2 + i * da2, q2 + i * dq2
+
+
+def _convergent_families(quotients: Iterable[int], lo: int, q_max: int) -> Iterator[tuple]:
     # level n, with the convergents n-1 and n and the quotient b_n, holds
-    # the orders k_n + k_{n-1} .. k_{n+1} + k_n - 1, one run per j
+    # the orders k_n + k_{n-1} .. k_{n+1} + k_n - 1, run j = 1..b_n from
+    # j k_n + k_{n-1} on
     hp, kp, h, k = 1, 0, 0, 1
     for b in quotients:
         top = (b + 1) * k + kp - 1
         if lo <= top:
             last = top if top < q_max else q_max
-            j = (lo - kp) // k
-            hi, sh, sk = (j + 1) * k + kp - 1, j * h + hp, j * k + kp
             # the secondaries lie between h_{n-1}/k_{n-1} and h_n/k_n, so
             # they are the left neighbors exactly when h_n/k_n is the larger
             left = h * kp > hp * k
-            while hi < last:
-                yield (lo, hi, sh, sk, h, k) if left else (lo, hi, h, k, sh, sk)
-                lo, hi, sh, sk = hi + 1, hi + k, sh + h, sk + k
-            yield (lo, last, sh, sk, h, k) if left else (lo, last, h, k, sh, sk)
+            j = (lo - kp) // k
+            while lo <= last:
+                start = j * k + kp
+                # the runs from j on that end by last make one family, and a
+                # run that q_min or q_max cuts short is one of its own
+                count = 1 if lo > start else max((last + 1 - start) // k, 1)
+                hi, sh = min(start + k - 1, last), j * h + hp
+                if left:
+                    yield lo, hi, sh, start, h, k, count, h, k, 0, 0
+                else:
+                    yield lo, hi, h, k, sh, start, count, 0, 0, h, k
+                j += count
+                lo = start + count * k
             if last == q_max:
                 return
             lo = last + 1

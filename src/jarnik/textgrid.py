@@ -84,11 +84,25 @@ def str_grid(texts: Sequence[str], width: int = 0) -> np.ndarray:
 def lines(parts: Sequence[np.ndarray | str]) -> str:
     """The text of the rows of `parts`, grids of one row per line and
     constant separators, laid side by side."""
+    return joined(parts).tobytes().translate(None, b"\0").decode("ascii")
+
+
+def joined(parts: Sequence[np.ndarray | str]) -> np.ndarray:
+    """The grids and constant separators of `parts` laid side by side as
+    one grid.  A grid of width w is copied as one V{w} element per row; a
+    part of width 0 is skipped."""
     widths = [len(p) if isinstance(p, str) else p.shape[1] for p in parts]
     grid = np.empty((next(len(p) for p in parts if not isinstance(p, str)), sum(widths)), dtype=np.uint8)
     for part, at, width in zip(parts, np.cumsum([0] + widths).tolist(), widths):
-        grid[:, at : at + width] = np.frombuffer(part.encode(), np.uint8) if isinstance(part, str) else part
-    return grid.tobytes().translate(None, b"\0").decode("ascii")
+        if not width:
+            continue
+        if isinstance(part, str):  # broadcast over the rows
+            grid[:, at : at + width] = np.frombuffer(part.encode(), np.uint8)
+            continue
+        if part.strides[1] != 1:  # a V{w} view needs the bytes of a row adjacent
+            part = np.ascontiguousarray(part)
+        grid[:, at : at + width].view(f"V{width}")[:] = part.view(f"V{width}")
+    return grid
 
 
 # The float64 kernel takes _LOW < v < _HIGH, where 0 <= -k <= 22: there

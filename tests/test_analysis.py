@@ -30,6 +30,18 @@ from oracles import curve_distance_oracle, lemma_check, moment_route_ratio, vert
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("name", ["C1", "Cdelta:2", "Cp:2", "Cp:3", "Cp:1/3"])
+def test_fold_octant_equals_the_sort_fold_bit_for_bit(name):
+    # the arc and its mirror images, and every sign of zero
+    arc = parse_curve(name).points(np.linspace(0.0, 1.0, 4096))
+    zeros = np.array([[0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0], [0.0, 0.0], [-0.0, 1.5], [2.5, -0.0]])
+    points = np.concatenate((arc, -arc, arc[:, ::-1], arc * (1.0, -1.0), zeros))
+    want = np.abs(points)
+    want.sort(axis=1)
+    np.negative(want[:, 1], out=want[:, 1])
+    assert np.array_equal(_fold_octant(points).view(np.int64), want.view(np.int64))
+
+
 def test_distance_zero_for_points_on_curve():
     # a fine inscribed polygon of the unit circle sits on the ball(2) curve
     pts = tuple(

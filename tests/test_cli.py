@@ -598,6 +598,15 @@ def test_curvature_wrong_totient_fails_before_any_output(capsys, monkeypatch, tm
     assert os.listdir(tmp_path) == []
 
 
+def _as_families(walk):
+    """A walk of runs (lam, q_min, q_max, side) -> (lo, hi, a1, q1, a2, q2),
+    as the family stream that curvature reads: each run a family of one."""
+    def families(lam, q_min, q_max, side=None):
+        return ((*run, 1, 0, 0, 0, 0) for run in walk(lam, q_min, q_max, side))
+
+    return families
+
+
 def _first_run_one_order_too_long(lam, q_min, q_max, side=None):
     (lo, hi, *pair), *rest = number_theory.farey_neighbor_runs(lam, q_min, q_max, side)
     return iter([(lo, hi + 1, *pair), *rest])
@@ -612,7 +621,7 @@ def _unimodular_but_not_consecutive(lam, q_min, q_max, side=None):
                          ids=["hi-one-too-large", "not-consecutive"])
 @pytest.mark.parametrize("lam, side", [("const:inv-sqrt3", None), ("rat:2/5", "-")])
 def test_curvature_uncertified_neighbor_run_writes_nothing(capsys, monkeypatch, tmp_path, walk, lam, side):
-    monkeypatch.setattr(curvature, "farey_neighbor_runs", walk)
+    monkeypatch.setattr(curvature, "farey_neighbor_families", _as_families(walk))
     argv = ["curvature", "--lambda", lam, "--q-min", "5", "--q-max", "1000", "--output", str(tmp_path / "t.csv")]
     code, out, err = run_capture(capsys, argv + (["--side", side] if side else []))
     assert code == 1 and out == ""
@@ -652,7 +661,11 @@ def _edited_walk(at, edit):
 
 
 def _refused_run_writes_nothing(capsys, monkeypatch, tmp_path, walk, lam, side, why="are not the Farey neighbors"):
-    monkeypatch.setattr(curvature, "farey_neighbor_runs", walk)
+    _refused_families_write_nothing(capsys, monkeypatch, tmp_path, _as_families(walk), lam, side, why)
+
+
+def _refused_families_write_nothing(capsys, monkeypatch, tmp_path, families, lam, side, why):
+    monkeypatch.setattr(curvature, "farey_neighbor_families", families)
     argv = ["curvature", "--lambda", lam, "--q-min", "5", "--q-max", "10000", "--output", str(tmp_path / "t.csv")]
     code, out, err = run_capture(capsys, argv + (["--side", side] if side else []))
     assert code == 1 and out == ""
@@ -691,6 +704,51 @@ def test_curvature_run_whose_int64_test_wraps_writes_nothing(capsys, monkeypatch
     # q: a2 q1 - a1 q2 wraps to 1 in int64, and only 0 <= a1, a2 <= lo stops it
     walk = _edited_walk(99, lambda runs, i: _replaced(runs, i, (*runs[i][:2], *edit(*runs[i][2:]))))
     _refused_run_writes_nothing(capsys, monkeypatch, tmp_path, walk, lam, side)
+
+
+def _last_pair(families):
+    """The index of the last family of two runs, and the orders lo..hi of
+    its second run."""
+    f = max(i for i, family in enumerate(families) if family[6] == 2)
+    lo, hi = families[f][:2]
+    return f, f"{hi + 1}..{2 * hi - lo + 1}"
+
+
+def _step_breaking_the_last_run(families):
+    # one more on the numerator that steps: the first run keeps a2 q1 - a1 q2
+    # = 1, the second has 1 + q1 or 1 - q2
+    f, orders = _last_pair(families)
+    lo, hi, a1, q1, a2, q2, count, da1, dq1, da2, dq2 = families[f]
+    families[f] = (lo, hi, a1, q1, a2, q2, count, da1 + (dq1 > 0), dq1, da2 + (dq2 > 0), dq2)
+    return families, orders
+
+
+def _count_one_order_past_q_max(families):
+    # 0/1+ walks one family of runs one order long, up to q_max
+    *head, count, da1, dq1, da2, dq2 = families[-1]
+    families[-1] = (*head, count + 1, da1, dq1, da2, dq2)
+    return families, f"{head[1] + count}..{head[1] + count}"
+
+
+def _mediant_inside_the_last_run(families):
+    # a step of 0 keeps the pair of the first run in the second, where their
+    # mediant, of denominator q1 + q2 = its first order, enters at once
+    f, orders = _last_pair(families)
+    families[f] = (*families[f][:7], 0, 0, 0, 0)
+    return families, orders
+
+
+@pytest.mark.parametrize("lam, side, edit", [
+    ("const:inv-sqrt3", None, _step_breaking_the_last_run),
+    ("rat:0/1", "+", _count_one_order_past_q_max),
+    ("const:inv-sqrt3", None, _mediant_inside_the_last_run),
+], ids=["step-breaks-unimodularity-at-the-last-run", "count-one-order-past-q-max", "mediant-inside-the-last-run"])
+def test_curvature_family_failing_at_its_last_run_writes_nothing(capsys, monkeypatch, tmp_path, lam, side, edit):
+    # the first run of the family passes, and its last run is the one refused
+    genuine = list(number_theory.farey_neighbor_families(number_theory.parse_real(lam), 5, 10000, side))
+    edited, orders = edit(genuine)
+    _refused_families_write_nothing(capsys, monkeypatch, tmp_path, lambda *walk: iter(edited), lam, side,
+                                    f"are not the Farey neighbors of the slope for orders {orders}\n")
 
 
 @pytest.mark.parametrize("lam, side", [("const:inv-sqrt3", None), ("rat:2/5", "-")])

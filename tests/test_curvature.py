@@ -16,7 +16,15 @@ from jarnik import curvature
 from jarnik.curvature import _bounds_for, _x_by_moebius
 from jarnik.domains import square
 from jarnik.limit_curves import LimitCurve
-from jarnik.number_theory import E_MINUS_2, INV_SQRT3, GeneratedCF, farey_neighbor_runs, moebius_array, parse_real
+from jarnik.number_theory import (
+    E_MINUS_2,
+    INV_SQRT3,
+    GeneratedCF,
+    farey_neighbor_families,
+    farey_neighbor_runs,
+    moebius_array,
+    parse_real,
+)
 from jarnik.polygon import build_polygon, scale_polygon
 
 from oracles import (
@@ -426,6 +434,29 @@ def test_neighbor_runs_expand_to_the_scanned_neighbors(text, side, q_min):
     assert all(run[2:] != after[2:] for run, after in pairwise(runs))
     # and its orders are those where the pair stays consecutive
     assert all(lo >= max(q1, q2) and hi == min(2000, q1 + q2 - 1) for lo, hi, _, q1, _, q2 in runs)
+
+
+@pytest.mark.parametrize("text, side", [
+    ("rat:0/1", "+"), ("rat:1/1", "-"), ("rat:1/2", "+"), ("rat:1/2", "-"), ("rat:2/5", "+"), ("rat:2/5", "-"),
+    ("cf:[0;1,(50)]", None),
+])
+def test_families_expand_to_the_scanned_neighbors_across_block_edges(text, side):
+    # cut points with b = 1, 2 and 5, and a slope whose levels hold 50 runs
+    lam = parse_real(text)
+    q_min = 5
+    for q_max in (q_min + curvature._BLOCK - 1, q_min + curvature._BLOCK, 2 * curvature._BLOCK + 17):
+        scan = list(farey_neighbor_scan(lam, q_min, q_max, side))
+        families = list(farey_neighbor_families(lam, q_min, q_max, side))
+        assert [(q, *pair) for lo, hi, *pair in farey_neighbor_runs(lam, q_min, q_max, side)
+                for q in range(lo, hi + 1)] == scan
+        # the blocks expand their families together, cut at the block edges
+        assert [(q, *run[2:6]) for run in curvature_runs(lam, q_min, q_max, side)
+                for q in range(run[0], run[1] + 1)] == scan
+        # one family a level: the secondaries step by the fixed convergent
+        for lo, hi, a1, q1, a2, q2, count, *step in families:
+            assert count == 1 or step in ([a2, q2, 0, 0], [0, 0, a1, q1]) and hi - lo + 1 == step[1] + step[3]
+        if isinstance(lam, Fraction):  # the first run, the runs beside a/b, cut at q_max
+            assert len(families) <= 3
 
 
 @pytest.mark.parametrize("text, side", [

@@ -145,3 +145,18 @@ def test_grids_hold_only_columns_some_value_uses():
     assert textgrid.float_grid(np.array([1.5, np.nan])).shape == (2, 25)  # room for repr
     assert textgrid.int_grid(np.array([0, 7, 123])).shape == (3, 3)
     assert textgrid.int_grid(np.array([0, -7, 123]), 1).shape == (3, 5)
+
+
+def test_lines_copies_strided_parts_and_skips_empty_ones():
+    # reversed rows, columns of a 3-d grid, a grid reversed within its rows,
+    # and parts of width 0: a "" separator and an empty grid
+    ints = textgrid.int_grid(np.array([5, -12, 300, 0, 7]))
+    floats = textgrid.float_grid(np.array([[0.5, -2.0], [1e-7, 3.25], [0.0, 1e20], [2.5, -0.0], [1.0, 7.0]]))
+    letters = textgrid.str_grid(["ab", "c", "", "def", "g"])
+    parts = [ints[::-1], "", ",", floats[:, 1], ";", floats[::-1, 0], "", letters[:, ::-1],
+             np.zeros((5, 0), dtype=np.uint8), letters[::-2].repeat(2, axis=0)[:5], "\n"]
+    want = "".join(
+        "".join(p if isinstance(p, str) else p[row].tobytes().replace(b"\0", b"").decode() for p in parts)
+        for row in range(5))
+    assert textgrid.lines(parts) == want
+    assert want.startswith("7,-2.0;1.0bag\n0,3.25;2.5cg\n")
